@@ -140,9 +140,15 @@ def _resolve(args: argparse.Namespace, command: str):
     if args.grid is not None:
         run["grid"] = args.grid
 
-    if run.get("seed") is not None and int(run["seed"]) < 0:
+    for key in ("seed", "samples"):
+        value = run[key]
+        if value is None and _RUN_DEFAULTS[command][key] is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if run["seed"] is not None and run["seed"] < 0:
         raise ConfigError("seed must be non-negative")
-    if run.get("samples") is not None and int(run["samples"]) < 1:
+    if run["samples"] is not None and run["samples"] < 1:
         raise ConfigError("samples must be at least 1")
 
     params, geometry, detection = build_settings(file_cfg)

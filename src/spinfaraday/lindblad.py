@@ -11,6 +11,12 @@ with delta_x = omega_drive - omega_x. kappa is the amplitude HWHM of the
 cavity line, so the photon-number collapse rate is 2*kappa; atomic decay has
 rate gamma. For an atom drive the Hamiltonian term is amp*sp + conj(amp)*sm,
 so a resonant Rabi frequency Omega corresponds to amplitude Omega/2.
+
+Every steady state, single point or detuning grid, comes from one batched
+direct solve: the first row of L rho = 0 is replaced by the trace condition
+Tr(rho) = 1 (Nation, "Steady-state solution methods for open quantum optical
+systems", arXiv:1504.06768). Each solved point is checked for unit trace,
+hermiticity and positivity; the callers check the top Fock population.
 """
 
 from __future__ import annotations
@@ -20,10 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optics import coupling_grid
 from .params import SystemParams
 
 TOP_FOCK_TOLERANCE = 1e-6
 HERMITICITY_TOLERANCE = 1e-10
+TRACE_TOLERANCE = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 
 
@@ -66,9 +74,6 @@ class SteadyState:
     density_matrix: np.ndarray
     fock_cutoff: int
 
-    def _fock_dim(self) -> int:
-        return self.fock_cutoff + 1
-
     def expectation(self, operator: np.ndarray) -> complex:
         return complex(np.trace(self.density_matrix @ operator))
 
@@ -89,10 +94,7 @@ class SteadyState:
 
     @property
     def top_fock_population(self) -> float:
-        nf = self._fock_dim()
-        diag = np.real(np.diag(self.density_matrix))
-        # Atom index i, Fock index n live at row i*nf + n.
-        return float(diag[nf - 1] + diag[2 * nf - 1])
+        return float(_top_fock_population(self.density_matrix, self.fock_cutoff))
 
 
 @dataclass(frozen=True)
@@ -146,74 +148,94 @@ def _dissipator(c: np.ndarray, rate: float) -> np.ndarray:
     )
 
 
+def _commutator_superoperator(h: np.ndarray) -> np.ndarray:
+    """-i(H x 1 - 1 x H^T): the coherent part of the row-major generator."""
+    eye = np.eye(h.shape[0], dtype=complex)
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+
+
 def liouvillian(model: LindbladModel) -> np.ndarray:
     """Vectorized generator (row-major vec) of the master equation."""
     ops = _operators(model.fock_cutoff)
-    h = hamiltonian(model)
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    liou = _commutator_superoperator(hamiltonian(model))
     liou += _dissipator(ops.a, 2.0 * model.kappa)  # photon loss, HWHM kappa
     liou += _dissipator(ops.sm, model.gamma)       # atomic decay
     return liou
 
 
-def _trace_row(dim: int) -> np.ndarray:
-    row = np.zeros(dim * dim, dtype=complex)
-    row[:: dim + 1] = 1.0
-    return row
+def _top_fock_population(rho: np.ndarray, cutoff: int) -> np.ndarray:
+    """Population of the top Fock level, over the trailing (d, d) axes."""
+    nf = cutoff + 1
+    diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    # Atom index i, Fock index n live at row i*nf + n.
+    return diag[..., nf - 1] + diag[..., 2 * nf - 1]
 
 
-def _solve_steady_vec(liou: np.ndarray, dim: int) -> np.ndarray:
-    """Solve L rho = 0 with unit trace by replacing one row."""
-    a = liou.copy()
-    a[0, :] = _trace_row(dim)
-    b = np.zeros(dim * dim, dtype=complex)
-    b[0] = 1.0
+def _steady_states(
+    liou: np.ndarray, cutoff: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked steady states of a stack of Liouvillians, shape (n, d^2, d^2).
+
+    Row 0 of every generator is overwritten in place by the trace row, and
+    the stack is solved in one call; if that call meets a singular system,
+    the points are solved one by one and the singular ones marked failed.
+    A point also fails when its solution misses unit trace or hermiticity by
+    more than 1e-10 or has an eigenvalue below -1e-8.
+
+    Returns (rho, top_fock, ok): the symmetrized density matrices (n, d, d),
+    their top Fock populations (n,) and the mask of points that passed.
+    Failed points are NaN in rho and top_fock.
+    """
+    n = liou.shape[0]
+    dim = 2 * (cutoff + 1)
+    liou[:, 0, :] = 0.0
+    liou[:, 0, :: dim + 1] = 1.0
+    rhs = np.zeros((n, dim * dim, 1), dtype=complex)
+    rhs[:, 0] = 1.0
+
+    ok = np.ones(n, dtype=bool)
     try:
-        return np.linalg.solve(a, b)
+        vec = np.linalg.solve(liou, rhs)
     except np.linalg.LinAlgError:
-        stacked = np.vstack([liou, _trace_row(dim)[None, :]])
-        rhs = np.zeros(dim * dim + 1, dtype=complex)
-        rhs[-1] = 1.0
-        solution, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        return solution
+        vec = np.full_like(rhs, np.nan)
+        for k in range(n):
+            try:
+                vec[k] = np.linalg.solve(liou[k], rhs[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+
+    rho = vec.reshape(n, dim, dim)
+    rho_h = np.conj(np.swapaxes(rho, 1, 2))
+    ok &= np.max(np.abs(rho - rho_h), axis=(1, 2)) <= HERMITICITY_TOLERANCE
+    rho = 0.5 * (rho + rho_h)
+    ok &= np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0) <= TRACE_TOLERANCE
+    if ok.any():
+        min_eig = np.linalg.eigvalsh(rho[ok]).min(axis=1)
+        ok[ok] = min_eig >= EIGENVALUE_FLOOR
+    rho[~ok] = np.nan
+    return rho, _top_fock_population(rho, cutoff), ok
 
 
 def steady_state(model: LindbladModel, *, check_cutoff: bool = True) -> SteadyState:
-    """Steady state of the master equation via a dense null-space solve.
+    """Steady state of the master equation via a dense trace-row solve.
 
-    Raises CutoffError if the top Fock level holds more than 1e-6
-    population, and numpy.linalg.LinAlgError if the Liouvillian solve is
-    singular beyond the least-squares fallback.
+    Raises numpy.linalg.LinAlgError if the system is singular or the
+    solution fails the trace, hermiticity or positivity check, and
+    CutoffError if the top Fock level holds more than 1e-6 population.
     """
-    dim = model.dimension
-    vec = _solve_steady_vec(liouvillian(model), dim)
-    rho = vec.reshape(dim, dim)
-
-    deviation = np.max(np.abs(rho - rho.conj().T))
-    if deviation > HERMITICITY_TOLERANCE:
+    rho, top_fock, ok = _steady_states(liouvillian(model)[None], model.fock_cutoff)
+    if not ok[0]:
         raise np.linalg.LinAlgError(
-            f"steady-state solve lost hermiticity: deviation {deviation:.2e}"
+            "steady-state solve is singular or failed the trace, hermiticity "
+            "or positivity check"
         )
-    rho = 0.5 * (rho + rho.conj().T)
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > 1e-10:
-        raise np.linalg.LinAlgError(f"steady-state trace {trace!r} differs from 1")
-    min_eig = float(np.linalg.eigvalsh(rho).min())
-    if min_eig < EIGENVALUE_FLOOR:
-        raise np.linalg.LinAlgError(
-            f"steady state not positive semidefinite: min eigenvalue {min_eig:.2e}"
-        )
-
-    state = SteadyState(density_matrix=rho, fock_cutoff=model.fock_cutoff)
-    if check_cutoff and state.top_fock_population >= TOP_FOCK_TOLERANCE:
+    if check_cutoff and top_fock[0] >= TOP_FOCK_TOLERANCE:
         raise CutoffError(
             "top Fock level holds population "
-            f"{state.top_fock_population:.2e} >= {TOP_FOCK_TOLERANCE:.0e}; "
+            f"{top_fock[0]:.2e} >= {TOP_FOCK_TOLERANCE:.0e}; "
             "increase fock_cutoff"
         )
-    return state
+    return SteadyState(density_matrix=rho[0], fock_cutoff=model.fock_cutoff)
 
 
 def transmittance_steady(
@@ -277,49 +299,6 @@ class Lineshape:
     failed_points: int
 
 
-def _batched_steady_observables(
-    base_liou: np.ndarray,
-    detuning_liou: np.ndarray,
-    detunings: np.ndarray,
-    dim: int,
-    observables: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Solve the steady state on a detuning grid in one stacked call.
-
-    Returns (values, top_fock_populations, n_failed) where values has shape
-    (len(observables), len(detunings)). Failed points are NaN.
-    """
-    n_d = detunings.size
-    trace_row = _trace_row(dim)
-    stacked = base_liou[None, :, :] + detunings[:, None, None] * detuning_liou[None, :, :]
-    stacked[:, 0, :] = trace_row
-    rhs = np.zeros((n_d, dim * dim), dtype=complex)
-    rhs[:, 0] = 1.0
-
-    failed = 0
-    try:
-        solution = np.linalg.solve(stacked, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        solution = np.full((n_d, dim * dim), np.nan, dtype=complex)
-        for k in range(n_d):
-            try:
-                solution[k] = _solve_steady_vec(
-                    base_liou + detunings[k] * detuning_liou, dim
-                )
-            except np.linalg.LinAlgError:
-                failed += 1
-
-    rho = solution.reshape(n_d, dim, dim)
-    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
-    values = np.empty((len(observables), n_d), dtype=float)
-    for i, op in enumerate(observables):
-        values[i] = np.real(np.einsum("dij,ji->d", rho, op))
-    nf = dim // 2
-    diag = np.real(np.einsum("dii->di", rho))
-    top_pop = diag[:, nf - 1] + diag[:, 2 * nf - 1]
-    return values, top_pop, failed
-
-
 def fluorescence_lineshape(
     params: SystemParams,
     power_scale: float,
@@ -363,9 +342,7 @@ def fluorescence_lineshape(
         rng = np.random.default_rng(seed)
         x = rng.uniform(-params.waist, params.waist, size=n_samples)
         z = rng.uniform(-excitation_waist, excitation_waist, size=n_samples)
-        g_local = params.g0 * np.exp(-(x**2) / params.waist**2) * np.cos(
-            2.0 * math.pi * z / params.wavelength
-        )
+        g_local = coupling_grid(x, 0.0, z, params)
         omega_local = omega * np.exp(-(z**2) / excitation_waist**2)
     else:
         g_local = np.array([params.g0])
@@ -374,13 +351,10 @@ def fluorescence_lineshape(
     cutoff = fock_cutoff if fock_cutoff is not None else 3
     while True:
         ops = _operators(cutoff)
-        dim = 2 * (cutoff + 1)
         # H(delta) = H(0) - delta * N with N = a^dag a + sp sm, so the
         # Liouvillian is affine in delta with a fixed coefficient matrix.
-        n_op = ops.number + ops.sp @ ops.sm
-        eye = np.eye(dim, dtype=complex)
-        liou_detuning = 1j * (np.kron(n_op, eye) - np.kron(eye, n_op.T))
-        observables = [ops.number, ops.sp @ ops.sm]
+        excited_op = ops.sp @ ops.sm
+        liou_detuning = _commutator_superoperator(-(ops.number + excited_op))
 
         rates = np.empty((g_local.size, detunings.size), dtype=float)
         worst_top = 0.0
@@ -394,13 +368,18 @@ def fluorescence_lineshape(
                 drive_amplitude=0.5 * omega_local[s],
                 drive_target="atom",
             )
-            values, top_pop, n_failed = _batched_steady_observables(
-                liouvillian(model), liou_detuning, detunings, dim, observables
+            # The stack goes straight into the solver, which overwrites it.
+            rho, top_pop, ok = _steady_states(
+                liouvillian(model)[None, :, :]
+                + detunings[:, None, None] * liou_detuning[None, :, :],
+                cutoff,
             )
-            rates[s] = 2.0 * params.kappa * values[0] + params.gamma * values[1]
-            if np.any(np.isfinite(top_pop)):
+            n_mean = np.real(np.einsum("dij,ji->d", rho, ops.number))
+            excited = np.real(np.einsum("dij,ji->d", rho, excited_op))
+            rates[s] = 2.0 * params.kappa * n_mean + params.gamma * excited
+            if ok.any():
                 worst_top = max(worst_top, float(np.nanmax(top_pop)))
-            failed += n_failed
+            failed += int(np.count_nonzero(~ok))
 
         if worst_top < TOP_FOCK_TOLERANCE:
             break

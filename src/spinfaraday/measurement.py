@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .montecarlo import coupling_matrix, threshold_trajectories
 from .optics import Transmittance, t_minus_value
 from .params import SystemParams
 
@@ -161,6 +162,19 @@ def _port_angle(phi: float, port: str) -> float:
     raise ValueError(f"port must be '{TRANSMITTED}' or '{REFLECTED}', got {port!r}")
 
 
+def _bayes_posterior(p_up_click, p_down_click, prior):
+    """Bayes' rule for one click, elementwise over broadcastable inputs.
+
+    Returns (P(down | click), P(click)), with
+    P(click) = P(click|up) (1 - prior) + P(click|down) prior; the posterior
+    is NaN where P(click) is zero.
+    """
+    click = np.asarray(p_up_click * (1.0 - prior) + p_down_click * prior)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        posterior = np.where(click > 0.0, p_down_click * prior / click, np.nan)
+    return posterior, click
+
+
 def conditional_population(
     p_down_prior: float,
     phi: float,
@@ -175,14 +189,14 @@ def conditional_population(
     if not (0.0 <= p_down_prior <= 1.0):
         raise ValueError("prior must lie in [0, 1]")
     angle = _port_angle(phi, port)
-    p_given_down = float(detection_prob_down(angle, t))
-    p_given_up = float(detection_prob_up(angle))
-    denominator = p_given_up * (1.0 - p_down_prior) + p_given_down * p_down_prior
-    if denominator <= 0.0:
+    posterior, click = _bayes_posterior(
+        detection_prob_up(angle), detection_prob_down(angle, t), p_down_prior
+    )
+    if not click > 0.0:
         raise MeasurementError("cannot condition on a zero-probability outcome")
     return ConditionalResult(
-        p_down_given_click=p_given_down * p_down_prior / denominator,
-        click_probability=denominator,
+        p_down_given_click=float(posterior),
+        click_probability=float(click),
         port=port,
     )
 
@@ -201,39 +215,30 @@ def pure_rotation_curves(
     phi_grid = np.asarray(phi_grid, dtype=float)
     p_up_click = np.cos(phi_grid) ** 2
     p_down_click = np.cos(phi_grid - theta) ** 2
-    curves = np.empty((len(priors), phi_grid.size), dtype=float)
-    for i, prior in enumerate(priors):
-        denominator = p_up_click * (1.0 - prior) + p_down_click * prior
-        with np.errstate(invalid="ignore", divide="ignore"):
-            curves[i] = np.where(
-                denominator > 0.0, p_down_click * prior / denominator, np.nan
-            )
-    return curves
+    prior = np.asarray(priors, dtype=float).reshape(-1, 1)
+    return _bayes_posterior(p_up_click, p_down_click, prior)[0]
+
+
+def _motion_couplings(params: SystemParams, motion, n_samples: int) -> np.ndarray:
+    """g(r(t)) over a threshold-selected ensemble and its probe window, flat."""
+    trajectories = threshold_trajectories(motion, params, n_samples)
+    return coupling_matrix(trajectories, params).reshape(-1)
 
 
 def _averaged_detection_prob_down(
-    phi_grid: np.ndarray,
-    delta: float,
-    params: SystemParams,
-    motion,
-    n_samples: int,
+    phi_grid: np.ndarray, delta: float, g_series: np.ndarray, params: SystemParams
 ) -> np.ndarray:
-    """Trajectory-averaged P(phi | down) over the probe window.
+    """P(phi | down) averaged over coupling samples, per analyzer angle.
 
     Averages the per-photon detection probability (an intensity) over a
     selected-atom ensemble and the probe window, mirroring how counts
     accumulate over many atoms.
     """
-    from . import montecarlo
-
-    trajectories = montecarlo.threshold_trajectories(motion, params, n_samples)
-    g_series = montecarlo.coupling_matrix(trajectories, params)
     t_series = t_minus_value(delta, g_series, params)
     phase = np.exp(-1j * phi_grid)
-    # Mean over trajectories and window times of |e^{-i phi} t + e^{+i phi}|^2/4.
-    flat = t_series.reshape(-1)
+    # Mean over samples of |e^{-i phi} t + e^{+i phi}|^2 / 4.
     values = (
-        np.abs(phase[:, None] * flat[None, :] + np.conj(phase)[:, None]) ** 2 / 4.0
+        np.abs(phase[:, None] * t_series[None, :] + np.conj(phase)[:, None]) ** 2 / 4.0
     )
     return values.mean(axis=1)
 
@@ -272,22 +277,15 @@ def conditional_curves(
     phi = np.radians(np.asarray(phi_grid_deg, dtype=float))
     angles = {TRANSMITTED: phi, REFLECTED: phi + math.pi / 2.0}
 
+    g_series = None if motion is None else _motion_couplings(params, motion, n_samples)
     results: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for port, port_phi in angles.items():
-        if motion is None:
+        if g_series is None:
             t = Transmittance(t_minus=complex(t_minus_value(delta, params.g0, params)))
             p_down_click = np.asarray(detection_prob_down(port_phi, t))
         else:
-            p_down_click = _averaged_detection_prob_down(
-                port_phi, delta, params, motion, n_samples
-            )
-        p_up_click = np.cos(port_phi) ** 2
-        denominator = p_up_click * (1.0 - prior) + p_down_click * prior
-        with np.errstate(invalid="ignore", divide="ignore"):
-            posterior = np.where(
-                denominator > 0.0, p_down_click * prior / denominator, np.nan
-            )
-        results[port] = (posterior, denominator)
+            p_down_click = _averaged_detection_prob_down(port_phi, delta, g_series, params)
+        results[port] = _bayes_posterior(np.cos(port_phi) ** 2, p_down_click, prior)
 
     return ConditionalCurves(
         phi_deg=np.asarray(phi_grid_deg, dtype=float),
@@ -296,17 +294,6 @@ def conditional_curves(
         click_prob_transmitted=results[TRANSMITTED][1],
         click_prob_reflected=results[REFLECTED][1],
     )
-
-
-def fig5_curves(
-    prior: float,
-    delta: float,
-    params: SystemParams,
-    motion=None,
-    **kwargs,
-) -> ConditionalCurves:
-    """Alias of conditional_curves; the name matches the CLI's fig5 command."""
-    return conditional_curves(prior, delta, params, motion, **kwargs)
 
 
 def population_vs_detuning(
@@ -335,19 +322,9 @@ def population_vs_detuning(
             out[i] = result.p_down_given_click
         return out
 
-    from . import montecarlo
-
-    trajectories = montecarlo.threshold_trajectories(motion, params, n_samples)
-    g_series = montecarlo.coupling_matrix(trajectories, params).reshape(-1)
+    g_series = _motion_couplings(params, motion, n_samples)
     p_up_click = math.cos(angle) ** 2
     for i, delta in enumerate(delta_grid):
-        t_series = t_minus_value(delta, g_series, params)
-        p_down_click = float(
-            np.mean(np.abs(np.exp(-1j * angle) * t_series + np.exp(1j * angle)) ** 2) / 4.0
-        )
-        denominator = p_up_click * (1.0 - prior) + p_down_click * prior
-        if denominator <= 0.0:
-            out[i] = np.nan
-        else:
-            out[i] = p_down_click * prior / denominator
+        p_down_click = _averaged_detection_prob_down(np.array([angle]), delta, g_series, params)
+        out[i] = _bayes_posterior(p_up_click, p_down_click[0], prior)[0]
     return out

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import AtomPosition, angle_from_counts, t_minus_value
+from .optics import AtomPosition, angle_from_counts, coupling_grid, t_minus_value
 from .params import SystemParams
 
 
@@ -83,18 +83,10 @@ class Trajectory:
         )
 
 
-def _coupling_xyz(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, params: SystemParams
-) -> np.ndarray:
-    envelope = np.exp(-(x**2 + y**2) / params.waist**2)
-    phase = np.cos(2.0 * math.pi * z / params.wavelength)
-    return params.g0 * envelope * phase
-
-
 def coupling_series(traj: Trajectory, params: SystemParams) -> np.ndarray:
     """g(r(t)) sampled on the trajectory's time grid."""
     x, y, z = traj.positions(traj.times())
-    return _coupling_xyz(x, y, z, params)
+    return coupling_grid(x, y, z, params)
 
 
 def coupling_matrix(trajectories: list[Trajectory], params: SystemParams) -> np.ndarray:
@@ -113,7 +105,7 @@ def coupling_matrix(trajectories: list[Trajectory], params: SystemParams) -> np.
     vx = np.array([traj.velocity[0] for traj in trajectories])[:, None]
     vy = np.array([traj.velocity[1] for traj in trajectories])[:, None]
     vz = np.array([traj.velocity[2] for traj in trajectories])[:, None]
-    return _coupling_xyz(x0 + vx * t, y0 + vy * t, z0 + vz * t, params)
+    return coupling_grid(x0 + vx * t, y0 + vy * t, z0 + vz * t, params)
 
 
 def pinned_trajectories(
@@ -178,7 +170,7 @@ def threshold_trajectories(
             )
         x0, z0 = _sample_disc(rng, batch, radius)
         y0 = np.zeros(batch)
-        g = _coupling_xyz(x0, y0, z0, params)
+        g = coupling_grid(x0, y0, z0, params)
         keep = np.flatnonzero(np.abs(g) >= cut)
         vx, vz = _sample_velocities(rng, keep.size, motion)
         for j, idx in enumerate(keep):
@@ -311,14 +303,10 @@ def sample_selected_trajectories(
 
 def selected_mean_coupling(trajectories: list[Trajectory], params: SystemParams) -> float:
     """Mean |g(r0)| / g0 over an ensemble's selection points."""
-    values = [
-        abs(
-            _coupling_xyz(
-                np.asarray(traj.r0.x), np.asarray(traj.r0.y), np.asarray(traj.r0.z), params
-            )
-        )
-        for traj in trajectories
-    ]
+    x0 = np.array([traj.r0.x for traj in trajectories])
+    y0 = np.array([traj.r0.y for traj in trajectories])
+    z0 = np.array([traj.r0.z for traj in trajectories])
+    values = np.abs(coupling_grid(x0, y0, z0, params))
     return float(np.mean(values) / params.g0)
 
 

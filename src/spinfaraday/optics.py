@@ -80,18 +80,19 @@ class Transmittance:
 
 
 def coupling_at(pos: AtomPosition, params: SystemParams) -> float:
-    """Coupling rate g(r) = g0 * exp(-(x^2+y^2)/w0^2) * cos(2 pi z / lambda).
+    """Coupling rate g(r) at one position; see coupling_grid.
 
     May be negative across a standing-wave node; physical observables use
     g(r)^2.
     """
-    envelope = math.exp(-(pos.x**2 + pos.y**2) / params.waist**2)
-    standing_wave = math.cos(2.0 * math.pi * pos.z / params.wavelength)
-    return params.g0 * envelope * standing_wave
+    return float(coupling_grid(pos.x, pos.y, pos.z, params))
 
 
 def coupling_grid(x: np.ndarray, y: np.ndarray, z: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Vectorized coupling map over broadcastable position arrays."""
+    """Coupling rate g(r) = g0 * exp(-(x^2+y^2)/w0^2) * cos(2 pi z / lambda).
+
+    Vectorized over broadcastable position arrays.
+    """
     envelope = np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / params.waist**2)
     standing_wave = np.cos(2.0 * math.pi * np.asarray(z) / params.wavelength)
     return params.g0 * envelope * standing_wave

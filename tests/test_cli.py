@@ -230,6 +230,18 @@ class TestErrorHandling:
         assert rc == 2
         assert capsys.readouterr().err != ""
 
+    @pytest.mark.parametrize(
+        "body",
+        ["seed = abc\n", "samples = 2.5\n", '{"samples": true}'],
+    )
+    def test_non_integer_run_key_exit_2(self, tmp_path, capsys, body):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(body)
+        rc = main(["fig4", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("coupling_mhz = 2.8\n")

@@ -8,9 +8,11 @@ import pytest
 from spinfaraday.lindblad import (
     CutoffError,
     LindbladModel,
+    _steady_states,
     curve_fwhm,
     fluorescence_lineshape,
     fluorescence_rate,
+    liouvillian,
     purcell_rate_formula,
     steady_state,
     transmittance_steady,
@@ -250,6 +252,42 @@ class TestLineshape:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             fluorescence_lineshape(P, -0.1, GRID)
+
+
+class TestBatchedSolver:
+    @staticmethod
+    def cavity_model(delta_c):
+        return LindbladModel(
+            fock_cutoff=4, g=P.g0, kappa=P.kappa, gamma=P.gamma,
+            drive_amplitude=0.05 * P.kappa, drive_target="cavity",
+            detuning_atom=float(delta_c), detuning_cavity=float(delta_c),
+        )
+
+    def test_singular_point_fails_alone(self):
+        models = [self.cavity_model(-1.3 * MHZ), self.cavity_model(0.8 * MHZ)]
+        first, last = (liouvillian(m) for m in models)
+        stack = np.stack([first, np.zeros_like(first), last])
+        rho, top_fock, ok = _steady_states(stack, 4)
+        np.testing.assert_array_equal(ok, [True, False, True])
+        assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
+        for k, model in zip((0, 2), models):
+            expected = steady_state(model).density_matrix
+            np.testing.assert_allclose(rho[k], expected, rtol=0.0, atol=1e-12)
+            assert np.isfinite(top_fock[k])
+
+    def test_lineshape_matches_single_point_solves(self):
+        grid = MHZ * np.linspace(-4.0, 4.0, 5)
+        power = 0.3
+        shape = fluorescence_lineshape(P, power, grid, average_positions=False)
+        omega = P.rabi * math.sqrt(power)
+        for delta, rate in zip(grid, shape.rate):
+            ss = steady_state(LindbladModel(
+                fock_cutoff=shape.fock_cutoff, g=P.g0, kappa=P.kappa, gamma=P.gamma,
+                drive_amplitude=0.5 * omega, drive_target="atom",
+                detuning_atom=float(delta), detuning_cavity=float(delta),
+            ))
+            expected = 2.0 * P.kappa * ss.photon_number + P.gamma * ss.atom_excitation
+            assert rate == pytest.approx(expected, rel=1e-10)
 
 
 class TestCurveFwhm:

@@ -18,7 +18,6 @@ from spinfaraday.measurement import (
     conditional_population,
     detection_prob_down,
     detection_prob_up,
-    fig5_curves,
     kraus,
     population_vs_detuning,
     pure_rotation_curves,
@@ -287,11 +286,6 @@ class TestConditionalCurves:
         # but the exact zero of P(click|up) still pins phi = 90 to unity
         i90 = int(np.argmin(np.abs(pinned.phi_deg - 90.0)))
         assert averaged.p_down_transmitted[i90] == pytest.approx(1.0, rel=1e-12)
-
-    def test_alias_matches(self):
-        a = conditional_curves(0.5, -1.1 * MHZ, P)
-        b = fig5_curves(0.5, -1.1 * MHZ, P)
-        np.testing.assert_array_equal(a.p_down_transmitted, b.p_down_transmitted)
 
     def test_invalid_prior_rejected(self):
         with pytest.raises(ValueError):
