@@ -118,92 +118,3 @@ from .scans import (
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AtomPosition",
-    "BALANCED_ANALYZER_OFFSET",
-    "CAVITY_EQUALS_ATOM",
-    "CavityGeometry",
-    "CnotReport",
-    "CoincidenceConfig",
-    "ConditionalCurves",
-    "ConditionalResult",
-    "ConfigError",
-    "CutoffError",
-    "DEFAULT_DETECTION",
-    "DEFAULT_GEOMETRY",
-    "DEFAULT_PARAMS",
-    "DetectionChain",
-    "GeometryError",
-    "InsufficientCountsError",
-    "LindbladModel",
-    "Lineshape",
-    "LosslessPoint",
-    "MaxRotation",
-    "MeasurementError",
-    "MeasurementOperator",
-    "MotionModel",
-    "PROBE_EQUALS_CAVITY",
-    "PolarizationField",
-    "REFLECTED",
-    "ScanResult",
-    "SelectionError",
-    "SpinState",
-    "SteadyState",
-    "SystemParams",
-    "TWO_PI",
-    "TRANSMITTED",
-    "Trajectory",
-    "Transmittance",
-    "angle_from_counts",
-    "apply_measurement",
-    "average_rotation",
-    "average_transmittance",
-    "build_settings",
-    "cnot_feasibility",
-    "coincidence_gap_probability",
-    "conditional_curves",
-    "conditional_population",
-    "coupling_at",
-    "coupling_grid",
-    "coupling_matrix",
-    "coupling_series",
-    "curve_fwhm",
-    "default_length_grid",
-    "default_reflectivity_grid",
-    "derive_g0",
-    "derive_kappa",
-    "derive_waist",
-    "detection_prob_down",
-    "detection_prob_up",
-    "export_trajectories_csv",
-    "finesse",
-    "fluorescence_lineshape",
-    "fluorescence_rate",
-    "hamiltonian",
-    "kraus",
-    "liouvillian",
-    "lossless_rotation_point",
-    "load_config",
-    "max_rotation",
-    "params_for_geometry",
-    "parse_config_text",
-    "pinned_trajectories",
-    "polarization_azimuth",
-    "population_vs_detuning",
-    "propagate",
-    "purcell_rate_formula",
-    "pure_rotation_curves",
-    "rotation_angle",
-    "rotation_curve",
-    "sample_selected_trajectories",
-    "scan_length",
-    "scan_reflectivity",
-    "selected_mean_coupling",
-    "settings_to_flat",
-    "steady_state",
-    "t_minus_value",
-    "threshold_trajectories",
-    "transmittance",
-    "transmittance_steady",
-]

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -113,6 +114,17 @@ _RUN_DEFAULTS: dict[str, dict[str, object]] = {
     },
 }
 
+# Numeric run keys: (rule as printed, test of an admitted value).
+_RUN_RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
+    **dict.fromkeys(
+        ("time_step_us", "window_us", "v_fall_mps", "excitation_waist_um",
+         "rate_max_per_s", "coincidence_window_ns"),
+        ("> 0", lambda x: x > 0.0),
+    ),
+    "v_transverse_rms_mps": (">= 0", lambda x: x >= 0.0),
+    "selection_threshold": ("in [0, 1)", lambda x: 0.0 <= x < 1.0),
+}
+
 
 def _out_dir(args: argparse.Namespace) -> str:
     out = args.out or os.environ.get(OUTPUT_ENV_VAR) or "."
@@ -150,6 +162,12 @@ def _resolve(args: argparse.Namespace, command: str):
         raise ConfigError("seed must be non-negative")
     if run["samples"] is not None and run["samples"] < 1:
         raise ConfigError("samples must be at least 1")
+    for key, (rule, admitted) in _RUN_RANGES.items():
+        if key not in run:
+            continue
+        value = run[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not admitted(value):
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
 
     params, geometry, detection = build_settings(file_cfg)
     return params, geometry, detection, run

@@ -13,14 +13,18 @@ rate gamma. For an atom drive the Hamiltonian term is amp*sp + conj(amp)*sm,
 so a resonant Rabi frequency Omega corresponds to amplitude Omega/2.
 
 Every steady state, single point or detuning grid, comes from one batched
-direct solve: the first row of L rho = 0 is replaced by the trace condition
-Tr(rho) = 1 (Nation, "Steady-state solution methods for open quantum optical
-systems", arXiv:1504.06768). Each solved point is checked for unit trace,
-hermiticity and positivity; the callers check the top Fock population.
+direct trace-row solve (Nation, "Steady-state solution methods for open
+quantum optical systems", arXiv:1504.06768) in a real Hermitian operator
+basis, where a Hermitian-preserving generator is a real matrix and the trace
+row is ones on the diagonal components. Hermiticity is checked on the
+generator as it enters that basis (rho = T r is Hermitian by construction),
+unit trace and positivity on each solved point; the callers check the top
+Fock population.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,7 +89,7 @@ class SteadyState:
     @property
     def atom_excitation(self) -> float:
         ops = _operators(self.fock_cutoff)
-        return float(self.expectation(ops.sp @ ops.sm).real)
+        return float(self.expectation(ops.excited).real)
 
     @property
     def cavity_amplitude(self) -> complex:
@@ -99,13 +103,18 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class _Operators:
+    """Read-only operator algebra of one Fock cutoff."""
+
     a: np.ndarray
     sp: np.ndarray
     sm: np.ndarray
     number: np.ndarray
-    identity: np.ndarray
+    excited: np.ndarray
+    loss: np.ndarray   # unit-rate dissipator of a
+    decay: np.ndarray  # unit-rate dissipator of sm
 
 
+@functools.lru_cache(maxsize=None)
 def _operators(cutoff: int) -> _Operators:
     nf = cutoff + 1
     destroy = np.zeros((nf, nf), dtype=complex)
@@ -118,16 +127,20 @@ def _operators(cutoff: int) -> _Operators:
     a = np.kron(id_atom, destroy)
     sm = np.kron(sm_atom, id_fock)
     sp = sm.conj().T
-    number = a.conj().T @ a
-    identity = np.eye(2 * nf, dtype=complex)
-    return _Operators(a=a, sp=sp, sm=sm, number=number, identity=identity)
+    ops = _Operators(
+        a=a, sp=sp, sm=sm, number=a.conj().T @ a, excited=sp @ sm,
+        loss=_dissipator(a), decay=_dissipator(sm),
+    )
+    for array in vars(ops).values():
+        array.flags.writeable = False
+    return ops
 
 
 def hamiltonian(model: LindbladModel) -> np.ndarray:
     ops = _operators(model.fock_cutoff)
     h = (
         -model.detuning_cavity * ops.number
-        - model.detuning_atom * (ops.sp @ ops.sm)
+        - model.detuning_atom * ops.excited
         + model.g * (ops.a.conj().T @ ops.sm + ops.a @ ops.sp)
     )
     amp = complex(model.drive_amplitude)
@@ -138,14 +151,12 @@ def hamiltonian(model: LindbladModel) -> np.ndarray:
     return h
 
 
-def _dissipator(c: np.ndarray, rate: float) -> np.ndarray:
+def _dissipator(c: np.ndarray) -> np.ndarray:
+    """Unit-rate D[c] = c x c* - (c^dag c x 1 + 1 x (c^dag c)^T)/2."""
     dim = c.shape[0]
     eye = np.eye(dim, dtype=complex)
     cdc = c.conj().T @ c
-    return rate * (
-        np.kron(c, c.conj())
-        - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-    )
+    return np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
 
 
 def _commutator_superoperator(h: np.ndarray) -> np.ndarray:
@@ -158,8 +169,8 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     """Vectorized generator (row-major vec) of the master equation."""
     ops = _operators(model.fock_cutoff)
     liou = _commutator_superoperator(hamiltonian(model))
-    liou += _dissipator(ops.a, 2.0 * model.kappa)  # photon loss, HWHM kappa
-    liou += _dissipator(ops.sm, model.gamma)       # atomic decay
+    liou += 2.0 * model.kappa * ops.loss  # photon loss, HWHM kappa
+    liou += model.gamma * ops.decay       # atomic decay
     return liou
 
 
@@ -171,49 +182,102 @@ def _top_fock_population(rho: np.ndarray, cutoff: int) -> np.ndarray:
     return diag[..., nf - 1] + diag[..., 2 * nf - 1]
 
 
-def _steady_states(
-    liou: np.ndarray, cutoff: int
+@functools.lru_cache(maxsize=None)
+def _basis_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major vec indices of the diagonal, of (i, j) and of (j, i), i < j."""
+    upper_i, upper_j = np.triu_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), upper_i * dim + upper_j, upper_j * dim + upper_i
+
+
+def _basis_combination(x: np.ndarray, axis: int, phase: complex) -> np.ndarray:
+    """x @ T along the last axis (phase 1j) or T^H @ x along a row axis
+    (phase -1j), from the at most two nonzeros per column of T."""
+    diag, upper, lower = _basis_indices(math.isqrt(x.shape[axis]))
+    x_upper = np.take(x, upper, axis)
+    x_lower = np.take(x, lower, axis)
+    return np.concatenate(
+        (
+            np.take(x, diag, axis),
+            (x_upper + x_lower) / math.sqrt(2.0),
+            (phase / math.sqrt(2.0)) * (x_lower - x_upper),
+        ),
+        axis,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """Unitary T whose columns are the vecs of an orthonormal Hermitian basis:
+    the matrix units E_ii, then (E_ij + E_ji)/sqrt(2) for every i < j, then
+    i(E_ji - E_ij)/sqrt(2) in the same pair order. The trace of T r is the
+    sum of the first dim components of r."""
+    basis = _basis_combination(np.eye(dim * dim, dtype=complex), 1, 1j)
+    basis.flags.writeable = False
+    return basis
+
+
+def _to_real(liou: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T^H L T of a stack of generators (n, d^2, d^2), and the mask of points
+    whose T^H L T is real: a point fails, as a generator that does not map
+    Hermitian matrices to Hermitian ones, when the imaginary part exceeds
+    1e-10 times its largest |L| entry."""
+    full = _basis_combination(_basis_combination(liou, 2, 1j), 1, -1j)
+    scale = np.max(np.abs(liou), axis=(1, 2))
+    ok = np.max(np.abs(full.imag), axis=(1, 2)) <= HERMITICITY_TOLERANCE * scale
+    return np.ascontiguousarray(full.real), ok
+
+
+def _solve_real(
+    liou_r: np.ndarray, cutoff: int, ok: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked steady states of a stack of Liouvillians, shape (n, d^2, d^2).
+    """Checked steady states of a stack of real-basis generators (n, d^2, d^2).
 
     Row 0 of every generator is overwritten in place by the trace row, and
     the stack is solved in one call; if that call meets a singular system,
-    the points are solved one by one and the singular ones marked failed.
-    A point also fails when its solution misses unit trace or hermiticity by
-    more than 1e-10 or has an eigenvalue below -1e-8.
-
-    Returns (rho, top_fock, ok): the symmetrized density matrices (n, d, d),
-    their top Fock populations (n,) and the mask of points that passed.
-    Failed points are NaN in rho and top_fock.
+    the points are solved one by one and the singular ones marked failed. A
+    point also fails when it is false in ok (updated in place), or when its
+    solution misses unit trace by more than 1e-10 or has an eigenvalue below
+    -1e-8. Returns (rho, top_fock, ok): the density matrices (n, d, d), their
+    top Fock populations (n,) and the mask of points that passed; failed
+    points are NaN in rho and top_fock.
     """
-    n = liou.shape[0]
+    n, size = liou_r.shape[:2]
     dim = 2 * (cutoff + 1)
-    liou[:, 0, :] = 0.0
-    liou[:, 0, :: dim + 1] = 1.0
-    rhs = np.zeros((n, dim * dim, 1), dtype=complex)
+    liou_r[:, 0, :] = 0.0
+    liou_r[:, 0, :dim] = 1.0
+    rhs = np.zeros((n, size, 1))
     rhs[:, 0] = 1.0
 
-    ok = np.ones(n, dtype=bool)
     try:
-        vec = np.linalg.solve(liou, rhs)
+        r = np.linalg.solve(liou_r, rhs)
     except np.linalg.LinAlgError:
-        vec = np.full_like(rhs, np.nan)
+        r = np.full_like(rhs, np.nan)
         for k in range(n):
             try:
-                vec[k] = np.linalg.solve(liou[k], rhs[k])
+                r[k] = np.linalg.solve(liou_r[k], rhs[k])
             except np.linalg.LinAlgError:
                 ok[k] = False
 
-    rho = vec.reshape(n, dim, dim)
-    rho_h = np.conj(np.swapaxes(rho, 1, 2))
-    ok &= np.max(np.abs(rho - rho_h), axis=(1, 2)) <= HERMITICITY_TOLERANCE
-    rho = 0.5 * (rho + rho_h)
-    ok &= np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0) <= TRACE_TOLERANCE
+    ok &= np.abs(r[:, :dim, 0].sum(axis=1) - 1.0) <= TRACE_TOLERANCE
+    rho = (_hermitian_basis(dim) @ r).reshape(n, dim, dim)
     if ok.any():
         min_eig = np.linalg.eigvalsh(rho[ok]).min(axis=1)
         ok[ok] = min_eig >= EIGENVALUE_FLOOR
     rho[~ok] = np.nan
     return rho, _top_fock_population(rho, cutoff), ok
+
+
+def _steady_states(
+    liou: np.ndarray, cutoff: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked steady states of a stack of Liouvillians, shape (n, d^2, d^2).
+
+    The stack is taken to the real Hermitian basis (_to_real, which checks
+    that each generator preserves hermiticity) and solved by _solve_real.
+    Returns (rho, top_fock, ok) as _solve_real does.
+    """
+    liou_r, ok = _to_real(liou)
+    return _solve_real(liou_r, cutoff, ok)
 
 
 def steady_state(model: LindbladModel, *, check_cutoff: bool = True) -> SteadyState:
@@ -352,9 +416,15 @@ def fluorescence_lineshape(
     while True:
         ops = _operators(cutoff)
         # H(delta) = H(0) - delta * N with N = a^dag a + sp sm, so the
-        # Liouvillian is affine in delta with a fixed coefficient matrix.
-        excited_op = ops.sp @ ops.sm
-        liou_detuning = _commutator_superoperator(-(ops.number + excited_op))
+        # real-basis generator is L0 + delta * Ld with Ld fixed per cutoff.
+        liou_detuning, detuning_ok = _to_real(
+            _commutator_superoperator(-(ops.number + ops.excited))[None]
+        )
+        stack = np.empty((detunings.size,) + liou_detuning.shape[1:])
+        # Photons scattered per unit time by each product-basis population.
+        emission = np.real(
+            2.0 * params.kappa * np.diagonal(ops.number) + params.gamma * np.diagonal(ops.excited)
+        )
 
         rates = np.empty((g_local.size, detunings.size), dtype=float)
         worst_top = 0.0
@@ -368,15 +438,14 @@ def fluorescence_lineshape(
                 drive_amplitude=0.5 * omega_local[s],
                 drive_target="atom",
             )
-            # The stack goes straight into the solver, which overwrites it.
-            rho, top_pop, ok = _steady_states(
-                liouvillian(model)[None, :, :]
-                + detunings[:, None, None] * liou_detuning[None, :, :],
-                cutoff,
+            liou0, ok0 = _to_real(liouvillian(model)[None])
+            # The stack is refilled in place here and overwritten by the solver.
+            np.multiply(detunings[:, None, None], liou_detuning[0], out=stack)
+            stack += liou0[0]
+            rho, top_pop, ok = _solve_real(
+                stack, cutoff, np.full(detunings.size, ok0[0] and detuning_ok[0])
             )
-            n_mean = np.real(np.einsum("dij,ji->d", rho, ops.number))
-            excited = np.real(np.einsum("dij,ji->d", rho, excited_op))
-            rates[s] = 2.0 * params.kappa * n_mean + params.gamma * excited
+            rates[s] = np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
             if ok.any():
                 worst_top = max(worst_top, float(np.nanmax(top_pop)))
             failed += int(np.count_nonzero(~ok))

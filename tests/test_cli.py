@@ -242,6 +242,33 @@ class TestErrorHandling:
         assert "must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("fig4", "time_step_us", "0"),
+            ("fig4", "window_us", "0"),
+            ("fig5", "window_us", "0"),
+            ("fig4", "v_fall_mps", "-1"),
+            ("fig4", "excitation_waist_um", "0"),
+            ("fig2", "excitation_waist_um", "-24"),
+            ("fig4", "rate_max_per_s", "0"),
+            ("fig4", "coincidence_window_ns", "-600"),
+            ("fig4", "v_transverse_rms_mps", "-0.1"),
+            ("fig4", "selection_threshold", "1.5"),
+            ("fig4", "selection_threshold", "1"),
+            ("fig4", "selection_threshold", "-0.1"),
+            ("fig4", "window_us", "nan"),
+            ("fig4", "v_fall_mps", "fast"),
+        ],
+    )
+    def test_out_of_range_run_key_exit_2(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("coupling_mhz = 2.8\n")

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from spinfaraday import lindblad
 from spinfaraday.lindblad import (
     CutoffError,
     LindbladModel,
+    _hermitian_basis,
     _steady_states,
+    _to_real,
     curve_fwhm,
     fluorescence_lineshape,
     fluorescence_rate,
@@ -288,6 +291,76 @@ class TestBatchedSolver:
             ))
             expected = 2.0 * P.kappa * ss.photon_number + P.gamma * ss.atom_excitation
             assert rate == pytest.approx(expected, rel=1e-10)
+
+
+class TestRealBasis:
+    @staticmethod
+    def random_model(rng, cutoff, target):
+        return LindbladModel(
+            fock_cutoff=cutoff,
+            g=float(rng.uniform(0.0, 3.0)) * MHZ,
+            kappa=float(rng.uniform(0.5, 5.0)) * MHZ,
+            gamma=float(rng.uniform(0.5, 5.0)) * MHZ,
+            drive_amplitude=MHZ * rng.uniform(0.01, 1.0) * np.exp(2j * np.pi * rng.uniform()),
+            drive_target=target,
+            detuning_atom=float(rng.uniform(-5.0, 5.0)) * MHZ,
+            detuning_cavity=float(rng.uniform(-5.0, 5.0)) * MHZ,
+        )
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+    def test_basis_unitary_and_transform_matches_dense(self, cutoff):
+        dim = 2 * (cutoff + 1)
+        basis = _hermitian_basis(dim)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-15)
+        for k in range(dim):  # the diagonal matrix units come first
+            np.testing.assert_array_equal(basis[:, k].reshape(dim, dim), np.diag(np.eye(dim)[k]))
+        rng = np.random.default_rng(cutoff)
+        models = [self.random_model(rng, cutoff, target) for target in ("atom", "cavity")]
+        liou = np.stack([liouvillian(m) for m in models])
+        real, ok = _to_real(liou)
+        dense = basis.conj().T @ liou @ basis
+        assert ok.all()
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(real - dense)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("target", ["atom", "cavity"])
+    @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+    def test_matches_complex_trace_row_solve(self, cutoff, target):
+        rng = np.random.default_rng(10 * cutoff + len(target))
+        models = [self.random_model(rng, cutoff, target) for _ in range(4)]
+        rho, _, ok = _steady_states(np.stack([liouvillian(m) for m in models]), cutoff)
+        assert ok.all()
+        dim = 2 * (cutoff + 1)
+        for k, model in enumerate(models):
+            a = liouvillian(model)
+            a[0, :] = 0.0
+            a[0, :: dim + 1] = 1.0
+            b = np.zeros(dim * dim, dtype=complex)
+            b[0] = 1.0
+            expected = np.linalg.solve(a, b).reshape(dim, dim)
+            np.testing.assert_allclose(rho[k], expected, rtol=0.0, atol=1e-12)
+
+    def test_non_hermiticity_preserving_generator_fails_alone(self):
+        models = [TestBatchedSolver.cavity_model(d * MHZ) for d in (-1.3, 0.2, 0.8)]
+        liou = [liouvillian(m) for m in models]
+        rho, top_fock, ok = _steady_states(np.stack([liou[0], 1j * liou[1], liou[2]]), 4)
+        np.testing.assert_array_equal(ok, [True, False, True])
+        assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
+        for k in (0, 2):
+            expected = steady_state(models[k]).density_matrix
+            np.testing.assert_allclose(rho[k], expected, rtol=0.0, atol=1e-12)
+
+    def test_lineshape_calls_liouvillian_once_per_position(self, monkeypatch):
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return liouvillian(model)
+
+        monkeypatch.setattr(lindblad, "liouvillian", counted)
+        grid = MHZ * np.linspace(-4.0, 4.0, 9)
+        fluorescence_lineshape(P, 1.0 / 300.0, grid, n_samples=3, fock_cutoff=3)
+        assert len(calls) == 3
 
 
 class TestCurveFwhm:
