@@ -16,7 +16,7 @@ from spinfaraday import (
     CoincidenceConfig,
     MotionModel,
     coincidence_gap_probability,
-    coupling_at,
+    coupling_grid,
     sample_selected_trajectories,
     selected_mean_coupling,
 )
@@ -36,7 +36,8 @@ mean_g = selected_mean_coupling(trajectories, params)
 print("coincidence-selected ensemble of %d atoms: mean |g(r0)|/g0 = %.3f"
       % (len(trajectories), mean_g))
 
-radii = np.array([np.hypot(t.r0.x, t.r0.z) for t in trajectories])
+r0 = trajectories.r0
+radii = np.hypot(r0[:, 0], r0[:, 2])
 print("  radial spread of selected start points: median %.1f um (waist %.1f um)"
       % (np.median(radii) * 1e6, params.waist * 1e6))
 print()
@@ -46,7 +47,7 @@ print(f"{'rate ceiling (1/s)':>19} {'mean g(r0)^2/g0^2':>18}")
 for factor in (0.5, 1.0, 2.0, 4.0):
     cfg = CoincidenceConfig(rate_max=7.6e5 * factor)
     trajs = sample_selected_trajectories(MotionModel(seed=2025), cfg, params, 1000)
-    g_sq = np.mean([(coupling_at(t.r0, params) / params.g0) ** 2 for t in trajs])
+    g_sq = np.mean((coupling_grid(*trajs.r0.T, params) / params.g0) ** 2)
     print(f"{cfg.rate_max:19.2g} {g_sq:18.3f}")
 print()
 print("brighter detectors admit dimmer atoms: the coincidence hurdle is the")

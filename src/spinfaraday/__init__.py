@@ -51,14 +51,13 @@ from .measurement import (
 )
 from .montecarlo import (
     CoincidenceConfig,
+    Ensemble,
     MotionModel,
     SelectionError,
-    Trajectory,
     average_rotation,
     average_transmittance,
     coincidence_gap_probability,
     coupling_matrix,
-    coupling_series,
     export_trajectories_csv,
     pinned_trajectories,
     sample_selected_trajectories,
@@ -66,13 +65,11 @@ from .montecarlo import (
     threshold_trajectories,
 )
 from .optics import (
-    AtomPosition,
     BALANCED_ANALYZER_OFFSET,
     InsufficientCountsError,
     PolarizationField,
     Transmittance,
     angle_from_counts,
-    coupling_at,
     coupling_grid,
     polarization_azimuth,
     propagate,

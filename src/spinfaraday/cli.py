@@ -166,8 +166,9 @@ def _resolve(args: argparse.Namespace, command: str):
         if key not in run:
             continue
         value = run[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not admitted(value):
-            raise ConfigError(f"{key} must be {rule}, got {value!r}")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value) and admitted(value)):
+            raise ConfigError(f"{key} must be a finite number {rule}, got {value!r}")
 
     params, geometry, detection = build_settings(file_cfg)
     return params, geometry, detection, run
@@ -182,6 +183,8 @@ def _parse_grid(text: object) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"grid must be 'min:max:n' in MHz, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid bounds must be finite, got {text!r}")
     if n < 1:
         raise ConfigError("grid must contain at least one point")
     if hi < lo or (hi == lo and n > 1):

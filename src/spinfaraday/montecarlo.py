@@ -18,19 +18,22 @@ models are provided:
   ensemble for averaged curves: it directly encodes "nearly maximal
   coupling at selection" and is insensitive to brightness assumptions.
 
+Both return an ``Ensemble``: start positions and velocities as two (n, 3)
+arrays on one shared probe window and time step, which the averages and
+the CSV export read directly.
+
 Averages are taken over intensities (expected photon counts), not field
 amplitudes, since counts accumulate over many atoms.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import AtomPosition, angle_from_counts, coupling_grid, t_minus_value
+from .optics import angle_from_counts, coupling_grid, t_minus_value
 from .params import SystemParams
 
 
@@ -61,64 +64,47 @@ class CoincidenceConfig:
         return self.window_ns * 1e-9
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Straight-line atom trajectory over one probe window."""
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Straight-line atom trajectories sharing one probe window and time grid.
 
-    r0: AtomPosition
-    velocity: tuple[float, float, float]
+    Row i starts at ``r0[i]`` (m, relative to the mode center; z runs along
+    the cavity axis) and moves at ``velocity[i]`` (m/s).
+    """
+
+    r0: np.ndarray
+    velocity: np.ndarray
     window: float
     time_step: float = 0.5e-6
+
+    def __post_init__(self) -> None:
+        r0 = np.asarray(self.r0, dtype=float)
+        velocity = np.asarray(self.velocity, dtype=float)
+        if r0.ndim != 2 or r0.shape[0] < 1 or r0.shape[1] != 3 or velocity.shape != r0.shape:
+            raise ValueError(
+                "an ensemble needs r0 and velocity of one shape (n, 3) with n >= 1, "
+                f"got {r0.shape} and {velocity.shape}"
+            )
+        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "velocity", velocity)
+
+    def __len__(self) -> int:
+        return self.r0.shape[0]
 
     def times(self) -> np.ndarray:
         n_steps = max(1, int(round(self.window / self.time_step)))
         return np.linspace(0.0, self.window, n_steps + 1)
 
-    def positions(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = np.asarray(t, dtype=float)
-        return (
-            self.r0.x + self.velocity[0] * t,
-            self.r0.y + self.velocity[1] * t,
-            self.r0.z + self.velocity[2] * t,
-        )
+
+def coupling_matrix(ensemble: Ensemble, params: SystemParams) -> np.ndarray:
+    """g(r(t)) over the ensemble's time grid, shape (n_traj, n_times)."""
+    r = ensemble.r0[:, :, None] + ensemble.velocity[:, :, None] * ensemble.times()
+    return coupling_grid(r[:, 0], r[:, 1], r[:, 2], params)
 
 
-def coupling_series(traj: Trajectory, params: SystemParams) -> np.ndarray:
-    """g(r(t)) sampled on the trajectory's time grid."""
-    x, y, z = traj.positions(traj.times())
-    return coupling_grid(x, y, z, params)
-
-
-def coupling_matrix(trajectories: list[Trajectory], params: SystemParams) -> np.ndarray:
-    """g(r(t)) for a homogeneous ensemble, shape (n_traj, n_times)."""
-    if not trajectories:
-        raise ValueError("trajectory list must not be empty")
-    window = trajectories[0].window
-    step = trajectories[0].time_step
-    for traj in trajectories:
-        if traj.window != window or traj.time_step != step:
-            raise ValueError("trajectories must share one time grid for batch averaging")
-    t = trajectories[0].times()[None, :]
-    x0 = np.array([traj.r0.x for traj in trajectories])[:, None]
-    y0 = np.array([traj.r0.y for traj in trajectories])[:, None]
-    z0 = np.array([traj.r0.z for traj in trajectories])[:, None]
-    vx = np.array([traj.velocity[0] for traj in trajectories])[:, None]
-    vy = np.array([traj.velocity[1] for traj in trajectories])[:, None]
-    vz = np.array([traj.velocity[2] for traj in trajectories])[:, None]
-    return coupling_grid(x0 + vx * t, y0 + vy * t, z0 + vz * t, params)
-
-
-def pinned_trajectories(
-    n: int, window: float = 34e-6, time_step: float = 0.5e-6
-) -> list[Trajectory]:
+def pinned_trajectories(n: int, window: float = 34e-6, time_step: float = 0.5e-6) -> Ensemble:
     """Degenerate ensemble: atoms at rest at a mode antinode."""
-    traj = Trajectory(
-        r0=AtomPosition(0.0, 0.0, 0.0),
-        velocity=(0.0, 0.0, 0.0),
-        window=window,
-        time_step=time_step,
-    )
-    return [traj] * n
+    return Ensemble(np.zeros((n, 3)), np.zeros((n, 3)), window, time_step)
 
 
 def _sample_disc(
@@ -144,7 +130,7 @@ def threshold_trajectories(
     *,
     source_radius_factor: float = 2.0,
     max_candidates: int = 4_000_000,
-) -> list[Trajectory]:
+) -> Ensemble:
     """Atoms whose initial coupling magnitude is >= threshold * g0.
 
     Initial positions are uniform over the source disc (x-z plane through
@@ -159,32 +145,24 @@ def threshold_trajectories(
     radius = source_radius_factor * params.waist
     cut = threshold * params.g0
 
-    out: list[Trajectory] = []
-    drawn = 0
-    while len(out) < n:
-        batch = max(4 * (n - len(out)), 1024)
+    r0_parts: list[np.ndarray] = []
+    v_parts: list[np.ndarray] = []
+    kept = drawn = 0
+    while kept < n:
+        batch = max(4 * (n - kept), 1024)
         drawn += batch
         if drawn > max_candidates:
             raise SelectionError(
-                f"threshold acceptance too low: {len(out)} kept from {drawn} candidates"
+                f"threshold acceptance too low: {kept} kept from {drawn} candidates"
             )
         x0, z0 = _sample_disc(rng, batch, radius)
-        y0 = np.zeros(batch)
-        g = coupling_grid(x0, y0, z0, params)
-        keep = np.flatnonzero(np.abs(g) >= cut)
-        vx, vz = _sample_velocities(rng, keep.size, motion)
-        for j, idx in enumerate(keep):
-            if len(out) == n:
-                break
-            out.append(
-                Trajectory(
-                    r0=AtomPosition(float(x0[idx]), 0.0, float(z0[idx])),
-                    velocity=(float(vx[j]), -motion.v_fall, float(vz[j])),
-                    window=motion.window,
-                    time_step=motion.time_step,
-                )
-            )
-    return out
+        keep = np.abs(coupling_grid(x0, 0.0, z0, params)) >= cut
+        vx, vz = _sample_velocities(rng, np.count_nonzero(keep), motion)
+        r0_parts.append(np.column_stack([x0[keep], np.zeros(vx.size), z0[keep]]))
+        v_parts.append(np.column_stack([vx, np.full(vx.size, -motion.v_fall), vz]))
+        kept += vx.size
+    r0, velocity = np.concatenate(r0_parts)[:n], np.concatenate(v_parts)[:n]
+    return Ensemble(r0, velocity, motion.window, motion.time_step)
 
 
 def _first_coincidence_index(times: np.ndarray, window_s: float) -> int:
@@ -214,7 +192,7 @@ def sample_selected_trajectories(
     batch_size: int = 5_000,
     max_candidates: int = 2_000_000,
     min_acceptance: float = 1e-4,
-) -> list[Trajectory]:
+) -> Ensemble:
     """Simulate the real-time coincidence selection.
 
     Candidate atoms enter ``start_height`` above the mode center on the
@@ -241,12 +219,13 @@ def sample_selected_trajectories(
     mean_events = coinc.rate_max * t_total
     k_max = int(mean_events + 6.0 * math.sqrt(max(mean_events, 1.0))) + 10
 
-    out: list[Trajectory] = []
-    candidates = 0
-    while len(out) < n:
+    r0_parts: list[np.ndarray] = []
+    v_parts: list[np.ndarray] = []
+    selected = candidates = 0
+    while selected < n:
         if candidates >= max_candidates:
             raise SelectionError(
-                f"selection acceptance too low: {len(out)} of {candidates} candidates"
+                f"selection acceptance too low: {selected} of {candidates} candidates"
             )
         m = min(batch_size, max_candidates - candidates)
         candidates += m
@@ -272,42 +251,35 @@ def sample_selected_trajectories(
         accepted = valid & (rng.uniform(size=(m, k_max)) < ratio)
 
         counts = accepted.sum(axis=1)
+        rows: list[int] = []
+        t_sel: list[float] = []
         for row in np.flatnonzero(counts >= 2):
             click_times = times[row][accepted[row]]
             hit = _first_coincidence_index(click_times, coinc.window_s)
             if hit < 0:
                 continue
-            t_sel = float(click_times[hit])
-            out.append(
-                Trajectory(
-                    r0=AtomPosition(
-                        float(x0[row] + vx[row] * t_sel),
-                        float(start_height + vy * t_sel),
-                        float(z0[row] + vz[row] * t_sel),
-                    ),
-                    velocity=(float(vx[row]), vy, float(vz[row])),
-                    window=motion.window,
-                    time_step=motion.time_step,
-                )
-            )
-            if len(out) == n:
+            rows.append(row)
+            t_sel.append(click_times[hit])
+            if selected + len(rows) == n:
                 break
+        velocity = np.column_stack([vx[rows], np.full(len(rows), vy), vz[rows]])
+        start = np.column_stack([x0[rows], y0[rows], z0[rows]])
+        r0_parts.append(start + velocity * np.array(t_sel)[:, None])
+        v_parts.append(velocity)
+        selected += len(rows)
 
-        if candidates >= 50_000 and len(out) < min_acceptance * candidates:
+        if candidates >= 50_000 and selected < min_acceptance * candidates:
             raise SelectionError(
                 f"selection acceptance below {min_acceptance:g}: "
-                f"{len(out)} of {candidates} candidates"
+                f"{selected} of {candidates} candidates"
             )
-    return out
+    r0, velocity = np.concatenate(r0_parts), np.concatenate(v_parts)
+    return Ensemble(r0, velocity, motion.window, motion.time_step)
 
 
-def selected_mean_coupling(trajectories: list[Trajectory], params: SystemParams) -> float:
+def selected_mean_coupling(ensemble: Ensemble, params: SystemParams) -> float:
     """Mean |g(r0)| / g0 over an ensemble's selection points."""
-    x0 = np.array([traj.r0.x for traj in trajectories])
-    y0 = np.array([traj.r0.y for traj in trajectories])
-    z0 = np.array([traj.r0.z for traj in trajectories])
-    values = np.abs(coupling_grid(x0, y0, z0, params))
-    return float(np.mean(values) / params.g0)
+    return float(np.mean(np.abs(coupling_grid(*ensemble.r0.T, params))) / params.g0)
 
 
 def coincidence_gap_probability(
@@ -325,7 +297,7 @@ def coincidence_gap_probability(
 
 
 def average_transmittance(
-    trajectories: list[Trajectory],
+    ensemble: Ensemble,
     delta: np.ndarray,
     params: SystemParams,
 ) -> np.ndarray:
@@ -336,7 +308,7 @@ def average_transmittance(
     photon counting.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    g = coupling_matrix(trajectories, params)
+    g = coupling_matrix(ensemble, params)
     out = np.empty(delta.size, dtype=float)
     for i, d in enumerate(delta):
         t = t_minus_value(d, g, params)
@@ -345,7 +317,7 @@ def average_transmittance(
 
 
 def average_rotation(
-    trajectories: list[Trajectory],
+    ensemble: Ensemble,
     delta_grid: np.ndarray,
     params: SystemParams,
 ) -> np.ndarray:
@@ -356,7 +328,7 @@ def average_rotation(
     photon counts would be.
     """
     delta_grid = np.atleast_1d(np.asarray(delta_grid, dtype=float))
-    g = coupling_matrix(trajectories, params)
+    g = coupling_matrix(ensemble, params)
     out = np.empty(delta_grid.size, dtype=float)
     for i, d in enumerate(delta_grid):
         t = t_minus_value(d, g, params)
@@ -366,23 +338,14 @@ def average_rotation(
     return out
 
 
-def export_trajectories_csv(trajectories: list[Trajectory], path: str) -> None:
+def export_trajectories_csv(ensemble: Ensemble, path: str) -> None:
     """Write an ensemble to CSV for external inspection."""
+    grid_us = np.tile([ensemble.window * 1e6, ensemble.time_step * 1e6], (len(ensemble), 1))
+    columns = np.column_stack([ensemble.r0 * 1e6, ensemble.velocity, grid_us])
+    header = "x0_um,y0_um,z0_um,vx_mps,vy_mps,vz_mps,window_us,step_us"
+    # "\r\n" line ends, as the csv module writes them, keep the file format.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["x0_um", "y0_um", "z0_um", "vx_mps", "vy_mps", "vz_mps", "window_us", "step_us"]
+        np.savetxt(
+            fh, columns, fmt=["%.6f"] * 6 + ["%.3f"] * 2, delimiter=",",
+            newline="\r\n", header=header, comments="",
         )
-        for traj in trajectories:
-            writer.writerow(
-                [
-                    f"{traj.r0.x * 1e6:.6f}",
-                    f"{traj.r0.y * 1e6:.6f}",
-                    f"{traj.r0.z * 1e6:.6f}",
-                    f"{traj.velocity[0]:.6f}",
-                    f"{traj.velocity[1]:.6f}",
-                    f"{traj.velocity[2]:.6f}",
-                    f"{traj.window * 1e6:.3f}",
-                    f"{traj.time_step * 1e6:.3f}",
-                ]
-            )

@@ -38,15 +38,6 @@ class InsufficientCountsError(ValueError):
 
 
 @dataclass(frozen=True)
-class AtomPosition:
-    """Position relative to the mode center; z runs along the cavity axis."""
-
-    x: float
-    y: float
-    z: float
-
-
-@dataclass(frozen=True)
 class PolarizationField:
     """Two circular-basis complex amplitudes of a fully polarized field."""
 
@@ -79,19 +70,11 @@ class Transmittance:
     t_plus: complex = 1.0 + 0.0j
 
 
-def coupling_at(pos: AtomPosition, params: SystemParams) -> float:
-    """Coupling rate g(r) at one position; see coupling_grid.
-
-    May be negative across a standing-wave node; physical observables use
-    g(r)^2.
-    """
-    return float(coupling_grid(pos.x, pos.y, pos.z, params))
-
-
 def coupling_grid(x: np.ndarray, y: np.ndarray, z: np.ndarray, params: SystemParams) -> np.ndarray:
     """Coupling rate g(r) = g0 * exp(-(x^2+y^2)/w0^2) * cos(2 pi z / lambda).
 
-    Vectorized over broadcastable position arrays.
+    Vectorized over broadcastable position arrays. May be negative across a
+    standing-wave node; physical observables use g(r)^2.
     """
     envelope = np.exp(-(np.asarray(x) ** 2 + np.asarray(y) ** 2) / params.waist**2)
     standing_wave = np.cos(2.0 * math.pi * np.asarray(z) / params.wavelength)

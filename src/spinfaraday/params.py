@@ -276,6 +276,8 @@ def build_settings(
             number = float(value)  # type: ignore[arg-type]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"configuration key {key!r} must be numeric, got {value!r}") from exc
+        if not math.isfinite(number):
+            raise ConfigError(f"configuration key {key!r} must be finite, got {value!r}")
         fields[target][field] = number * scale
 
     try:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .optics import rotation_curve
 from .params import (
@@ -87,6 +86,10 @@ def max_rotation(
 
     if best == 0 or best == grid.size - 1:
         return MaxRotation(float(values[best]), float(grid[best]), non_unimodal)
+
+    # scipy is imported where it is used, so commands that never optimize
+    # do not pay its import at start-up.
+    from scipy.optimize import minimize_scalar
 
     def negative_objective(delta: float) -> float:
         return -float(_abs_rotation(np.array([delta]), params, mode)[0])
@@ -240,6 +243,8 @@ def lossless_rotation_point(
     reflectivity giving that kappa at the anchor length is found the same
     way. Raises ValueError when the coupling is zero (no such point).
     """
+    from scipy.optimize import brentq
+
     g_sq = anchor.g0**2
     if g_sq <= 0.0:
         raise ValueError("lossless rotation point requires nonzero coupling")
@@ -405,6 +410,8 @@ def cnot_feasibility(
     best_rho = float(rhos[best])
 
     if 0 < best < rhos.size - 1:
+        from scipy.optimize import minimize_scalar
+
         u = np.log10(losses)
         try:
             refined = minimize_scalar(

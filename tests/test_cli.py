@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import spinfaraday
 from spinfaraday.cli import OUTPUT_ENV_VAR, main
 
 
@@ -19,6 +22,18 @@ def csv_rows(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return header, rows
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported inside the few scans that call it, so
+    # commands that never optimize do not pay for it at start-up.
+    src = os.path.dirname(os.path.dirname(spinfaraday.__file__))
+    code = "import sys, spinfaraday.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestValidate:
@@ -267,6 +282,25 @@ class TestErrorHandling:
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, body, argv",
+        [
+            ("fig5", "window_us = inf\n", []),
+            ("fig4", "v_fall_mps = inf\n", []),
+            ("fig4", "kappa_mhz = nan\n", []),
+            ("fig4", "kappa_mhz = inf\n", []),
+            ("fig4", "", ["--grid=nan:1:5"]),
+            ("fig4", "", ["--grid=-inf:inf:3"]),
+        ],
+    )
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, command, body, argv):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(body)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *argv])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):

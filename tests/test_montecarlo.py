@@ -9,14 +9,13 @@ import pytest
 from spinfaraday.montecarlo import (
     CoincidenceConfig,
     MotionModel,
+    Ensemble,
     SelectionError,
-    Trajectory,
     _first_coincidence_index,
     average_rotation,
     average_transmittance,
     coincidence_gap_probability,
     coupling_matrix,
-    coupling_series,
     export_trajectories_csv,
     pinned_trajectories,
     sample_selected_trajectories,
@@ -24,8 +23,7 @@ from spinfaraday.montecarlo import (
     threshold_trajectories,
 )
 from spinfaraday.optics import (
-    AtomPosition,
-    coupling_at,
+    coupling_grid,
     rotation_curve,
     t_minus_value,
 )
@@ -36,57 +34,76 @@ P = DEFAULT_PARAMS
 GRID = MHZ * np.linspace(-3.0, 3.0, 31)
 
 
+def closed_form_coupling(x, y, z):
+    """g0 * exp(-(x^2+y^2)/w^2) * cos(2 pi z / lambda) at one point."""
+    envelope = math.exp(-(x**2 + y**2) / P.waist**2)
+    return P.g0 * envelope * math.cos(2.0 * math.pi * z / P.wavelength)
+
+
+def pointwise_couplings(r0, velocity, times):
+    """Closed-form coupling at r0 + v t for every t, evaluated with math."""
+    return [
+        closed_form_coupling(*(float(r) + float(v) * float(t) for r, v in zip(r0, velocity)))
+        for t in times
+    ]
+
+
+def single(r0, velocity, window, time_step=0.5e-6):
+    return Ensemble(np.array([r0]), np.array([velocity]), window, time_step)
+
+
 class TestTrajectories:
     def test_time_grid(self):
-        traj = Trajectory(
-            r0=AtomPosition(0.0, 0.0, 0.0), velocity=(0.0, 0.0, 0.0),
-            window=34e-6, time_step=0.5e-6,
-        )
-        t = traj.times()
+        ensemble = single((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), window=34e-6, time_step=0.5e-6)
+        t = ensemble.times()
         assert t[0] == 0.0
         assert t[-1] == pytest.approx(34e-6)
         assert t.size == 69
 
     def test_positions_linear(self):
-        traj = Trajectory(
-            r0=AtomPosition(1e-6, 2e-6, 3e-6), velocity=(1.0, -0.3, 0.5),
-            window=10e-6,
+        r0, velocity = (1e-6, 2e-6, 3e-6), (1.0, -0.3, 0.5)
+        ensemble = single(r0, velocity, window=10e-6)
+        matrix = coupling_matrix(ensemble, P)
+        expected = pointwise_couplings(r0, velocity, ensemble.times())
+        assert matrix[0, -1] == pytest.approx(
+            closed_form_coupling(1e-6 + 1.0 * 10e-6, 2e-6 - 0.3 * 10e-6, 3e-6 + 0.5 * 10e-6)
         )
-        x, y, z = traj.positions(np.array([0.0, 10e-6]))
-        assert x[1] == pytest.approx(1e-6 + 1.0 * 10e-6)
-        assert y[1] == pytest.approx(2e-6 - 0.3 * 10e-6)
-        assert z[1] == pytest.approx(3e-6 + 0.5 * 10e-6)
+        assert list(matrix[0]) == pytest.approx(expected)
 
-    def test_coupling_series_matches_pointwise(self):
-        traj = Trajectory(
-            r0=AtomPosition(2e-6, -1e-6, 50e-9), velocity=(0.05, -0.3, 0.01),
-            window=34e-6,
-        )
-        series = coupling_series(traj, P)
-        times = traj.times()
-        x, y, z = traj.positions(times)
-        expected = [
-            coupling_at(AtomPosition(float(xi), float(yi), float(zi)), P)
-            for xi, yi, zi in zip(x, y, z)
-        ]
+    def test_coupling_row_matches_pointwise(self):
+        r0, velocity = (2e-6, -1e-6, 50e-9), (0.05, -0.3, 0.01)
+        ensemble = single(r0, velocity, window=34e-6)
+        series = coupling_matrix(ensemble, P)[0]
+        expected = pointwise_couplings(r0, velocity, ensemble.times())
         np.testing.assert_allclose(series, expected, rtol=1e-12)
 
     def test_coupling_matrix_matches_series(self):
-        trajs = threshold_trajectories(MotionModel(seed=3), P, 20)
-        matrix = coupling_matrix(trajs, P)
-        assert matrix.shape == (20, trajs[0].times().size)
+        ensemble = threshold_trajectories(MotionModel(seed=3), P, 20)
+        matrix = coupling_matrix(ensemble, P)
+        assert matrix.shape == (20, ensemble.times().size)
         for i in (0, 7, 19):
-            np.testing.assert_allclose(matrix[i], coupling_series(trajs[i], P), rtol=1e-12)
+            expected = pointwise_couplings(ensemble.r0[i], ensemble.velocity[i], ensemble.times())
+            np.testing.assert_allclose(matrix[i], expected, rtol=1e-12)
 
-    def test_mixed_grids_rejected(self):
-        a = Trajectory(AtomPosition(0, 0, 0), (0, 0, 0), window=34e-6)
-        b = Trajectory(AtomPosition(0, 0, 0), (0, 0, 0), window=4e-6)
+    def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            coupling_matrix([a, b], P)
+            Ensemble(np.zeros((2, 3)), np.zeros((3, 3)), window=34e-6)
+        with pytest.raises(ValueError):
+            Ensemble(np.zeros((2, 2)), np.zeros((2, 2)), window=34e-6)
+        with pytest.raises(ValueError):
+            Ensemble(np.zeros(3), np.zeros(3), window=34e-6)
 
-    def test_empty_list_rejected(self):
+    def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            coupling_matrix([], P)
+            Ensemble(np.zeros((0, 3)), np.zeros((0, 3)), window=34e-6)
+        with pytest.raises(ValueError):
+            pinned_trajectories(0)
+
+    def test_len_is_sample_count(self):
+        assert len(threshold_trajectories(MotionModel(seed=3), P, 37)) == 37
+        selected = sample_selected_trajectories(MotionModel(seed=3), CoincidenceConfig(), P, 23)
+        assert len(selected) == 23
+        assert len(pinned_trajectories(5)) == 5
 
 
 class TestPinnedEnsemble:
@@ -106,19 +123,18 @@ class TestThresholdEnsemble:
     def test_selection_criterion_enforced(self):
         trajs = threshold_trajectories(MotionModel(seed=5), P, 200, threshold=0.9)
         assert len(trajs) == 200
-        for traj in trajs[:50]:
-            assert abs(coupling_at(traj.r0, P)) >= 0.9 * P.g0
+        assert np.all(np.abs(coupling_grid(*trajs.r0[:50].T, P)) >= 0.9 * P.g0)
 
     def test_deterministic_in_seed(self):
         a = threshold_trajectories(MotionModel(seed=8), P, 30)
         b = threshold_trajectories(MotionModel(seed=8), P, 30)
         c = threshold_trajectories(MotionModel(seed=9), P, 30)
-        assert all(x.r0 == y.r0 for x, y in zip(a, b))
-        assert any(x.r0 != y.r0 for x, y in zip(a, c))
+        assert np.array_equal(a.r0, b.r0)
+        assert not np.array_equal(a.r0, c.r0)
 
     def test_velocity_statistics(self):
         trajs = threshold_trajectories(MotionModel(seed=21), P, 4000)
-        v = np.array([t.velocity for t in trajs])
+        v = trajs.velocity
         assert np.allclose(v[:, 1], -0.3)  # fall speed
         combined_rms = math.sqrt(float(np.mean(v[:, 0] ** 2 + v[:, 2] ** 2)))
         assert combined_rms == pytest.approx(0.04, rel=0.05)
@@ -158,9 +174,9 @@ class TestCoincidenceSelection:
     def test_selected_points_lie_in_bright_region(self):
         motion = MotionModel(seed=13)
         trajs = sample_selected_trajectories(motion, CoincidenceConfig(), P, 200)
-        for traj in trajs[:40]:
-            assert abs(traj.r0.x) < 2.0 * P.waist
-            assert abs(coupling_at(traj.r0, P)) > 0.0
+        r0 = trajs.r0[:40]
+        assert np.all(np.abs(r0[:, 0]) < 2.0 * P.waist)
+        assert np.all(np.abs(coupling_grid(*r0.T, P)) > 0.0)
 
     def test_brighter_source_weakens_selection(self):
         # measured direction (documented): raising the click-rate ceiling
@@ -171,14 +187,14 @@ class TestCoincidenceSelection:
         for factor in (0.5, 1.0, 2.0, 4.0):
             coinc = CoincidenceConfig(rate_max=7.6e5 * factor)
             trajs = sample_selected_trajectories(motion, coinc, P, 1000)
-            g = np.array([coupling_at(t.r0, P) for t in trajs]) / P.g0
+            g = coupling_grid(*trajs.r0.T, P) / P.g0
             means.append(float(np.mean(g**2)))
         assert means[0] > means[1] > means[2] > means[3]
 
     def test_deterministic_in_seed(self):
         a = sample_selected_trajectories(MotionModel(seed=4), CoincidenceConfig(), P, 50)
         b = sample_selected_trajectories(MotionModel(seed=4), CoincidenceConfig(), P, 50)
-        assert all(x.r0 == y.r0 and x.velocity == y.velocity for x, y in zip(a, b))
+        assert np.array_equal(a.r0, b.r0) and np.array_equal(a.velocity, b.velocity)
 
     def test_hopeless_rate_raises(self):
         with pytest.raises(SelectionError):
@@ -231,5 +247,15 @@ class TestExport:
         export_trajectories_csv(trajs, path)
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert data.shape == (7,)
-        np.testing.assert_allclose(data["x0_um"][0], trajs[0].r0.x * 1e6, rtol=1e-6)
+        np.testing.assert_allclose(data["x0_um"][0], trajs.r0[0, 0] * 1e6, rtol=1e-6)
         np.testing.assert_allclose(data["vy_mps"], -0.3, rtol=1e-6)
+
+    def test_csv_layout(self, tmp_path):
+        path = os.path.join(tmp_path, "pinned.csv")
+        export_trajectories_csv(pinned_trajectories(2), path)
+        with open(path, "rb") as fh:
+            content = fh.read().decode("utf-8")
+        row = "0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,34.000,0.500\r\n"
+        assert content == (
+            "x0_um,y0_um,z0_um,vx_mps,vy_mps,vz_mps,window_us,step_us\r\n" + row + row
+        )

@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfaraday.optics import (
-    AtomPosition,
     BALANCED_ANALYZER_OFFSET,
     InsufficientCountsError,
     PolarizationField,
     Transmittance,
     angle_from_counts,
-    coupling_at,
     coupling_grid,
     polarization_azimuth,
     propagate,
@@ -32,19 +30,19 @@ P = DEFAULT_PARAMS
 
 class TestCoupling:
     def test_antinode_is_maximum(self):
-        assert coupling_at(AtomPosition(0.0, 0.0, 0.0), P) == pytest.approx(P.g0)
+        assert coupling_grid(0.0, 0.0, 0.0, P) == pytest.approx(P.g0)
 
     def test_node_vanishes(self):
-        g = coupling_at(AtomPosition(0.0, 0.0, P.wavelength / 4.0), P)
+        g = coupling_grid(0.0, 0.0, P.wavelength / 4.0, P)
         assert abs(g) < 1e-9 * P.g0
 
     def test_transverse_gaussian(self):
-        g = coupling_at(AtomPosition(P.waist, 0.0, 0.0), P)
+        g = coupling_grid(P.waist, 0.0, 0.0, P)
         assert g == pytest.approx(P.g0 * math.exp(-1.0), rel=1e-12)
 
     def test_standing_wave_sign(self):
         # half a wavelength along the axis flips the field sign
-        g = coupling_at(AtomPosition(0.0, 0.0, P.wavelength / 2.0), P)
+        g = coupling_grid(0.0, 0.0, P.wavelength / 2.0, P)
         assert g == pytest.approx(-P.g0, rel=1e-9)
 
     def test_grid_matches_scalar(self):
@@ -52,7 +50,12 @@ class TestCoupling:
         y = np.array([0.0, 2e-6, 1e-6])
         z = np.array([0.0, 100e-9, 250e-9])
         grid = coupling_grid(x, y, z, P)
-        scalar = [coupling_at(AtomPosition(*xyz), P) for xyz in zip(x, y, z)]
+        scalar = [
+            P.g0
+            * math.exp(-(xi**2 + yi**2) / P.waist**2)
+            * math.cos(2.0 * math.pi * zi / P.wavelength)
+            for xi, yi, zi in zip(x.tolist(), y.tolist(), z.tolist())
+        ]
         np.testing.assert_allclose(grid, scalar, rtol=1e-12)
 
 
