@@ -44,6 +44,7 @@ from .montecarlo import (
     SelectionError,
     average_rotation,
     average_transmittance,
+    coupling_matrix,
     sample_selected_trajectories,
     threshold_trajectories,
 )
@@ -72,6 +73,8 @@ ENSEMBLE_COINCIDENCE = "coincidence"
 
 # Run-level defaults per command. Anything here is accepted as a config-file
 # key (and echoed into the manifest); remaining keys must be physics keys.
+# A None default marks a run key the command does not read: its --samples or
+# --grid flag is a configuration error.
 _RUN_DEFAULTS: dict[str, dict[str, object]] = {
     "fig2": {
         "seed": 7,
@@ -145,12 +148,16 @@ def _resolve(args: argparse.Namespace, command: str):
         for key in other:
             file_cfg.pop(key, None)
 
+    # Every command takes --seed, so one seed can be passed to all of them.
     if args.seed is not None:
         run["seed"] = args.seed
-    if args.samples is not None:
-        run["samples"] = args.samples
-    if args.grid is not None:
-        run["grid"] = args.grid
+    for key in ("samples", "grid"):
+        flag = getattr(args, key)
+        if flag is None:
+            continue
+        if _RUN_DEFAULTS[command][key] is None:
+            raise ConfigError(f"--{key} is not read by {command}")
+        run[key] = flag
 
     for key in ("seed", "samples"):
         value = run[key]
@@ -341,10 +348,12 @@ def cmd_fig5(args: argparse.Namespace) -> int:
         out_dir, "fig5a.csv", manifest, ["phi_deg", "prior", "p_down"], rows_a
     )
 
-    # Panel (b): elliptical transmittance at delta = -2pi x 1.1 MHz with
-    # motional averaging, both analyzer ports, prior 1/2.
+    # Panel (b): elliptical transmittance at delta = -2pi x 1.1 MHz averaged
+    # over one threshold-selected ensemble and its probe window, both analyzer
+    # ports, prior 1/2. The inset averages over the same couplings.
+    couplings = coupling_matrix(threshold_trajectories(motion, params, n), params).reshape(-1)
     delta_probe = -TWO_PI * 1.1e6
-    cc = conditional_curves(0.5, delta_probe, params, motion, n_samples=n)
+    cc = conditional_curves(0.5, delta_probe, params, couplings)
     rows_b = []
     for j, phi in enumerate(cc.phi_deg):
         rows_b.append([phi, "transmitted", cc.p_down_transmitted[j], cc.click_prob_transmitted[j]])
@@ -360,7 +369,7 @@ def cmd_fig5(args: argparse.Namespace) -> int:
 
     # Inset: population versus detuning at a fixed 60-degree analyzer.
     inset = population_vs_detuning(
-        0.5, math.radians(60.0), grid, params, motion, port=TRANSMITTED, n_samples=n
+        0.5, math.radians(60.0), grid, params, couplings, port=TRANSMITTED
     )
     rows_i = list(zip(grid / (TWO_PI * 1e6), inset))
     path_i = _write_csv(
@@ -531,8 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--grid",
             metavar="MIN:MAX:N",
-            help="detuning grid in MHz; write --grid=-3:3:121 for negative "
-            "minima (ignored by fig6)",
+            help="detuning grid in MHz; write --grid=-3:3:121 for negative minima",
         )
         sp.set_defaults(func=func)
     return parser

@@ -18,6 +18,10 @@ probabilities are
 and Bayes' rule converts a prior down-population into the conditional
 population given a click. Detection-chain efficiency multiplies both
 hypotheses equally and cancels in the conditional.
+
+The curve functions average P(phi | down) over 1-D coupling samples: the
+single sample g0 for the pinned atom, or a falling-atom ensemble's flattened
+``montecarlo.coupling_matrix``, which averages over atoms and probe window.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .montecarlo import coupling_matrix, threshold_trajectories
 from .optics import Transmittance, t_minus_value
 from .params import SystemParams
 
@@ -122,7 +125,8 @@ def apply_measurement(
 def detection_prob_down(phi: np.ndarray | float, t: Transmittance) -> np.ndarray | float:
     """Per-photon detection probability at analyzer angle phi, spin down.
 
-    |exp(-i phi) t_minus + exp(+i phi) t_plus|^2 / 4. Vectorized over phi.
+    |exp(-i phi) t_minus + exp(+i phi) t_plus|^2 / 4. Vectorized over phi
+    and, broadcast against it, over an array t_minus.
     """
     phi_arr = np.asarray(phi, dtype=float)
     value = (
@@ -219,28 +223,27 @@ def pure_rotation_curves(
     return _bayes_posterior(p_up_click, p_down_click, prior)[0]
 
 
-def _motion_couplings(params: SystemParams, motion, n_samples: int) -> np.ndarray:
-    """g(r(t)) over a threshold-selected ensemble and its probe window, flat."""
-    trajectories = threshold_trajectories(motion, params, n_samples)
-    return coupling_matrix(trajectories, params).reshape(-1)
+def _averaged_posterior(
+    prior: float, angle: np.ndarray, delta: float, couplings: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P(down | click), P(click)) per analyzer angle after one click.
 
-
-def _averaged_detection_prob_down(
-    phi_grid: np.ndarray, delta: float, g_series: np.ndarray, params: SystemParams
-) -> np.ndarray:
-    """P(phi | down) averaged over coupling samples, per analyzer angle.
-
-    Averages the per-photon detection probability (an intensity) over a
-    selected-atom ensemble and the probe window, mirroring how counts
-    accumulate over many atoms.
+    P(click | down) is averaged (an intensity) over the coupling samples,
+    mirroring how counts accumulate over many atoms.
     """
-    t_series = t_minus_value(delta, g_series, params)
-    phase = np.exp(-1j * phi_grid)
-    # Mean over samples of |e^{-i phi} t + e^{+i phi}|^2 / 4.
-    values = (
-        np.abs(phase[:, None] * t_series[None, :] + np.conj(phase)[:, None]) ** 2 / 4.0
-    )
-    return values.mean(axis=1)
+    t = Transmittance(t_minus=t_minus_value(delta, couplings, params))
+    p_down_click = detection_prob_down(angle[:, None], t).mean(axis=1)
+    return _bayes_posterior(detection_prob_up(angle), p_down_click, prior)
+
+
+def _checked_samples(prior: float, params: SystemParams, couplings) -> np.ndarray:
+    """The 1-D coupling samples (the pinned atom's g0 if none), prior checked."""
+    if not (0.0 <= prior <= 1.0):
+        raise ValueError("prior must lie in [0, 1]")
+    g = np.array([params.g0]) if couplings is None else np.asarray(couplings, dtype=float)
+    if g.ndim != 1 or g.size < 1:
+        raise ValueError(f"couplings must be a non-empty 1-D array, got shape {g.shape}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -258,37 +261,26 @@ def conditional_curves(
     prior: float,
     delta: float,
     params: SystemParams,
-    motion=None,
-    *,
-    phi_grid_deg: np.ndarray | None = None,
-    n_samples: int = 2000,
+    couplings: np.ndarray | None = None,
 ) -> ConditionalCurves:
     """Conditional down-population versus analyzer angle for both ports.
 
-    Uses the elliptical transmittance at detuning ``delta``. With ``motion``
-    given (a montecarlo.MotionModel), P(phi | down) is averaged over a
-    selected-trajectory ensemble over the probe window; otherwise the atom
-    sits at the mode antinode.
+    Analyzer angles run over 0..180 degrees in 1-degree steps. Uses the
+    elliptical transmittance at detuning ``delta``, with P(phi | down)
+    averaged over ``couplings`` (1-D, rad/s); omitted, the atom sits at the
+    mode antinode.
     """
-    if not (0.0 <= prior <= 1.0):
-        raise ValueError("prior must lie in [0, 1]")
-    if phi_grid_deg is None:
-        phi_grid_deg = np.linspace(0.0, 180.0, 181)
-    phi = np.radians(np.asarray(phi_grid_deg, dtype=float))
-    angles = {TRANSMITTED: phi, REFLECTED: phi + math.pi / 2.0}
+    g = _checked_samples(prior, params, couplings)
+    phi_deg = np.linspace(0.0, 180.0, 181)
+    phi = np.radians(phi_deg)
 
-    g_series = None if motion is None else _motion_couplings(params, motion, n_samples)
-    results: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for port, port_phi in angles.items():
-        if g_series is None:
-            t = Transmittance(t_minus=complex(t_minus_value(delta, params.g0, params)))
-            p_down_click = np.asarray(detection_prob_down(port_phi, t))
-        else:
-            p_down_click = _averaged_detection_prob_down(port_phi, delta, g_series, params)
-        results[port] = _bayes_posterior(np.cos(port_phi) ** 2, p_down_click, prior)
+    results = {
+        port: _averaged_posterior(prior, _port_angle(phi, port), delta, g, params)
+        for port in (TRANSMITTED, REFLECTED)
+    }
 
     return ConditionalCurves(
-        phi_deg=np.asarray(phi_grid_deg, dtype=float),
+        phi_deg=phi_deg,
         p_down_transmitted=results[TRANSMITTED][0],
         p_down_reflected=results[REFLECTED][0],
         click_prob_transmitted=results[TRANSMITTED][1],
@@ -301,30 +293,20 @@ def population_vs_detuning(
     phi: float,
     delta_grid: np.ndarray,
     params: SystemParams,
-    motion=None,
+    couplings: np.ndarray | None = None,
     port: str = TRANSMITTED,
-    *,
-    n_samples: int = 2000,
 ) -> np.ndarray:
     """Conditional down-population versus probe detuning at fixed analyzer.
 
-    The far-detuned limit returns the prior: the atom decouples, both spin
-    hypotheses give the same click probability, and the photon carries no
-    information.
+    ``couplings`` are averaged over as in ``conditional_curves``; omitted,
+    the atom is pinned at the antinode. The far-detuned limit returns the
+    prior: the atom decouples, both spin hypotheses give the same click
+    probability, and the photon carries no information.
     """
+    g = _checked_samples(prior, params, couplings)
     delta_grid = np.asarray(delta_grid, dtype=float)
+    angle = np.array([_port_angle(phi, port)])
     out = np.empty(delta_grid.size, dtype=float)
-    angle = _port_angle(phi, port)
-    if motion is None:
-        for i, delta in enumerate(delta_grid):
-            t = Transmittance(t_minus=complex(t_minus_value(delta, params.g0, params)))
-            result = conditional_population(prior, phi, t, port)
-            out[i] = result.p_down_given_click
-        return out
-
-    g_series = _motion_couplings(params, motion, n_samples)
-    p_up_click = math.cos(angle) ** 2
     for i, delta in enumerate(delta_grid):
-        p_down_click = _averaged_detection_prob_down(np.array([angle]), delta, g_series, params)
-        out[i] = _bayes_posterior(p_up_click, p_down_click[0], prior)[0]
+        out[i] = _averaged_posterior(prior, angle, delta, g, params)[0][0]
     return out

@@ -329,13 +329,13 @@ def average_rotation(
     """
     delta_grid = np.atleast_1d(np.asarray(delta_grid, dtype=float))
     g = coupling_matrix(ensemble, params)
-    out = np.empty(delta_grid.size, dtype=float)
+    n_t = np.empty(delta_grid.size, dtype=float)
+    n_r = np.empty(delta_grid.size, dtype=float)
     for i, d in enumerate(delta_grid):
         t = t_minus_value(d, g, params)
-        n_t = float(np.mean(np.abs(t + 1j) ** 2))
-        n_r = float(np.mean(np.abs(t - 1j) ** 2))
-        out[i] = angle_from_counts(n_t, n_r)
-    return out
+        n_t[i] = np.mean(np.abs(t + 1j) ** 2)
+        n_r[i] = np.mean(np.abs(t - 1j) ** 2)
+    return angle_from_counts(n_t, n_r)
 
 
 def export_trajectories_csv(ensemble: Ensemble, path: str) -> None:

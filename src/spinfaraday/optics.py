@@ -2,6 +2,9 @@
 polarization propagation in the circular basis, and the photon-count angle
 estimator.
 
+``angle_from_counts`` is the one estimator, elementwise over count arrays:
+single count pairs, expected intensities and ensemble-averaged counts alike.
+
 Conventions
 -----------
 Circular unit vectors are sigma+- = (x +- i y)/sqrt(2); a field is stored as
@@ -137,36 +140,25 @@ def propagate(field: PolarizationField, t: Transmittance) -> PolarizationField:
     )
 
 
-def angle_from_counts(n_t: float, n_r: float) -> float:
+def angle_from_counts(n_t: np.ndarray | float, n_r: np.ndarray | float) -> np.ndarray | float:
     """Polarization angle estimate from photon counts at the two ports.
 
-    phi = arccos(sqrt(n_t / (n_t + n_r))) - pi/4, in radians. Balanced
-    counts give zero; all counts in the reflected port give +pi/4 and all in
-    the transmitted port give -pi/4.
+    phi = arccos(sqrt(n_t / (n_t + n_r))) - pi/4, in radians, elementwise
+    over broadcastable counts (a float for scalar counts). Balanced counts
+    give zero; all counts in the reflected port give +pi/4 and all in the
+    transmitted port give -pi/4. Raises ValueError if any count is negative
+    and InsufficientCountsError if any total is not positive.
     """
-    if n_t < 0.0 or n_r < 0.0:
+    n_t = np.asarray(n_t, dtype=float)
+    n_r = np.asarray(n_r, dtype=float)
+    if ((n_t < 0.0) | (n_r < 0.0)).any():
         raise ValueError("photon counts must be non-negative")
     total = n_t + n_r
-    if total <= 0.0:
+    if (total <= 0.0).any():
         raise InsufficientCountsError("no photons detected at either port")
-    ratio = min(1.0, max(0.0, n_t / total))
-    return math.acos(math.sqrt(ratio)) - math.pi / 4.0
-
-
-def _estimator_from_t(t_minus: np.ndarray, t_plus: np.ndarray | complex = 1.0 + 0.0j) -> np.ndarray:
-    """Vectorized count estimator on expected port intensities.
-
-    For an x-polarized input and the analyzer offset 45 degrees, the expected
-    port intensities are |t_minus + i t_plus|^2 / 4 and
-    |t_minus - i t_plus|^2 / 4; common factors cancel in the estimator.
-    """
-    n_t = np.abs(t_minus + 1j * t_plus) ** 2
-    n_r = np.abs(t_minus - 1j * t_plus) ** 2
-    total = n_t + n_r
-    if np.any(total <= 0.0):
-        raise InsufficientCountsError("zero transmitted intensity at both ports")
-    ratio = np.clip(n_t / total, 0.0, 1.0)
-    return np.arccos(np.sqrt(ratio)) - math.pi / 4.0
+    # Rounding keeps n_t <= n_t + n_r, so the ratio needs no clipping to [0, 1].
+    angle = np.arccos(np.sqrt(n_t / total)) - math.pi / 4.0
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def rotation_angle(
@@ -182,8 +174,7 @@ def rotation_angle(
     applied to the expected intensities. The empty-cavity reading is zero by
     construction, so the with-atom reading is the rotation angle. Radians.
     """
-    t = t_minus_value(delta, g, params, cavity_detuning)
-    return float(_estimator_from_t(np.asarray(t)))
+    return float(rotation_curve(delta, g, params, cavity_detuning)[0])
 
 
 def rotation_curve(
@@ -192,9 +183,15 @@ def rotation_curve(
     params: SystemParams,
     cavity_detuning: np.ndarray | float | None = None,
 ) -> np.ndarray:
-    """Vectorized rotation_angle over a detuning grid. Radians."""
-    t = t_minus_value(np.asarray(delta_grid, dtype=float), g, params, cavity_detuning)
-    return _estimator_from_t(np.atleast_1d(np.asarray(t)))
+    """Vectorized rotation_angle over a detuning grid. Radians.
+
+    For an x-polarized input and the 45-degree analyzer offset the expected
+    port intensities are |t_minus + i|^2 / 4 and |t_minus - i|^2 / 4; the
+    common factor cancels in the estimator.
+    """
+    delta_grid = np.asarray(delta_grid, dtype=float)
+    t = np.atleast_1d(t_minus_value(delta_grid, g, params, cavity_detuning))
+    return angle_from_counts(np.abs(t + 1j) ** 2, np.abs(t - 1j) ** 2)
 
 
 def polarization_azimuth(t: Transmittance) -> float:

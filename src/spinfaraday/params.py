@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 TWO_PI = 2.0 * math.pi
@@ -29,6 +29,14 @@ class ConfigError(ValueError):
 
 class GeometryError(ValueError):
     """Raised when a cavity geometry is unstable or unphysical."""
+
+
+def _require_finite(obj: object, error: type[ValueError]) -> None:
+    """Raise ``error`` naming the first field of a value object that is not finite."""
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if not math.isfinite(value):
+            raise error(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,7 @@ class SystemParams:
     rabi: float = TWO_PI * 1.4e6        # rad/s, excitation Rabi frequency
 
     def __post_init__(self) -> None:
+        _require_finite(self, ConfigError)
         if self.g0 < 0.0:
             raise ConfigError("g0 must be non-negative")
         for name in ("kappa", "gamma", "zeeman_shift", "rabi", "wavelength", "waist"):
@@ -70,6 +79,7 @@ class CavityGeometry:
     reflectivity: float = 0.999972  # intensity reflectivity of each mirror
 
     def __post_init__(self) -> None:
+        _require_finite(self, GeometryError)
         if not (0.0 < self.length < 2.0 * self.mirror_roc):
             raise GeometryError(
                 "unstable cavity: need 0 < length < 2*mirror_roc, got "
@@ -276,8 +286,6 @@ def build_settings(
             number = float(value)  # type: ignore[arg-type]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"configuration key {key!r} must be numeric, got {value!r}") from exc
-        if not math.isfinite(number):
-            raise ConfigError(f"configuration key {key!r} must be finite, got {value!r}")
         fields[target][field] = number * scale
 
     try:

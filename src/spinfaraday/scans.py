@@ -8,6 +8,11 @@ scanned. With ``cavity_equals_atom`` the cavity is locked to the atom and
 the probe is scanned against both, which produces larger maximum rotation
 angles (this is the configuration used for the design scans).
 
+Every design point, whether a length-scan, reflectivity-scan or
+feasibility-report point, is evaluated the same way: the anchor geometry
+with one field changed, rates re-derived by ``params_for_geometry``, then
+the cavity-locked ``max_rotation``.
+
 The count-based rotation estimator is bounded by +-45 degrees (all counts in
 one port). In the cavity-locked configuration there is an exact lossless
 point where the coupled transmittance equals i times the uncoupled one; the
@@ -18,7 +23,7 @@ solves for it in closed form up to a one-dimensional root find.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +35,6 @@ from .params import (
     CavityGeometry,
     SystemParams,
     TWO_PI,
-    derive_g0,
     derive_kappa,
     params_for_geometry,
 )
@@ -94,6 +98,7 @@ def max_rotation(
     def negative_objective(delta: float) -> float:
         return -float(_abs_rotation(np.array([delta]), params, mode)[0])
 
+    angle, delta_star = float(values[best]), float(grid[best])
     try:
         result = minimize_scalar(
             negative_objective,
@@ -101,14 +106,10 @@ def max_rotation(
             method="golden",
             options={"xtol": 1e-12},
         )
-        angle = -float(result.fun)
-        delta_star = float(result.x)
+        if -float(result.fun) >= angle:
+            angle, delta_star = -float(result.fun), float(result.x)
     except ValueError:
-        angle = float(values[best])
-        delta_star = float(grid[best])
-    if angle < values[best]:
-        angle = float(values[best])
-        delta_star = float(grid[best])
+        pass
     return MaxRotation(angle, delta_star, non_unimodal)
 
 
@@ -171,51 +172,58 @@ def default_length_grid(n: int = 25) -> np.ndarray:
     return np.geomspace(150e-6, 6e-3, n)
 
 
+# Geometry field -> (name as exported in a scan, scale to that unit).
+_GEOMETRY_AXES = {
+    "length": ("length_um", 1e6),
+    "reflectivity": ("reflectivity", 1.0),
+    "mirror_roc": ("mirror_roc_mm", 1e3),
+}
+
+
+def _design_point(
+    anchor: SystemParams, anchor_geometry: CavityGeometry, **field: float
+) -> tuple[SystemParams, MaxRotation]:
+    """Re-derived rates and cavity-locked maximum rotation, one geometry field changed."""
+    point = params_for_geometry(replace(anchor_geometry, **field), anchor, anchor_geometry)
+    return point, max_rotation(point, CAVITY_EQUALS_ATOM)
+
+
+def _scan(
+    field: str, values: np.ndarray, anchor: SystemParams, anchor_geometry: CavityGeometry
+) -> ScanResult:
+    """Design points along one geometry field; the other fields stay fixed."""
+    pairs = [_design_point(anchor, anchor_geometry, **{field: float(v)}) for v in values]
+    mhz = TWO_PI * 1e6
+    axis_name, scale = _GEOMETRY_AXES[field]
+    return ScanResult(
+        axis_name=axis_name,
+        axis=values * scale,
+        max_angle_deg=np.array([math.degrees(r.angle) for _, r in pairs], dtype=float),
+        delta_star_mhz=np.array([r.delta_star / mhz for _, r in pairs], dtype=float),
+        g0_mhz=np.array([p.g0 / mhz for p, _ in pairs], dtype=float),
+        kappa_mhz=np.array([p.kappa / mhz for p, _ in pairs], dtype=float),
+        gamma_khz=np.full(len(pairs), anchor.gamma / (TWO_PI * 1e3)),
+        fixed={
+            name: getattr(anchor_geometry, other) * other_scale
+            for other, (name, other_scale) in _GEOMETRY_AXES.items()
+            if other != field
+        },
+    )
+
+
 def scan_length(
     lengths: np.ndarray | None = None,
     anchor: SystemParams = DEFAULT_PARAMS,
     anchor_geometry: CavityGeometry = DEFAULT_GEOMETRY,
-    *,
-    reflectivity: float | None = None,
-    mode: str = CAVITY_EQUALS_ATOM,
 ) -> ScanResult:
     """Maximum rotation angle versus cavity length.
 
-    Mirror reflectivity stays fixed (default: the anchor geometry's value);
-    waist, decay rate, and coupling are re-derived per length.
+    Mirror reflectivity stays at the anchor geometry's value; waist, decay
+    rate, and coupling are re-derived per length.
     """
     if lengths is None:
         lengths = default_length_grid()
-    lengths = np.asarray(lengths, dtype=float)
-    rho = anchor_geometry.reflectivity if reflectivity is None else reflectivity
-
-    angles = np.empty(lengths.size)
-    deltas = np.empty(lengths.size)
-    g0s = np.empty(lengths.size)
-    kappas = np.empty(lengths.size)
-    for i, length in enumerate(lengths):
-        geom = CavityGeometry(
-            length=float(length),
-            mirror_roc=anchor_geometry.mirror_roc,
-            reflectivity=rho,
-        )
-        point = params_for_geometry(geom, anchor, anchor_geometry)
-        result = max_rotation(point, mode)
-        angles[i] = math.degrees(result.angle)
-        deltas[i] = result.delta_star / (TWO_PI * 1e6)
-        g0s[i] = point.g0 / (TWO_PI * 1e6)
-        kappas[i] = point.kappa / (TWO_PI * 1e6)
-
-    return ScanResult(
-        axis_name="length_um",
-        axis=lengths * 1e6,
-        max_angle_deg=angles,
-        delta_star_mhz=deltas,
-        g0_mhz=g0s,
-        kappa_mhz=kappas,
-        gamma_khz=np.full(lengths.size, anchor.gamma / (TWO_PI * 1e3)),
-        fixed={"reflectivity": rho, "mirror_roc_mm": anchor_geometry.mirror_roc * 1e3},
-    )
+    return _scan("length", np.asarray(lengths, dtype=float), anchor, anchor_geometry)
 
 
 class LosslessPoint(NamedTuple):
@@ -259,12 +267,7 @@ def lossless_rotation_point(
     delta_star = -g_sq / (2.0 * (kappa_star + 0.5 * gamma))
 
     def kappa_gap(rho: float) -> float:
-        geom = CavityGeometry(
-            length=anchor_geometry.length,
-            mirror_roc=anchor_geometry.mirror_roc,
-            reflectivity=rho,
-        )
-        return derive_kappa(geom) - kappa_star
+        return derive_kappa(replace(anchor_geometry, reflectivity=rho)) - kappa_star
 
     rho_star = float(brentq(kappa_gap, 0.9, 1.0 - 1e-12, xtol=1e-15, rtol=1e-15))
     return LosslessPoint(kappa=kappa_star, delta=delta_star, reflectivity=rho_star)
@@ -296,8 +299,6 @@ def scan_reflectivity(
     reflectivities: np.ndarray | None = None,
     anchor: SystemParams = DEFAULT_PARAMS,
     anchor_geometry: CavityGeometry = DEFAULT_GEOMETRY,
-    *,
-    mode: str = CAVITY_EQUALS_ATOM,
 ) -> ScanResult:
     """Maximum rotation angle versus mirror reflectivity at fixed length.
 
@@ -306,37 +307,7 @@ def scan_reflectivity(
     """
     if reflectivities is None:
         reflectivities = default_reflectivity_grid(anchor, anchor_geometry)
-    reflectivities = np.asarray(reflectivities, dtype=float)
-
-    g0 = derive_g0(anchor_geometry, anchor, anchor_geometry)
-    angles = np.empty(reflectivities.size)
-    deltas = np.empty(reflectivities.size)
-    kappas = np.empty(reflectivities.size)
-    for i, rho in enumerate(reflectivities):
-        geom = CavityGeometry(
-            length=anchor_geometry.length,
-            mirror_roc=anchor_geometry.mirror_roc,
-            reflectivity=float(rho),
-        )
-        point = anchor.with_updates(kappa=derive_kappa(geom), g0=g0)
-        result = max_rotation(point, mode)
-        angles[i] = math.degrees(result.angle)
-        deltas[i] = result.delta_star / (TWO_PI * 1e6)
-        kappas[i] = point.kappa / (TWO_PI * 1e6)
-
-    return ScanResult(
-        axis_name="reflectivity",
-        axis=reflectivities,
-        max_angle_deg=angles,
-        delta_star_mhz=deltas,
-        g0_mhz=np.full(reflectivities.size, g0 / (TWO_PI * 1e6)),
-        kappa_mhz=kappas,
-        gamma_khz=np.full(reflectivities.size, anchor.gamma / (TWO_PI * 1e3)),
-        fixed={
-            "length_um": anchor_geometry.length * 1e6,
-            "mirror_roc_mm": anchor_geometry.mirror_roc * 1e3,
-        },
-    )
+    return _scan("reflectivity", np.asarray(reflectivities, dtype=float), anchor, anchor_geometry)
 
 
 @dataclass(frozen=True)
@@ -366,7 +337,6 @@ def cnot_feasibility(
     *,
     rho_limit: float = 0.999990,
     rho_floor: float = 0.999,
-    mode: str = CAVITY_EQUALS_ATOM,
 ) -> CnotReport:
     """Best achievable rotation with mirrors up to ``rho_limit``.
 
@@ -378,16 +348,8 @@ def cnot_feasibility(
     if not (0.0 < rho_floor < rho_limit < 1.0):
         raise ValueError("need 0 < rho_floor < rho_limit < 1")
 
-    g0 = derive_g0(anchor_geometry, params, anchor_geometry)
-
     def angle_at(rho: float) -> tuple[float, float]:
-        geom = CavityGeometry(
-            length=anchor_geometry.length,
-            mirror_roc=anchor_geometry.mirror_roc,
-            reflectivity=rho,
-        )
-        point = params.with_updates(kappa=derive_kappa(geom), g0=g0)
-        result = max_rotation(point, mode)
+        _, result = _design_point(params, anchor_geometry, reflectivity=rho)
         return math.degrees(result.angle), result.delta_star / (TWO_PI * 1e6)
 
     if params.g0 == 0.0:
@@ -404,10 +366,9 @@ def cnot_feasibility(
     # Coarse scan, geometric in the mirror loss.
     losses = np.geomspace(1.0 - rho_floor, 1.0 - rho_limit, 41)
     rhos = 1.0 - losses
-    coarse = np.array([angle_at(float(r))[0] for r in rhos])
-    best = int(np.argmax(coarse))
-    best_angle, best_delta = float(coarse[best]), angle_at(float(rhos[best]))[1]
-    best_rho = float(rhos[best])
+    coarse = [angle_at(float(r)) for r in rhos]
+    best = int(np.argmax([angle for angle, _ in coarse]))
+    (best_angle, best_delta), best_rho = coarse[best], float(rhos[best])
 
     if 0 < best < rhos.size - 1:
         from scipy.optimize import minimize_scalar
@@ -431,7 +392,7 @@ def cnot_feasibility(
     # by 45 degrees); use it exactly when it lies inside the bound.
     try:
         lossless = lossless_rotation_point(params, anchor_geometry)
-        if rho_floor <= lossless.reflectivity <= rho_limit and mode == CAVITY_EQUALS_ATOM:
+        if rho_floor <= lossless.reflectivity <= rho_limit:
             best_angle = 45.0
             best_rho = lossless.reflectivity
             best_delta = lossless.delta / (TWO_PI * 1e6)

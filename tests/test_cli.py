@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import spinfaraday
+from spinfaraday import montecarlo
 from spinfaraday.cli import OUTPUT_ENV_VAR, main
 
 
@@ -228,6 +229,25 @@ class TestFig5:
         assert len(rows) == 5
 
 
+    def test_draws_one_ensemble(self, tmp_path, monkeypatch):
+        # Wrap the sampler at every module attribute that holds it, so a call
+        # is counted whichever module looks it up.
+        original = montecarlo.threshold_trajectories
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "spinfaraday":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        assert main(["fig5", "--out", str(tmp_path), "--samples", "20", "--grid=-1:1:3"]) == 0
+        assert len(calls) == 1
+
+
 class TestErrorHandling:
     @pytest.mark.parametrize(
         "argv",
@@ -238,12 +258,17 @@ class TestErrorHandling:
             ["fig4", "--grid=-1:1:0"],
             ["fig4", "--seed", "-3"],
             ["fig4", "--samples", "0"],
+            # flags the command does not read
+            ["fig6", "--samples", "3"],
+            ["fig6", "--grid=1:2:3"],
+            ["validate", "--grid=1:2:3"],
         ],
     )
     def test_bad_run_arguments_exit_2(self, tmp_path, capsys, argv):
-        rc = main(argv + ["--out", str(tmp_path)])
+        rc = main(argv + ["--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err != ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "body",

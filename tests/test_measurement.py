@@ -22,8 +22,8 @@ from spinfaraday.measurement import (
     population_vs_detuning,
     pure_rotation_curves,
 )
-from spinfaraday.montecarlo import MotionModel
-from spinfaraday.optics import Transmittance, t_minus_value
+from spinfaraday.montecarlo import MotionModel, coupling_matrix, threshold_trajectories
+from spinfaraday.optics import Transmittance, t_minus_value, transmittance
 from spinfaraday.params import DEFAULT_PARAMS, TWO_PI
 
 MHZ = TWO_PI * 1e6
@@ -276,8 +276,9 @@ class TestConditionalCurves:
 
     def test_motion_averaging_reduces_contrast(self):
         motion = MotionModel(window=4e-6, seed=99)
+        couplings = coupling_matrix(threshold_trajectories(motion, P, 300), P).reshape(-1)
         pinned = conditional_curves(0.5, -1.1 * MHZ, P)
-        averaged = conditional_curves(0.5, -1.1 * MHZ, P, motion, n_samples=300)
+        averaged = conditional_curves(0.5, -1.1 * MHZ, P, couplings)
         # averaging over weaker couplings pulls the curve toward the prior
         i30 = int(np.argmin(np.abs(pinned.phi_deg - 30.0)))
         assert abs(averaged.p_down_transmitted[i30] - 0.5) < abs(
@@ -290,6 +291,10 @@ class TestConditionalCurves:
     def test_invalid_prior_rejected(self):
         with pytest.raises(ValueError):
             conditional_curves(-0.1, -1.1 * MHZ, P)
+
+    def test_coupling_matrix_must_be_flattened(self):
+        with pytest.raises(ValueError, match="1-D"):
+            conditional_curves(0.5, -1.1 * MHZ, P, np.full((3, 2), P.g0))
 
 
 class TestPopulationVsDetuning:
@@ -308,3 +313,19 @@ class TestPopulationVsDetuning:
         pops = population_vs_detuning(0.5, 0.3, grid, P, port=REFLECTED)
         assert pops.shape == (3,)
         assert np.all((0.0 <= pops) & (pops <= 1.0))
+
+    def test_pinned_matches_per_detuning_conditional_population(self):
+        grid = MHZ * np.linspace(-3.0, 3.0, 13)
+        for port in (TRANSMITTED, REFLECTED):
+            pops = population_vs_detuning(0.4, 0.7, grid, P, port=port)
+            expected = [
+                conditional_population(0.4, 0.7, transmittance(d, P.g0, P), port).p_down_given_click
+                for d in grid
+            ]
+            np.testing.assert_allclose(pops, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("prior", [-0.1, 1.5])
+    def test_prior_checked_with_coupling_samples(self, prior):
+        couplings = P.g0 * np.linspace(0.5, 1.0, 20)
+        with pytest.raises(ValueError, match="prior"):
+            population_vs_detuning(prior, math.radians(60.0), MHZ * np.array([-1.1]), P, couplings)

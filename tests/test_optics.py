@@ -184,6 +184,27 @@ class TestAngleFromCounts:
         with pytest.raises(InsufficientCountsError):
             angle_from_counts(0.0, 0.0)
 
+    def test_arrays_match_elementwise_scalars(self):
+        n_t = np.array([1.0, 3.0, 0.0, 2.5, 1e-3])
+        n_r = np.array([1.0, 1.0, 4.0, 0.0, 7.0])
+        angles = angle_from_counts(n_t, n_r)
+        assert isinstance(angles, np.ndarray) and angles.shape == (5,)
+        scalars = [angle_from_counts(float(a), float(b)) for a, b in zip(n_t, n_r)]
+        assert all(isinstance(x, float) for x in scalars)
+        np.testing.assert_array_equal(angles, scalars)
+
+    @pytest.mark.parametrize(
+        "n_t, n_r, error",
+        [
+            ([1.0, -1e-9, 2.0], [1.0, 1.0, 1.0], ValueError),
+            ([1.0, 1.0, 2.0], [1.0, 1.0, -3.0], ValueError),
+            ([1.0, 0.0, 2.0], [1.0, 0.0, 1.0], InsufficientCountsError),
+        ],
+    )
+    def test_one_invalid_element_rejects_the_array(self, n_t, n_r, error):
+        with pytest.raises(error):
+            angle_from_counts(np.array(n_t), np.array(n_r))
+
     @given(
         n_t=st.floats(0.0, 1e6),
         n_r=st.floats(0.0, 1e6),

@@ -1,6 +1,7 @@
 """Parameter objects, geometry derivations, and config parsing."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestValidation:
     def test_positive_fields_reject_zero(self, field):
         with pytest.raises(ConfigError):
             DEFAULT_PARAMS.with_updates(**{field: 0.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "cls, error, field",
+        [(SystemParams, ConfigError, f.name) for f in fields(SystemParams)]
+        + [(CavityGeometry, GeometryError, f.name) for f in fields(CavityGeometry)],
+    )
+    def test_non_finite_fields_rejected(self, cls, error, field, bad):
+        with pytest.raises(error, match="finite"):
+            cls(**{field: bad})
 
     def test_g0_zero_allowed(self):
         p = DEFAULT_PARAMS.with_updates(g0=0.0)

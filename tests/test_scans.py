@@ -181,6 +181,10 @@ class TestScanReflectivity:
         assert np.all(result.g0_mhz == result.g0_mhz[0])
         assert result.kappa_mhz[0] > result.kappa_mhz[-1]  # better mirrors, slower decay
 
+    def test_g0_is_the_anchor_coupling(self):
+        result = scan_reflectivity()
+        np.testing.assert_allclose(result.g0_mhz, P.g0 / MHZ, rtol=1e-15)
+
     def test_angle_monotone_toward_lossless_point(self):
         result = scan_reflectivity()
         upto = result.axis <= lossless_rotation_point().reflectivity + 1e-15
