@@ -3,14 +3,14 @@
 Each subcommand reproduces one figure-style dataset as CSV (angles in
 degrees, detunings in MHz; everything stays in rad/s internally) and writes
 a JSON manifest echoing the fully-resolved configuration. Re-running a
-command from its own manifest reproduces the output byte for byte.
+command from its own manifest reproduces the output byte for byte. The
+commands, their run-level defaults and their bodies form the ``_COMMANDS``
+table; ``spinfaraday --help`` lists them.
 
-Subcommands:
-  fig2      fluorescence lineshapes at three excitation powers
-  fig4      ensemble-averaged transmittance and rotation angle vs detuning
-  fig5      conditional spin-population curves for the analyzer measurement
-  fig6      cavity-design scans (length, mirror reflectivity)
-  validate  run the numerical invariant suite and report pass/fail
+Every command accepts ``--seed``, so one seed can be passed to all of them;
+fig6 draws nothing random and only echoes the seed into its manifest. A run
+resolves and checks its settings, computes, and only then writes, so a
+command that stops on an error writes no file.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 The default output directory can be set with SPINFARADAY_OUT.
@@ -71,50 +71,9 @@ OUTPUT_ENV_VAR = "SPINFARADAY_OUT"
 ENSEMBLE_THRESHOLD = "threshold"
 ENSEMBLE_COINCIDENCE = "coincidence"
 
-# Run-level defaults per command. Anything here is accepted as a config-file
-# key (and echoed into the manifest); remaining keys must be physics keys.
-# A None default marks a run key the command does not read: its --samples or
-# --grid flag is a configuration error.
-_RUN_DEFAULTS: dict[str, dict[str, object]] = {
-    "fig2": {
-        "seed": 7,
-        "samples": 1000,
-        "grid": "-10:10:121",
-        "excitation_waist_um": 24.0,
-    },
-    "fig4": {
-        "seed": 12345,
-        "samples": 10000,
-        "grid": "-3:3:121",
-        "ensemble": ENSEMBLE_THRESHOLD,
-        "selection_threshold": 0.9,
-        "rate_max_per_s": 7.6e5,
-        "coincidence_window_ns": 600.0,
-        "excitation_waist_um": 24.0,
-        "v_fall_mps": 0.3,
-        "v_transverse_rms_mps": 0.04,
-        "window_us": 34.0,
-        "time_step_us": 0.5,
-    },
-    "fig5": {
-        "seed": 12345,
-        "samples": 2000,
-        "grid": "-3:3:121",
-        "v_fall_mps": 0.3,
-        "v_transverse_rms_mps": 0.04,
-        "window_us": 4.0,
-        "time_step_us": 0.5,
-    },
-    "fig6": {
-        "seed": None,
-        "samples": None,
-        "grid": None,
-    },
-    "validate": {
-        "seed": 12345,
-        "samples": 300,
-        "grid": None,
-    },
+# Falling-atom kinematics shared by fig4 and fig5; fig5 probes a shorter window.
+_MOTION_DEFAULTS = {
+    "v_fall_mps": 0.3, "v_transverse_rms_mps": 0.04, "window_us": 34.0, "time_step_us": 0.5,
 }
 
 # Numeric run keys: (rule as printed, test of an admitted value).
@@ -129,22 +88,17 @@ _RUN_RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
 }
 
 
-def _out_dir(args: argparse.Namespace) -> str:
-    out = args.out or os.environ.get(OUTPUT_ENV_VAR) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _resolve(args: argparse.Namespace, command: str):
-    """Merge CLI flags > config file > defaults into (settings, run dict)."""
+def _resolve(args: argparse.Namespace):
+    """Merge CLI flags > config file > defaults, check them, and parse the grid."""
+    defaults = _COMMANDS[args.command][1]
     file_cfg = dict(load_config(args.config)) if args.config else {}
     file_cfg.pop("command", None)  # manifests echo it; informational only
 
     run: dict[str, object] = {}
-    for key, default in _RUN_DEFAULTS[command].items():
+    for key, default in defaults.items():
         run[key] = file_cfg.pop(key, default)
     # Tolerate run keys of sibling commands so any manifest loads anywhere.
-    for other in _RUN_DEFAULTS.values():
+    for _, other, _ in _COMMANDS.values():
         for key in other:
             file_cfg.pop(key, None)
 
@@ -155,13 +109,13 @@ def _resolve(args: argparse.Namespace, command: str):
         flag = getattr(args, key)
         if flag is None:
             continue
-        if _RUN_DEFAULTS[command][key] is None:
-            raise ConfigError(f"--{key} is not read by {command}")
+        if defaults[key] is None:
+            raise ConfigError(f"--{key} is not read by {args.command}")
         run[key] = flag
 
     for key in ("seed", "samples"):
         value = run[key]
-        if value is None and _RUN_DEFAULTS[command][key] is None:
+        if value is None and defaults[key] is None:
             continue
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -178,7 +132,13 @@ def _resolve(args: argparse.Namespace, command: str):
             raise ConfigError(f"{key} must be a finite number {rule}, got {value!r}")
 
     params, geometry, detection = build_settings(file_cfg)
-    return params, geometry, detection, run
+    grid = None if run["grid"] is None else _parse_grid(run["grid"])
+    ensemble = str(run.get("ensemble", ENSEMBLE_THRESHOLD))
+    if ensemble not in (ENSEMBLE_THRESHOLD, ENSEMBLE_COINCIDENCE):
+        raise ConfigError(
+            f"ensemble must be '{ENSEMBLE_THRESHOLD}' or '{ENSEMBLE_COINCIDENCE}', got {ensemble!r}"
+        )
+    return params, geometry, detection, run, grid
 
 
 def _parse_grid(text: object) -> np.ndarray:
@@ -199,31 +159,10 @@ def _parse_grid(text: object) -> np.ndarray:
     return TWO_PI * 1e6 * np.linspace(lo, hi, n)
 
 
-def _write_manifest(out_dir: str, command: str, run, params, geometry, detection) -> str:
-    payload: dict[str, object] = {"command": command}
-    payload.update(run)
-    payload.update(settings_to_flat(params, geometry, detection))
-    name = f"{command}.manifest.json"
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return name
-
-
 def _format_cell(value: object) -> str:
     if isinstance(value, str):
         return value
     return f"{float(value):.10g}"
-
-
-def _write_csv(out_dir: str, name: str, manifest: str, header, rows) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest: {manifest}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
-    return path
 
 
 def _motion_from_run(run: dict) -> MotionModel:
@@ -236,12 +175,7 @@ def _motion_from_run(run: dict) -> MotionModel:
     )
 
 
-def cmd_fig2(args: argparse.Namespace) -> int:
-    params, geometry, detection, run = _resolve(args, "fig2")
-    grid = _parse_grid(run["grid"])
-    out_dir = _out_dir(args)
-    manifest = _write_manifest(out_dir, "fig2", run, params, geometry, detection)
-
+def _fig2(params, geometry, run, grid, write) -> int:
     rows = []
     for label, scale in (("1 nW", 1.0 / 300.0), ("100 nW", 100.0 / 300.0), ("300 nW", 1.0)):
         shape = fluorescence_lineshape(
@@ -260,32 +194,14 @@ def cmd_fig2(args: argparse.Namespace) -> int:
             )
         for detuning, value in zip(shape.detunings, shape.normalized):
             rows.append([detuning / (TWO_PI * 1e6), value, label])
-
-    path = _write_csv(
-        out_dir,
-        "fig2.csv",
-        manifest,
-        ["detuning_mhz", "normalized_fluorescence", "power_label"],
-        rows,
-    )
-    print(f"wrote {path}")
+    write("fig2.csv", ["detuning_mhz", "normalized_fluorescence", "power_label"], rows)
     return 0
 
 
-def cmd_fig4(args: argparse.Namespace) -> int:
-    params, geometry, detection, run = _resolve(args, "fig4")
-    grid = _parse_grid(run["grid"])
-    ensemble = str(run["ensemble"])
-    if ensemble not in (ENSEMBLE_THRESHOLD, ENSEMBLE_COINCIDENCE):
-        raise ConfigError(
-            f"ensemble must be '{ENSEMBLE_THRESHOLD}' or '{ENSEMBLE_COINCIDENCE}', got {ensemble!r}"
-        )
-    out_dir = _out_dir(args)
-    manifest = _write_manifest(out_dir, "fig4", run, params, geometry, detection)
-
+def _fig4(params, geometry, run, grid, write) -> int:
     motion = _motion_from_run(run)
     n = int(run["samples"])
-    if ensemble == ENSEMBLE_THRESHOLD:
+    if run["ensemble"] == ENSEMBLE_THRESHOLD:
         trajectories = threshold_trajectories(
             motion, params, n, threshold=float(run["selection_threshold"])
         )
@@ -308,31 +224,20 @@ def cmd_fig4(args: argparse.Namespace) -> int:
     pinned_angle = np.degrees(rotation_curve(grid, params.g0, params))
     delta_mhz = grid / (TWO_PI * 1e6)
 
-    path_a = _write_csv(
-        out_dir,
+    write(
         "fig4a.csv",
-        manifest,
         ["delta_mhz", "averaged_transmittance", "pinned_transmittance"],
         list(zip(delta_mhz, averaged_t, pinned_t)),
     )
-    path_b = _write_csv(
-        out_dir,
+    write(
         "fig4b.csv",
-        manifest,
         ["delta_mhz", "averaged_angle_deg", "pinned_angle_deg"],
         list(zip(delta_mhz, averaged_angle, pinned_angle)),
     )
-    print(f"wrote {path_a}")
-    print(f"wrote {path_b}")
     return 0
 
 
-def cmd_fig5(args: argparse.Namespace) -> int:
-    params, geometry, detection, run = _resolve(args, "fig5")
-    grid = _parse_grid(run["grid"])
-    out_dir = _out_dir(args)
-    manifest = _write_manifest(out_dir, "fig5", run, params, geometry, detection)
-
+def _fig5(params, geometry, run, grid, write) -> int:
     motion = _motion_from_run(run)
     n = int(run["samples"])
 
@@ -344,9 +249,7 @@ def cmd_fig5(args: argparse.Namespace) -> int:
     for i, prior in enumerate(priors):
         for j, phi in enumerate(phi_deg):
             rows_a.append([phi, prior, curves[i, j]])
-    path_a = _write_csv(
-        out_dir, "fig5a.csv", manifest, ["phi_deg", "prior", "p_down"], rows_a
-    )
+    write("fig5a.csv", ["phi_deg", "prior", "p_down"], rows_a)
 
     # Panel (b): elliptical transmittance at delta = -2pi x 1.1 MHz averaged
     # over one threshold-selected ensemble and its probe window, both analyzer
@@ -359,43 +262,19 @@ def cmd_fig5(args: argparse.Namespace) -> int:
         rows_b.append([phi, "transmitted", cc.p_down_transmitted[j], cc.click_prob_transmitted[j]])
     for j, phi in enumerate(cc.phi_deg):
         rows_b.append([phi, "reflected", cc.p_down_reflected[j], cc.click_prob_reflected[j]])
-    path_b = _write_csv(
-        out_dir,
-        "fig5b.csv",
-        manifest,
-        ["phi_deg", "port", "p_down", "click_prob"],
-        rows_b,
-    )
+    write("fig5b.csv", ["phi_deg", "port", "p_down", "click_prob"], rows_b)
 
     # Inset: population versus detuning at a fixed 60-degree analyzer.
     inset = population_vs_detuning(
         0.5, math.radians(60.0), grid, params, couplings, port=TRANSMITTED
     )
-    rows_i = list(zip(grid / (TWO_PI * 1e6), inset))
-    path_i = _write_csv(
-        out_dir, "fig5_inset.csv", manifest, ["delta_mhz", "p_down"], rows_i
-    )
-
-    for path in (path_a, path_b, path_i):
-        print(f"wrote {path}")
+    write("fig5_inset.csv", ["delta_mhz", "p_down"], list(zip(grid / (TWO_PI * 1e6), inset)))
     return 0
 
 
-def cmd_fig6(args: argparse.Namespace) -> int:
-    params, geometry, detection, run = _resolve(args, "fig6")
-    out_dir = _out_dir(args)
-    manifest = _write_manifest(out_dir, "fig6", run, params, geometry, detection)
-
-    length_scan = scan_length(anchor=params, anchor_geometry=geometry)
-    header_a, rows_a = length_scan.rows()
-    path_a = _write_csv(out_dir, "fig6a.csv", manifest, header_a, rows_a)
-
-    reflectivity_scan = scan_reflectivity(anchor=params, anchor_geometry=geometry)
-    header_b, rows_b = reflectivity_scan.rows()
-    path_b = _write_csv(out_dir, "fig6b.csv", manifest, header_b, rows_b)
-
-    print(f"wrote {path_a}")
-    print(f"wrote {path_b}")
+def _fig6(params, geometry, run, grid, write) -> int:
+    write("fig6a.csv", *scan_length(anchor=params, anchor_geometry=geometry).rows())
+    write("fig6b.csv", *scan_reflectivity(anchor=params, anchor_geometry=geometry).rows())
     return 0
 
 
@@ -493,11 +372,7 @@ def _validate_checks(params, geometry, rng: np.random.Generator, draws: int):
     )
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    params, geometry, detection, run = _resolve(args, "validate")
-    out_dir = _out_dir(args)
-    _write_manifest(out_dir, "validate", run, params, geometry, detection)
-
+def _validate(params, geometry, run, grid, write) -> int:
     rng = np.random.default_rng(int(run["seed"]))
     failures = 0
     for name, passed, detail in _validate_checks(params, geometry, rng, int(run["samples"])):
@@ -512,20 +387,79 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+# Command -> (help, run-level defaults, body). Every run-level key is accepted
+# as a config-file key (and echoed into the manifest); remaining keys must be
+# physics keys. A None default marks a run key the command does not read: its
+# --samples or --grid flag is a configuration error. A body only computes: it
+# passes each table to ``write`` as (file name, header, rows) and returns the
+# exit status.
+_COMMANDS: dict[str, tuple[str, dict[str, object], Callable[..., int]]] = {
+    "fig2": (
+        "fluorescence lineshapes at 1/100/300 nW-equivalent powers",
+        {"seed": 7, "samples": 1000, "grid": "-10:10:121", "excitation_waist_um": 24.0},
+        _fig2,
+    ),
+    "fig4": (
+        "ensemble-averaged transmittance and rotation vs detuning",
+        {
+            "seed": 12345, "samples": 10000, "grid": "-3:3:121",
+            "ensemble": ENSEMBLE_THRESHOLD, "selection_threshold": 0.9,
+            "rate_max_per_s": 7.6e5, "coincidence_window_ns": 600.0, "excitation_waist_um": 24.0,
+            **_MOTION_DEFAULTS,
+        },
+        _fig4,
+    ),
+    "fig5": (
+        "conditional spin populations vs analyzer angle",
+        {"seed": 12345, "samples": 2000, "grid": "-3:3:121", **_MOTION_DEFAULTS, "window_us": 4.0},
+        _fig5,
+    ),
+    "fig6": (
+        "cavity length and mirror reflectivity design scans",
+        {"seed": None, "samples": None, "grid": None},
+        _fig6,
+    ),
+    "validate": (
+        "run the numerical invariant suite",
+        {"seed": 12345, "samples": 300, "grid": None},
+        _validate,
+    ),
+}
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Resolve the settings, run the command body, then write its output."""
+    params, geometry, detection, run, grid = _resolve(args)
+    tables: list[tuple[str, list, list]] = []
+    status = _COMMANDS[args.command][2](
+        params, geometry, run, grid, lambda *table: tables.append(table)
+    )
+
+    out_dir = args.out or os.environ.get(OUTPUT_ENV_VAR) or "."
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = f"{args.command}.manifest.json"
+    payload = {"command": args.command, **run, **settings_to_flat(params, geometry, detection)}
+    with open(os.path.join(out_dir, manifest), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for name, header, rows in tables:
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# manifest: {manifest}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        print(f"wrote {path}")
+    return status
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinfaraday",
         description="Cavity-enhanced spin-dependent polarization rotation: figure data and validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("fig2", cmd_fig2, "fluorescence lineshapes at 1/100/300 nW-equivalent powers"),
-        ("fig4", cmd_fig4, "ensemble-averaged transmittance and rotation vs detuning"),
-        ("fig5", cmd_fig5, "conditional spin populations vs analyzer angle"),
-        ("fig6", cmd_fig6, "cavity length and mirror reflectivity design scans"),
-        ("validate", cmd_validate, "run the numerical invariant suite"),
-    )
-    for name, func, help_text in commands:
+    for name, (help_text, _, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="JSON or key=value config file")
         sp.add_argument(
@@ -533,7 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help=f"output directory (default: ${OUTPUT_ENV_VAR} or current directory)",
         )
-        sp.add_argument("--seed", type=int, metavar="N", help="random seed override")
+        sp.add_argument(
+            "--seed", type=int, metavar="N",
+            help="random seed override; every command accepts it (fig6 only echoes it)",
+        )
         sp.add_argument(
             "--samples", type=int, metavar="N", help="sample count override"
         )
@@ -542,14 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="MIN:MAX:N",
             help="detuning grid in MHz; write --grid=-3:3:121 for negative minima",
         )
-        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ConfigError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -37,6 +37,9 @@ TOP_FOCK_TOLERANCE = 1e-6
 HERMITICITY_TOLERANCE = 1e-10
 TRACE_TOLERANCE = 1e-10
 EIGENVALUE_FLOOR = -1e-8
+PROBE_DRIVE_RATIO = 3e-5   # weak-drive transmittance oracle: cavity drive / kappa
+PROBE_FOCK_CUTOFF = 4      # Fock cutoff of the weak-drive transmittance oracle
+MAX_LINESHAPE_CUTOFF = 10  # highest Fock cutoff the adaptive lineshape may reach
 
 
 class CutoffError(RuntimeError):
@@ -307,21 +310,18 @@ def transmittance_steady(
     g: float,
     params: SystemParams,
     cavity_detuning: float | None = None,
-    *,
-    drive_ratio: float = 3e-5,
-    fock_cutoff: int = 4,
 ) -> complex:
     """Probe transmittance from the master equation in the weak-drive limit.
 
-    Drives the cavity with amplitude drive_ratio*kappa and returns the
+    Drives the cavity with amplitude PROBE_DRIVE_RATIO*kappa and returns the
     steady-state field amplitude normalized by the empty-cavity amplitude at
     the same drive and cavity detuning. Serves as the independent oracle for
     the analytic transmittance.
     """
     delta_c = 0.0 if cavity_detuning is None else float(cavity_detuning)
-    drive = drive_ratio * params.kappa
+    drive = PROBE_DRIVE_RATIO * params.kappa
     common = dict(
-        fock_cutoff=fock_cutoff,
+        fock_cutoff=PROBE_FOCK_CUTOFF,
         kappa=params.kappa,
         gamma=params.gamma,
         drive_amplitude=drive,
@@ -373,7 +373,6 @@ def fluorescence_lineshape(
     seed: int = 7,
     excitation_waist: float = 24e-6,
     fock_cutoff: int | None = None,
-    max_cutoff: int = 10,
 ) -> Lineshape:
     """Fluorescence spectrum versus excitation-beam detuning.
 
@@ -391,7 +390,7 @@ def fluorescence_lineshape(
     cavity axis): the local coupling picks up the mode envelope and
     standing-wave factor, the local Rabi frequency the beam envelope.
 
-    The Fock cutoff adapts upward (in steps of 2, up to max_cutoff) until
+    The Fock cutoff adapts upward (in steps of 2, up to MAX_LINESHAPE_CUTOFF) until
     the top level holds less than 1e-6 population; CutoffError if that never
     happens.
     """
@@ -452,7 +451,7 @@ def fluorescence_lineshape(
 
         if worst_top < TOP_FOCK_TOLERANCE:
             break
-        if fock_cutoff is not None or cutoff + 2 > max_cutoff:
+        if fock_cutoff is not None or cutoff + 2 > MAX_LINESHAPE_CUTOFF:
             raise CutoffError(
                 f"top Fock population {worst_top:.2e} at cutoff {cutoff}; "
                 "increase fock_cutoff"

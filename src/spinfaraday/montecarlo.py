@@ -36,6 +36,13 @@ import numpy as np
 from .optics import angle_from_counts, coupling_grid, t_minus_value
 from .params import SystemParams
 
+SOURCE_RADIUS_FACTOR = 2.0              # source disc radius, in mode waists
+THRESHOLD_MAX_CANDIDATES = 4_000_000    # candidates the threshold sampler may draw
+COINCIDENCE_START_HEIGHT = 50e-6        # m, candidate entry height above the mode center
+COINCIDENCE_BATCH_SIZE = 5_000          # candidates simulated per batch
+COINCIDENCE_MAX_CANDIDATES = 2_000_000  # candidates the coincidence sampler may draw
+COINCIDENCE_MIN_ACCEPTANCE = 1e-4       # acceptance floor, checked from 50,000 candidates on
+
 
 class SelectionError(RuntimeError):
     """Raised when the selection acceptance rate is implausibly low."""
@@ -127,9 +134,6 @@ def threshold_trajectories(
     params: SystemParams,
     n: int,
     threshold: float = 0.9,
-    *,
-    source_radius_factor: float = 2.0,
-    max_candidates: int = 4_000_000,
 ) -> Ensemble:
     """Atoms whose initial coupling magnitude is >= threshold * g0.
 
@@ -142,7 +146,7 @@ def threshold_trajectories(
     if not (0.0 <= threshold < 1.0):
         raise ValueError("threshold must lie in [0, 1)")
     rng = np.random.default_rng(motion.seed)
-    radius = source_radius_factor * params.waist
+    radius = SOURCE_RADIUS_FACTOR * params.waist
     cut = threshold * params.g0
 
     r0_parts: list[np.ndarray] = []
@@ -151,7 +155,7 @@ def threshold_trajectories(
     while kept < n:
         batch = max(4 * (n - kept), 1024)
         drawn += batch
-        if drawn > max_candidates:
+        if drawn > THRESHOLD_MAX_CANDIDATES:
             raise SelectionError(
                 f"threshold acceptance too low: {kept} kept from {drawn} candidates"
             )
@@ -187,15 +191,10 @@ def sample_selected_trajectories(
     n: int,
     *,
     excitation_waist: float = 24e-6,
-    source_radius_factor: float = 2.0,
-    start_height: float = 50e-6,
-    batch_size: int = 5_000,
-    max_candidates: int = 2_000_000,
-    min_acceptance: float = 1e-4,
 ) -> Ensemble:
     """Simulate the real-time coincidence selection.
 
-    Candidate atoms enter ``start_height`` above the mode center on the
+    Candidate atoms enter ``COINCIDENCE_START_HEIGHT`` above the mode center on the
     source disc and fall through the excitation region. Detected clicks form
     an inhomogeneous Poisson process with rate
 
@@ -206,7 +205,7 @@ def sample_selected_trajectories(
     coincidence window; its trajectory starts at the second click.
 
     Raises SelectionError when the acceptance rate falls below
-    ``min_acceptance`` (or no candidate can ever click).
+    ``COINCIDENCE_MIN_ACCEPTANCE`` (or no candidate can ever click).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -214,8 +213,8 @@ def sample_selected_trajectories(
         raise SelectionError("rate_max must be positive for any selection to occur")
 
     rng = np.random.default_rng(motion.seed)
-    radius = source_radius_factor * params.waist
-    t_total = 2.0 * start_height / motion.v_fall
+    radius = SOURCE_RADIUS_FACTOR * params.waist
+    t_total = 2.0 * COINCIDENCE_START_HEIGHT / motion.v_fall
     mean_events = coinc.rate_max * t_total
     k_max = int(mean_events + 6.0 * math.sqrt(max(mean_events, 1.0))) + 10
 
@@ -223,15 +222,15 @@ def sample_selected_trajectories(
     v_parts: list[np.ndarray] = []
     selected = candidates = 0
     while selected < n:
-        if candidates >= max_candidates:
+        if candidates >= COINCIDENCE_MAX_CANDIDATES:
             raise SelectionError(
                 f"selection acceptance too low: {selected} of {candidates} candidates"
             )
-        m = min(batch_size, max_candidates - candidates)
+        m = min(COINCIDENCE_BATCH_SIZE, COINCIDENCE_MAX_CANDIDATES - candidates)
         candidates += m
 
         x0, z0 = _sample_disc(rng, m, radius)
-        y0 = np.full(m, start_height)
+        y0 = np.full(m, COINCIDENCE_START_HEIGHT)
         vx, vz = _sample_velocities(rng, m, motion)
         vy = -motion.v_fall
 
@@ -268,9 +267,9 @@ def sample_selected_trajectories(
         v_parts.append(velocity)
         selected += len(rows)
 
-        if candidates >= 50_000 and selected < min_acceptance * candidates:
+        if candidates >= 50_000 and selected < COINCIDENCE_MIN_ACCEPTANCE * candidates:
             raise SelectionError(
-                f"selection acceptance below {min_acceptance:g}: "
+                f"selection acceptance below {COINCIDENCE_MIN_ACCEPTANCE:g}: "
                 f"{selected} of {candidates} candidates"
             )
     r0, velocity = np.concatenate(r0_parts), np.concatenate(v_parts)

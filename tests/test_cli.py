@@ -64,24 +64,6 @@ class TestFig6:
         assert header[0] == "reflectivity"
         assert len(rows) == 43
 
-    def test_manifest_round_trip_is_byte_identical(self, tmp_path):
-        first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["fig6", "--out", str(first)]) == 0
-        assert (
-            main(
-                [
-                    "fig6",
-                    "--config",
-                    str(first / "fig6.manifest.json"),
-                    "--out",
-                    str(second),
-                ]
-            )
-            == 0
-        )
-        for name in ("fig6a.csv", "fig6b.csv", "fig6.manifest.json"):
-            assert read(first / name) == read(second / name)
-
     def test_manifest_contents(self, tmp_path):
         main(["fig6", "--out", str(tmp_path)])
         manifest = json.loads(read(tmp_path / "fig6.manifest.json"))
@@ -164,7 +146,7 @@ class TestFig4:
                 "--config",
                 str(cfg),
                 "--out",
-                str(tmp_path),
+                str(tmp_path / "out"),
                 "--samples",
                 "5",
                 "--grid=-1:1:3",
@@ -172,6 +154,7 @@ class TestFig4:
         )
         assert rc == 1
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFig2:
@@ -248,6 +231,30 @@ class TestFig5:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig2", "--samples", "2", "--grid=-1:1:3"],
+        ["fig4", "--samples", "20", "--grid=-1:1:3"],
+        ["fig5", "--samples", "20", "--grid=-1:1:3"],
+        ["fig6"],
+        ["validate", "--samples", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_manifest_round_trip_is_byte_identical(tmp_path, capsys, argv):
+    command = argv[0]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + ["--out", str(first)]) == 0
+    manifest = first / f"{command}.manifest.json"
+    assert main([command, "--config", str(manifest), "--out", str(second)]) == 0
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(second))
+    assert f"{command}.manifest.json" in names
+    for name in names:
+        assert read(first / name) == read(second / name)
+
+
 class TestErrorHandling:
     @pytest.mark.parametrize(
         "argv",
@@ -299,6 +306,7 @@ class TestErrorHandling:
             ("fig4", "selection_threshold", "-0.1"),
             ("fig4", "window_us", "nan"),
             ("fig4", "v_fall_mps", "fast"),
+            ("fig4", "ensemble", "levitating"),
         ],
     )
     def test_out_of_range_run_key_exit_2(self, tmp_path, capsys, command, key, value):
@@ -331,21 +339,35 @@ class TestErrorHandling:
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("coupling_mhz = 2.8\n")
-        rc = main(["fig6", "--config", str(cfg), "--out", str(tmp_path)])
+        rc = main(["fig6", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "coupling_mhz" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_physics_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("kappa_mhz = -4.4\n")
-        rc = main(["fig6", "--config", str(cfg), "--out", str(tmp_path)])
+        rc = main(["fig6", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         capsys.readouterr()
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
-        rc = main(["fig6", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        rc = main(["fig6", "--config", str(tmp_path / "absent.json"), "--out", str(out)])
         assert rc == 2
         assert "absent.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failure_during_the_run_writes_nothing(self, tmp_path, capsys):
+        # The mirror radius passes the settings check, but the fixed length
+        # scan runs past 2 * roc = 4 mm, an unstable cavity, mid-computation.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("roc_mm = 2\n")
+        rc = main(["fig6", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unstable cavity" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_grid_writes_no_files(self, tmp_path):
         main(["fig4", "--grid=oops", "--out", str(tmp_path)])
