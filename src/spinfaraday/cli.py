@@ -88,6 +88,19 @@ _RUN_RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
 }
 
 
+def _check_run_key(key: str, value: object) -> None:
+    """Raise ConfigError unless a run key's value obeys its rule."""
+    if key in _RUN_RANGES:
+        rule, admitted = _RUN_RANGES[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value) and admitted(value)):
+            raise ConfigError(f"{key} must be a finite number {rule}, got {value!r}")
+    elif key == "ensemble" and str(value) not in (ENSEMBLE_THRESHOLD, ENSEMBLE_COINCIDENCE):
+        raise ConfigError(
+            f"ensemble must be '{ENSEMBLE_THRESHOLD}' or '{ENSEMBLE_COINCIDENCE}', got {value!r}"
+        )
+
+
 def _resolve(args: argparse.Namespace):
     """Merge CLI flags > config file > defaults, check them, and parse the grid."""
     defaults = _COMMANDS[args.command][1]
@@ -97,10 +110,11 @@ def _resolve(args: argparse.Namespace):
     run: dict[str, object] = {}
     for key, default in defaults.items():
         run[key] = file_cfg.pop(key, default)
-    # Tolerate run keys of sibling commands so any manifest loads anywhere.
+    # Tolerate valid run keys of sibling commands so any manifest loads anywhere.
     for _, other, _ in _COMMANDS.values():
         for key in other:
-            file_cfg.pop(key, None)
+            if key in file_cfg:
+                _check_run_key(key, file_cfg.pop(key))
 
     # Every command takes --seed, so one seed can be passed to all of them.
     if args.seed is not None:
@@ -123,21 +137,11 @@ def _resolve(args: argparse.Namespace):
         raise ConfigError("seed must be non-negative")
     if run["samples"] is not None and run["samples"] < 1:
         raise ConfigError("samples must be at least 1")
-    for key, (rule, admitted) in _RUN_RANGES.items():
-        if key not in run:
-            continue
-        value = run[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value) and admitted(value)):
-            raise ConfigError(f"{key} must be a finite number {rule}, got {value!r}")
+    for key, value in run.items():
+        _check_run_key(key, value)
 
     params, geometry, detection = build_settings(file_cfg)
     grid = None if run["grid"] is None else _parse_grid(run["grid"])
-    ensemble = str(run.get("ensemble", ENSEMBLE_THRESHOLD))
-    if ensemble not in (ENSEMBLE_THRESHOLD, ENSEMBLE_COINCIDENCE):
-        raise ConfigError(
-            f"ensemble must be '{ENSEMBLE_THRESHOLD}' or '{ENSEMBLE_COINCIDENCE}', got {ensemble!r}"
-        )
     return params, geometry, detection, run, grid
 
 
@@ -187,8 +191,10 @@ def _fig2(params, geometry, run, grid, write) -> int:
             excitation_waist=float(run["excitation_waist_um"]) * 1e-6,
         )
         if shape.failed_points:
+            # failed_points counts grid points over every atom position.
             print(
-                f"warning: {shape.failed_points}/{grid.size} solver points failed "
+                f"warning: {shape.failed_points}/{int(run['samples']) * grid.size} "
+                f"solver points failed "
                 f"for {label}; curve continued without them",
                 file=sys.stderr,
             )

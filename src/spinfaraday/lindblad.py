@@ -40,6 +40,8 @@ EIGENVALUE_FLOOR = -1e-8
 PROBE_DRIVE_RATIO = 3e-5   # weak-drive transmittance oracle: cavity drive / kappa
 PROBE_FOCK_CUTOFF = 4      # Fock cutoff of the weak-drive transmittance oracle
 MAX_LINESHAPE_CUTOFF = 10  # highest Fock cutoff the adaptive lineshape may reach
+MIRROR_TOLERANCE = 1e-12   # lineshape mirror match, relative to the largest |detuning|
+LINESHAPE_BLOCK = 64       # most detunings per solved stack: the default grid's 61 fit one
 
 
 class CutoffError(RuntimeError):
@@ -363,6 +365,33 @@ class Lineshape:
     failed_points: int
 
 
+def _mirror_map(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(solved, feeds) for the lineshape's mirror symmetry R(-delta) = R(delta).
+
+    A negative grid point whose mirror -delta is on the grid, within
+    MIRROR_TOLERANCE times the largest |detuning|, takes that mirror's rate;
+    every other point is solved itself. solved holds the detunings to solve,
+    in grid order, and feeds[k] indexes the one whose rate grid point k takes.
+    """
+    source = np.arange(detunings.size)
+    upper = np.flatnonzero(detunings >= 0.0)
+    lower = np.flatnonzero(detunings < 0.0)
+    if upper.size and lower.size:
+        upper = upper[np.argsort(detunings[upper], kind="stable")]
+        values = detunings[upper]
+        mirror = -detunings[lower]
+        right = np.minimum(np.searchsorted(values, mirror), values.size - 1)
+        left = np.maximum(right - 1, 0)
+        nearest = np.where(
+            np.abs(values[right] - mirror) < np.abs(values[left] - mirror), right, left
+        )
+        tolerance = MIRROR_TOLERANCE * np.max(np.abs(detunings))
+        matched = np.abs(values[nearest] - mirror) <= tolerance
+        source[lower[matched]] = upper[nearest[matched]]
+    solved, feeds = np.unique(source, return_inverse=True)
+    return detunings[solved], feeds
+
+
 def fluorescence_lineshape(
     params: SystemParams,
     power_scale: float,
@@ -390,6 +419,17 @@ def fluorescence_lineshape(
     cavity axis): the local coupling picks up the mode envelope and
     standing-wave factor, the local Rabi frequency the beam envelope.
 
+    Only the distinct |delta| of the grid are solved. H(delta) is a real
+    matrix, and sigma_z on the atom maps -H(delta) to H(-delta) while leaving
+    both dissipators invariant, so rho(-delta) = U rho(delta)* U^dag and the
+    rate is even in delta (a Lindbladian symmetry in the sense of Albert and
+    Jiang, arXiv:1310.1523). A negative grid point whose mirror lies on the
+    grid within MIRROR_TOLERANCE (1e-12) of the largest |detuning| takes the
+    mirror's rate; every other point is solved directly, in stacks of at most
+    LINESHAPE_BLOCK detunings. failed_points counts grid points over all atom
+    positions of the final cutoff, so a failed solve counts once for each
+    grid point it feeds.
+
     The Fock cutoff adapts upward (in steps of 2, up to MAX_LINESHAPE_CUTOFF) until
     the top level holds less than 1e-6 population; CutoffError if that never
     happens.
@@ -411,6 +451,7 @@ def fluorescence_lineshape(
         g_local = np.array([params.g0])
         omega_local = np.array([omega])
 
+    solved, feeds = _mirror_map(detunings)
     cutoff = fock_cutoff if fock_cutoff is not None else 3
     while True:
         ops = _operators(cutoff)
@@ -419,13 +460,15 @@ def fluorescence_lineshape(
         liou_detuning, detuning_ok = _to_real(
             _commutator_superoperator(-(ops.number + ops.excited))[None]
         )
-        stack = np.empty((detunings.size,) + liou_detuning.shape[1:])
+        stack = np.empty((min(solved.size, LINESHAPE_BLOCK),) + liou_detuning.shape[1:])
         # Photons scattered per unit time by each product-basis population.
         emission = np.real(
             2.0 * params.kappa * np.diagonal(ops.number) + params.gamma * np.diagonal(ops.excited)
         )
 
         rates = np.empty((g_local.size, detunings.size), dtype=float)
+        solved_rates = np.empty(solved.size)
+        solved_ok = np.empty(solved.size, dtype=bool)
         worst_top = 0.0
         failed = 0
         for s in range(g_local.size):
@@ -438,16 +481,23 @@ def fluorescence_lineshape(
                 drive_target="atom",
             )
             liou0, ok0 = _to_real(liouvillian(model)[None])
-            # The stack is refilled in place here and overwritten by the solver.
-            np.multiply(detunings[:, None, None], liou_detuning[0], out=stack)
-            stack += liou0[0]
-            rho, top_pop, ok = _solve_real(
-                stack, cutoff, np.full(detunings.size, ok0[0] and detuning_ok[0])
-            )
-            rates[s] = np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
-            if ok.any():
-                worst_top = max(worst_top, float(np.nanmax(top_pop)))
-            failed += int(np.count_nonzero(~ok))
+            for start in range(0, solved.size, LINESHAPE_BLOCK):
+                block = solved[start:start + LINESHAPE_BLOCK]
+                # The stack is refilled in place here and overwritten by the solver.
+                view = stack[:block.size]
+                np.multiply(block[:, None, None], liou_detuning[0], out=view)
+                view += liou0[0]
+                rho, top_pop, ok = _solve_real(
+                    view, cutoff, np.full(block.size, ok0[0] and detuning_ok[0])
+                )
+                solved_rates[start:start + block.size] = (
+                    np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
+                )
+                solved_ok[start:start + block.size] = ok
+                if ok.any():
+                    worst_top = max(worst_top, float(np.nanmax(top_pop)))
+            rates[s] = solved_rates[feeds]
+            failed += int(np.count_nonzero(~solved_ok[feeds]))
 
         if worst_top < TOP_FOCK_TOLERANCE:
             break

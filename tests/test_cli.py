@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spinfaraday
-from spinfaraday import montecarlo
+from spinfaraday import lindblad, montecarlo
 from spinfaraday.cli import OUTPUT_ENV_VAR, main
 
 
@@ -177,6 +178,31 @@ class TestFig2:
         values = [float(r[1]) for r in rows]
         assert max(values) == pytest.approx(1.0, abs=1e-9)
 
+    def test_failed_point_warning_counts_grid_points_over_positions(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        solve_real = lindblad._solve_real
+        calls = []
+
+        def fail_last_point_once(liou_r, cutoff, ok):
+            rho, top_fock, ok = solve_real(liou_r, cutoff, ok)
+            if not calls:
+                ok[-1] = False
+                rho[-1] = np.nan
+                top_fock[-1] = np.nan
+            calls.append(liou_r.shape[0])
+            return rho, top_fock, ok
+
+        monkeypatch.setattr(lindblad, "_solve_real", fail_last_point_once)
+        argv = ["fig2", "--out", str(tmp_path), "--samples", "2", "--grid=-2:2:5"]
+        assert main(argv) == 0
+        # The first solve of 1 nW covers 0, 1, 2 MHz; its failed +2 MHz point
+        # also feeds -2 MHz. 2 positions x 5 detunings are reported.
+        assert calls[0] == 3
+        err = capsys.readouterr().err
+        assert "warning: 2/10 solver points failed for 1 nW" in err
+        assert "100 nW" not in err and "300 nW" not in err
+
 
 class TestFig5:
     def test_outputs(self, tmp_path):
@@ -307,6 +333,10 @@ class TestErrorHandling:
             ("fig4", "window_us", "nan"),
             ("fig4", "v_fall_mps", "fast"),
             ("fig4", "ensemble", "levitating"),
+            # validate reads none of these, but drops a sibling's key only when valid.
+            ("validate", "window_us", "-1"),
+            ("validate", "selection_threshold", "7"),
+            ("validate", "ensemble", "levitating"),
         ],
     )
     def test_out_of_range_run_key_exit_2(self, tmp_path, capsys, command, key, value):
@@ -316,6 +346,15 @@ class TestErrorHandling:
         assert rc == 2
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fig6", "validate"])
+    def test_sibling_manifest_loads(self, tmp_path, capsys, command):
+        first = tmp_path / "fig4"
+        assert main(["fig4", "--samples", "20", "--grid=-1:1:3", "--out", str(first)]) == 0
+        manifest = first / "fig4.manifest.json"
+        out = tmp_path / command
+        assert main([command, "--config", str(manifest), "--out", str(out)]) == 0
+        assert (out / f"{command}.manifest.json").exists()
 
     @pytest.mark.parametrize(
         "command, body, argv",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinfaraday import lindblad
 from spinfaraday.lindblad import (
@@ -257,6 +259,19 @@ class TestLineshape:
             fluorescence_lineshape(P, -0.1, GRID)
 
 
+def atom_driven_rate(g, omega, delta, cutoff, check_cutoff=True):
+    """Scattered-photon rate of one atom-driven point, cavity on the atom."""
+    ss = steady_state(
+        LindbladModel(
+            fock_cutoff=cutoff, g=g, kappa=P.kappa, gamma=P.gamma,
+            drive_amplitude=0.5 * omega, drive_target="atom",
+            detuning_atom=float(delta), detuning_cavity=float(delta),
+        ),
+        check_cutoff=check_cutoff,
+    )
+    return 2.0 * P.kappa * ss.photon_number + P.gamma * ss.atom_excitation
+
+
 class TestBatchedSolver:
     @staticmethod
     def cavity_model(delta_c):
@@ -279,18 +294,60 @@ class TestBatchedSolver:
             assert np.isfinite(top_fock[k])
 
     def test_lineshape_matches_single_point_solves(self):
-        grid = MHZ * np.linspace(-4.0, 4.0, 5)
         power = 0.3
-        shape = fluorescence_lineshape(P, power, grid, average_positions=False)
         omega = P.rabi * math.sqrt(power)
-        for delta, rate in zip(grid, shape.rate):
-            ss = steady_state(LindbladModel(
-                fock_cutoff=shape.fock_cutoff, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-                drive_amplitude=0.5 * omega, drive_target="atom",
-                detuning_atom=float(delta), detuning_cavity=float(delta),
-            ))
-            expected = 2.0 * P.kappa * ss.photon_number + P.gamma * ss.atom_excitation
-            assert rate == pytest.approx(expected, rel=1e-10)
+        # The second grid's -10 .. -4.5 and 7.3 MHz have no mirror on it.
+        for grid in (np.linspace(-4.0, 4.0, 5), np.r_[np.linspace(-10.0, 4.0, 29), 7.3]):
+            shape = fluorescence_lineshape(P, power, MHZ * grid, average_positions=False)
+            for delta, rate in zip(MHZ * grid, shape.rate):
+                expected = atom_driven_rate(P.g0, omega, delta, shape.fock_cutoff)
+                assert rate == pytest.approx(expected, rel=1e-12)
+
+
+class TestMirror:
+    @pytest.fixture
+    def stack_sizes(self, monkeypatch):
+        """Rows of every stack the lineshape hands to _solve_real."""
+        sizes = []
+        solve_real = lindblad._solve_real
+
+        def counted(liou_r, cutoff, ok):
+            sizes.append(liou_r.shape[0])
+            return solve_real(liou_r, cutoff, ok)
+
+        monkeypatch.setattr(lindblad, "_solve_real", counted)
+        return sizes
+
+    def test_solves_each_distinct_magnitude_once(self, stack_sizes):
+        # The default fig2 grid, symmetric only to about 1e-8 rad/s.
+        grid = TWO_PI * 1e6 * np.linspace(-10.0, 10.0, 121)
+        shape = fluorescence_lineshape(P, 1.0 / 300.0, grid, n_samples=3, fock_cutoff=3)
+        assert stack_sizes == [61, 61, 61]
+        assert shape.failed_points == 0
+
+    def test_blocked_solve_is_byte_identical(self, stack_sizes, monkeypatch):
+        grid = MHZ * np.linspace(-6.0, 6.0, 31)
+        whole = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3, seed=5)
+        assert stack_sizes[0] == 16
+        stack_sizes.clear()
+        monkeypatch.setattr(lindblad, "LINESHAPE_BLOCK", 7)
+        blocked = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3, seed=5)
+        assert stack_sizes[:3] == [7, 7, 2]
+        np.testing.assert_array_equal(blocked.rate, whole.rate)
+        np.testing.assert_array_equal(blocked.normalized, whole.normalized)
+        assert blocked.fock_cutoff == whole.fock_cutoff
+
+    @given(
+        g_ratio=st.floats(0.0, 2.0),
+        omega_ratio=st.floats(0.01, 3.0),
+        delta_mhz=st.floats(-20.0, 20.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_emission_rate_is_even_in_detuning(self, g_ratio, omega_ratio, delta_mhz):
+        g, omega, delta = g_ratio * P.g0, omega_ratio * P.rabi, delta_mhz * MHZ
+        plus = atom_driven_rate(g, omega, delta, 4, check_cutoff=False)
+        minus = atom_driven_rate(g, omega, -delta, 4, check_cutoff=False)
+        assert abs(plus - minus) <= 1e-12 * max(abs(plus), abs(minus))
 
 
 class TestRealBasis:
