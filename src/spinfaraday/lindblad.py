@@ -434,8 +434,10 @@ def fluorescence_lineshape(
     the top level holds less than 1e-6 population; CutoffError if that never
     happens.
     """
-    if power_scale < 0.0:
-        raise ValueError("power_scale must be non-negative")
+    if not (math.isfinite(power_scale) and power_scale >= 0.0):
+        raise ValueError(f"power_scale must be finite and non-negative, got {power_scale}")
+    if average_positions and n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1 to average positions, got {n_samples}")
     detunings = np.asarray(detuning_grid, dtype=float)
     if detunings.size == 0:
         raise ValueError("detuning_grid must not be empty")

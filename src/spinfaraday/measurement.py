@@ -19,9 +19,9 @@ and Bayes' rule converts a prior down-population into the conditional
 population given a click. Detection-chain efficiency multiplies both
 hypotheses equally and cancels in the conditional.
 
-The curve functions average P(phi | down) over 1-D coupling samples: the
-single sample g0 for the pinned atom, or a falling-atom ensemble's flattened
-``montecarlo.coupling_matrix``, which averages over atoms and probe window.
+The curve functions average P(phi | down) over 1-D coupling samples (g0 for
+the pinned atom, or an ensemble's flattened ``montecarlo.coupling_matrix``)
+as (E|t|^2 + 1 + 2 Re(E[t] exp(-2 i phi))) / 4, from ``optics.t_moments``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import Transmittance, t_minus_value
+from .optics import Transmittance, t_moments
 from .params import SystemParams
 
 TRANSMITTED = "transmitted"
@@ -224,15 +224,15 @@ def pure_rotation_curves(
 
 
 def _averaged_posterior(
-    prior: float, angle: np.ndarray, delta: float, couplings: np.ndarray, params: SystemParams
+    prior: float, angle, delta, g: np.ndarray, params: SystemParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(P(down | click), P(click)) per analyzer angle after one click.
+    """(P(down | click), P(click)) after one click, broadcast over angle or delta.
 
-    P(click | down) is averaged (an intensity) over the coupling samples,
-    mirroring how counts accumulate over many atoms.
+    P(click | down) is averaged (an intensity) over the coupling samples g in
+    its moment form, mirroring how counts accumulate over many atoms.
     """
-    t = Transmittance(t_minus=t_minus_value(delta, couplings, params))
-    p_down_click = detection_prob_down(angle[:, None], t).mean(axis=1)
+    m2, m1 = t_moments(delta, g, params)
+    p_down_click = (m2 + 1.0 + 2.0 * np.real(m1 * np.exp(-2j * angle))) / 4.0
     return _bayes_posterior(detection_prob_up(angle), p_down_click, prior)
 
 
@@ -304,9 +304,4 @@ def population_vs_detuning(
     probability, and the photon carries no information.
     """
     g = _checked_samples(prior, params, couplings)
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    angle = np.array([_port_angle(phi, port)])
-    out = np.empty(delta_grid.size, dtype=float)
-    for i, delta in enumerate(delta_grid):
-        out[i] = _averaged_posterior(prior, angle, delta, g, params)[0][0]
-    return out
+    return _averaged_posterior(prior, _port_angle(phi, port), delta_grid, g, params)[0]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import angle_from_counts, coupling_grid, t_minus_value
+from .optics import angle_from_counts, coupling_grid, t_moments
 from .params import SystemParams
 
 SOURCE_RADIUS_FACTOR = 2.0              # source disc radius, in mode waists
@@ -91,6 +91,11 @@ class Ensemble:
             raise ValueError(
                 "an ensemble needs r0 and velocity of one shape (n, 3) with n >= 1, "
                 f"got {r0.shape} and {velocity.shape}"
+            )
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.window, self.time_step)):
+            raise ValueError(
+                "window and time_step must be finite and positive, "
+                f"got {self.window} and {self.time_step}"
             )
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "velocity", velocity)
@@ -306,13 +311,8 @@ def average_transmittance(
     window times, then takes the square root, matching intensity-based
     photon counting.
     """
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    g = coupling_matrix(ensemble, params)
-    out = np.empty(delta.size, dtype=float)
-    for i, d in enumerate(delta):
-        t = t_minus_value(d, g, params)
-        out[i] = math.sqrt(float(np.mean(np.abs(t) ** 2)))
-    return out
+    m2, _ = t_moments(delta, coupling_matrix(ensemble, params).reshape(-1), params)
+    return np.sqrt(m2)
 
 
 def average_rotation(
@@ -322,19 +322,12 @@ def average_rotation(
 ) -> np.ndarray:
     """Ensemble-averaged rotation angle per detuning, radians.
 
-    Expected port intensities are averaged over trajectories and window
-    times, then passed through the count estimator, exactly as accumulated
-    photon counts would be.
+    Expected port intensities E|t +- i|^2 = E|t|^2 + 1 +- 2 Im E[t] are
+    averaged over trajectories and window times, then passed through the
+    count estimator, exactly as accumulated photon counts would be.
     """
-    delta_grid = np.atleast_1d(np.asarray(delta_grid, dtype=float))
-    g = coupling_matrix(ensemble, params)
-    n_t = np.empty(delta_grid.size, dtype=float)
-    n_r = np.empty(delta_grid.size, dtype=float)
-    for i, d in enumerate(delta_grid):
-        t = t_minus_value(d, g, params)
-        n_t[i] = np.mean(np.abs(t + 1j) ** 2)
-        n_r[i] = np.mean(np.abs(t - 1j) ** 2)
-    return angle_from_counts(n_t, n_r)
+    m2, m1 = t_moments(delta_grid, coupling_matrix(ensemble, params).reshape(-1), params)
+    return angle_from_counts(m2 + 1.0 + 2.0 * m1.imag, m2 + 1.0 - 2.0 * m1.imag)
 
 
 def export_trajectories_csv(ensemble: Ensemble, path: str) -> None:

@@ -132,6 +132,23 @@ def transmittance(
     return Transmittance(t_minus=complex(t_minus_value(delta, g, params, cavity_detuning)))
 
 
+def t_moments(
+    delta: np.ndarray | float, g: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E|t|^2, E[t]) of t_minus over 1-D coupling samples g, one pair per detuning.
+
+    One ``t_minus_value`` call over g per detuning keeps memory O(g.size).
+    """
+    delta = np.ravel(np.asarray(delta, dtype=float))
+    m2 = np.empty(delta.size, dtype=float)
+    m1 = np.empty(delta.size, dtype=complex)
+    for i, d in enumerate(delta):
+        t = t_minus_value(d, g, params)
+        m2[i] = np.mean(np.abs(t) ** 2)
+        m1[i] = np.mean(t)
+    return m2, m1
+
+
 def propagate(field: PolarizationField, t: Transmittance) -> PolarizationField:
     """Apply the cavity transmittance to a polarization state (linear map)."""
     return PolarizationField(

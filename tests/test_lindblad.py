@@ -258,6 +258,28 @@ class TestLineshape:
         with pytest.raises(ValueError):
             fluorescence_lineshape(P, -0.1, GRID)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"power_scale": math.nan}, "power_scale"),
+            ({"power_scale": math.inf}, "power_scale"),
+            ({"n_samples": 0}, "n_samples"),
+            ({"n_samples": -3}, "n_samples"),
+        ],
+    )
+    def test_bad_input_rejected_before_any_solve(self, monkeypatch, kwargs, match):
+        def no_solve(*args, **kw):
+            raise AssertionError("solved before the input was checked")
+
+        monkeypatch.setattr(lindblad, "_solve_real", no_solve)
+        args = {"power_scale": 0.5, "n_samples": 10} | kwargs
+        with pytest.raises(ValueError, match=match):
+            fluorescence_lineshape(P, args["power_scale"], GRID, n_samples=args["n_samples"])
+
+    def test_pinned_atom_ignores_sample_count(self):
+        pinned = fluorescence_lineshape(P, 0.5, GRID[:5], average_positions=False, n_samples=0)
+        assert pinned.failed_points == 0
+
 
 def atom_driven_rate(g, omega, delta, cutoff, check_cutoff=True):
     """Scattered-photon rate of one atom-driven point, cavity on the atom."""

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,32 @@ class TestConditionalCurves:
         with pytest.raises(ValueError, match="1-D"):
             conditional_curves(0.5, -1.1 * MHZ, P, np.full((3, 2), P.g0))
 
+    def test_averaged_click_probability_matches_per_sample_mean(self):
+        # With prior 1 the click probability is P(click | down) itself.
+        g = coupling_matrix(threshold_trajectories(MotionModel(seed=5), P, 100), P).reshape(-1)
+        phi = np.radians(np.linspace(0.0, 180.0, 181))
+        for delta in MHZ * np.array([-2.0, -1.1, 0.0, 0.7, 3.0]):
+            t = Transmittance(t_minus=t_minus_value(delta, g, P))
+            cc = conditional_curves(1.0, delta, P, g)
+            for click, angle in (
+                (cc.click_prob_transmitted, phi),
+                (cc.click_prob_reflected, phi + math.pi / 2.0),
+            ):
+                expected = detection_prob_down(angle[:, None], t).mean(axis=1)
+                np.testing.assert_allclose(click, expected, rtol=1e-12)
+
+    def test_peak_memory_independent_of_the_angle_count(self):
+        # A few complex arrays over the samples (16 bytes each), however many
+        # analyzer angles: no array may span angles and samples together.
+        g = P.g0 * np.linspace(0.5, 1.0, 50_000)
+        tracemalloc.start()
+        try:
+            conditional_curves(0.5, -1.1 * MHZ, P, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * g.size
+
 
 class TestPopulationVsDetuning:
     def test_far_detuned_returns_prior(self):
@@ -323,6 +350,17 @@ class TestPopulationVsDetuning:
                 for d in grid
             ]
             np.testing.assert_allclose(pops, expected, rtol=0.0, atol=1e-12)
+
+    def test_averaged_matches_bayes_over_per_sample_means(self):
+        g = coupling_matrix(threshold_trajectories(MotionModel(seed=6), P, 100), P).reshape(-1)
+        grid = MHZ * np.linspace(-3.0, 3.0, 13)
+        for port, angle in ((TRANSMITTED, 0.7), (REFLECTED, 0.7 + math.pi / 2.0)):
+            pops = population_vs_detuning(0.4, 0.7, grid, P, g, port=port)
+            t = Transmittance(t_minus=t_minus_value(grid[:, None], g, P))
+            p_down = detection_prob_down(angle, t).mean(axis=1)
+            p_up = detection_prob_up(angle)
+            expected = p_down * 0.4 / (p_up * 0.6 + p_down * 0.4)
+            np.testing.assert_allclose(pops, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("prior", [-0.1, 1.5])
     def test_prior_checked_with_coupling_samples(self, prior):

@@ -23,6 +23,7 @@ from spinfaraday.montecarlo import (
     threshold_trajectories,
 )
 from spinfaraday.optics import (
+    angle_from_counts,
     coupling_grid,
     rotation_curve,
     t_minus_value,
@@ -99,6 +100,14 @@ class TestTrajectories:
         with pytest.raises(ValueError):
             pinned_trajectories(0)
 
+    @pytest.mark.parametrize(
+        "window, time_step",
+        [(34e-6, 0.0), (-1e-6, 0.5e-6), (math.nan, 0.5e-6), (34e-6, math.inf)],
+    )
+    def test_time_grid_must_be_finite_and_positive(self, window, time_step):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Ensemble(np.zeros((1, 3)), np.zeros((1, 3)), window, time_step)
+
     def test_len_is_sample_count(self):
         assert len(threshold_trajectories(MotionModel(seed=3), P, 37)) == 37
         selected = sample_selected_trajectories(MotionModel(seed=3), CoincidenceConfig(), P, 23)
@@ -116,6 +125,25 @@ class TestPinnedEnsemble:
         averaged_angle = average_rotation(trajs, GRID, P)
         np.testing.assert_allclose(
             averaged_angle, rotation_curve(GRID, P.g0, P), rtol=1e-10, atol=1e-14
+        )
+
+
+class TestMomentAverages:
+    """The two-moment averages against the per-sample formulas they replace."""
+
+    def test_match_direct_per_sample_means(self):
+        trajs = threshold_trajectories(MotionModel(seed=21), P, 200)
+        g = coupling_matrix(trajs, P)
+        t = t_minus_value(GRID[:, None, None], g, P)
+        n_t = np.mean(np.abs(t + 1j) ** 2, axis=(1, 2))
+        n_r = np.mean(np.abs(t - 1j) ** 2, axis=(1, 2))
+        np.testing.assert_allclose(
+            average_rotation(trajs, GRID, P), angle_from_counts(n_t, n_r), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            average_transmittance(trajs, GRID, P),
+            np.sqrt(np.mean(np.abs(t) ** 2, axis=(1, 2))),
+            rtol=1e-12,
         )
 
 

@@ -20,6 +20,7 @@ from spinfaraday.optics import (
     rotation_angle,
     rotation_curve,
     t_minus_value,
+    t_moments,
     transmittance,
 )
 from spinfaraday.params import DEFAULT_PARAMS, TWO_PI
@@ -115,6 +116,23 @@ class TestTransmittance:
         assert isinstance(t, Transmittance)
         assert t.t_plus == 1.0 + 0.0j
         assert t.t_minus == pytest.approx(complex(t_minus_value(MHZ, P.g0, P)))
+
+
+class TestMoments:
+    def test_match_direct_sample_means(self):
+        g = P.g0 * np.random.default_rng(4).uniform(-1.0, 1.0, size=500)
+        deltas = MHZ * np.linspace(-4.0, 4.0, 9)
+        m2, m1 = t_moments(deltas, g, P)
+        t = t_minus_value(deltas[:, None], g, P)
+        np.testing.assert_allclose(m2, np.mean(np.abs(t) ** 2, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(m1, np.mean(t, axis=1), rtol=1e-12)
+
+    def test_scalar_detuning_gives_one_pair(self):
+        m2, m1 = t_moments(MHZ, np.array([P.g0]), P)
+        t = complex(t_minus_value(MHZ, P.g0, P))
+        assert m2.shape == m1.shape == (1,)
+        assert m2[0] == pytest.approx(abs(t) ** 2, rel=1e-14)
+        assert m1[0] == pytest.approx(t, rel=1e-14)
 
 
 class TestPropagation:
