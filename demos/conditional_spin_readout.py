@@ -16,7 +16,6 @@ from spinfaraday import (
     DEFAULT_PARAMS,
     TWO_PI,
     SpinState,
-    Transmittance,
     apply_measurement,
     conditional_curves,
     conditional_population,
@@ -47,9 +46,9 @@ print("  P(down) = %.6f (started at %.6f); success probability %.3f"
 print()
 
 delta = -TWO_PI * 1.1e6
-t = Transmittance(t_minus=complex(t_minus_value(delta, params.g0, params)))
+t = complex(t_minus_value(delta, params.g0, params))
 print("cavity transmittance at delta/2pi = -1.1 MHz: t- = %.3f%+.3fj"
-      % (t.t_minus.real, t.t_minus.imag))
+      % (t.real, t.imag))
 print("conditional spin populations after one click (prior 0.5):")
 print(f"{'phi (deg)':>10} {'transmitted':>12} {'reflected':>10}")
 for phi_deg in (45.0, 60.0, 75.0, 90.0, 105.0, 120.0, 135.0):

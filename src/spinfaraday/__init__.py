@@ -65,18 +65,11 @@ from .montecarlo import (
     threshold_trajectories,
 )
 from .optics import (
-    BALANCED_ANALYZER_OFFSET,
     InsufficientCountsError,
-    PolarizationField,
-    Transmittance,
     angle_from_counts,
     coupling_grid,
-    polarization_azimuth,
-    propagate,
-    rotation_angle,
     rotation_curve,
     t_minus_value,
-    transmittance,
 )
 from .params import (
     TWO_PI,

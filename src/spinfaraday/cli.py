@@ -8,9 +8,9 @@ commands, their run-level defaults and their bodies form the ``_COMMANDS``
 table; ``spinfaraday --help`` lists them.
 
 Every command accepts ``--seed``, so one seed can be passed to all of them;
-fig6 draws nothing random and only echoes the seed into its manifest. A run
-resolves and checks its settings, computes, and only then writes, so a
-command that stops on an error writes no file.
+fig6 draws nothing random and ignores it. A run resolves and checks its
+settings, computes, and only then writes, so a command that stops on an
+error writes no file.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 The default output directory can be set with SPINFARADAY_OUT.
@@ -50,7 +50,6 @@ from .montecarlo import (
 )
 from .optics import (
     InsufficientCountsError,
-    Transmittance,
     rotation_curve,
     t_minus_value,
 )
@@ -142,7 +141,10 @@ def _resolve(args: argparse.Namespace):
 
     params, geometry, detection = build_settings(file_cfg)
     grid = None if run["grid"] is None else _parse_grid(run["grid"])
-    return params, geometry, detection, run, grid
+    # Run keys the command does not read are checked above, then dropped:
+    # they reach neither the body nor the manifest.
+    run.update((key, None) for key, default in defaults.items() if default is None)
+    return params, geometry, detection, run, None if run["grid"] is None else grid
 
 
 def _parse_grid(text: object) -> np.ndarray:
@@ -332,7 +334,7 @@ def _validate_checks(params, geometry, rng: np.random.Generator, draws: int):
     for _ in range(draws):
         prior = rng.uniform(0.0, 1.0)
         phi = rng.uniform(0.0, math.pi)
-        t = Transmittance(t_minus=complex(np.exp(1j * rng.uniform(-math.pi, math.pi))))
+        t = complex(np.exp(1j * rng.uniform(-math.pi, math.pi)))
         transmitted = conditional_population(prior, phi, t, port="transmitted")
         reflected = conditional_population(prior, phi, t, port="reflected")
         total = (
@@ -351,7 +353,7 @@ def _validate_checks(params, geometry, rng: np.random.Generator, draws: int):
     for _ in range(draws):
         phi = rng.uniform(0.0, math.pi)
         t_val = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-        t = Transmittance(t_minus=complex(t_val))
+        t = complex(t_val)
         total = detection_prob_down(phi, t) + detection_prob_down(phi + math.pi / 2.0, t)
         expected = (1.0 + abs(t_val) ** 2) / 2.0
         worst_port = max(worst_port, abs(float(total) - expected))
@@ -396,9 +398,9 @@ def _validate(params, geometry, run, grid, write) -> int:
 # Command -> (help, run-level defaults, body). Every run-level key is accepted
 # as a config-file key (and echoed into the manifest); remaining keys must be
 # physics keys. A None default marks a run key the command does not read: its
-# --samples or --grid flag is a configuration error. A body only computes: it
-# passes each table to ``write`` as (file name, header, rows) and returns the
-# exit status.
+# --samples or --grid flag is a configuration error, and a config-file value
+# is checked, then recorded as null. A body only computes: it passes each
+# table to ``write`` as (file name, header, rows) and returns the exit status.
 _COMMANDS: dict[str, tuple[str, dict[str, object], Callable[..., int]]] = {
     "fig2": (
         "fluorescence lineshapes at 1/100/300 nW-equivalent powers",
@@ -475,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--seed", type=int, metavar="N",
-            help="random seed override; every command accepts it (fig6 only echoes it)",
+            help="random seed override; every command accepts it (fig6 ignores it)",
         )
         sp.add_argument(
             "--samples", type=int, metavar="N", help="sample count override"

@@ -9,11 +9,12 @@ operator diag(cos(phi), cos(phi - theta)); detection at the orthogonal port
 replaces phi with phi + pi/2, and the two ports together satisfy the
 completeness relation exactly.
 
-With the real (lossy, elliptical) transmittance the per-photon detection
+With the real (lossy, elliptical) sigma- transmittance t_minus, and the
+sigma+ component passing with factor 1, the per-photon detection
 probabilities are
 
     P(phi | up)   = cos(phi)^2
-    P(phi | down) = |exp(-i phi) t_minus + exp(+i phi) t_plus|^2 / 4,
+    P(phi | down) = |exp(-i phi) t_minus + exp(+i phi)|^2 / 4,
 
 and Bayes' rule converts a prior down-population into the conditional
 population given a click. Detection-chain efficiency multiplies both
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import Transmittance, t_moments
+from .optics import t_moments
 from .params import SystemParams
 
 TRANSMITTED = "transmitted"
@@ -122,20 +123,16 @@ def apply_measurement(
     return SpinState.mixed(w_up / probability, w_down / probability), float(probability)
 
 
-def detection_prob_down(phi: np.ndarray | float, t: Transmittance) -> np.ndarray | float:
+def detection_prob_down(
+    phi: np.ndarray | float, t_minus: np.ndarray | complex
+) -> np.ndarray | float:
     """Per-photon detection probability at analyzer angle phi, spin down.
 
-    |exp(-i phi) t_minus + exp(+i phi) t_plus|^2 / 4. Vectorized over phi
-    and, broadcast against it, over an array t_minus.
+    |exp(-i phi) t_minus + exp(+i phi)|^2 / 4. Vectorized over phi and,
+    broadcast against it, over a complex array t_minus.
     """
     phi_arr = np.asarray(phi, dtype=float)
-    value = (
-        np.abs(
-            np.exp(-1j * phi_arr) * t.t_minus + np.exp(1j * phi_arr) * t.t_plus
-        )
-        ** 2
-        / 4.0
-    )
+    value = np.abs(np.exp(-1j * phi_arr) * t_minus + np.exp(1j * phi_arr)) ** 2 / 4.0
     if value.ndim == 0:
         return float(value)
     return value
@@ -182,7 +179,7 @@ def _bayes_posterior(p_up_click, p_down_click, prior):
 def conditional_population(
     p_down_prior: float,
     phi: float,
-    t: Transmittance,
+    t_minus: complex,
     port: str = TRANSMITTED,
 ) -> ConditionalResult:
     """Conditional down-population after a click at the given port.
@@ -194,7 +191,7 @@ def conditional_population(
         raise ValueError("prior must lie in [0, 1]")
     angle = _port_angle(phi, port)
     posterior, click = _bayes_posterior(
-        detection_prob_up(angle), detection_prob_down(angle, t), p_down_prior
+        detection_prob_up(angle), detection_prob_down(angle, t_minus), p_down_prior
     )
     if not click > 0.0:
         raise MeasurementError("cannot condition on a zero-probability outcome")

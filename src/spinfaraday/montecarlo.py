@@ -174,19 +174,19 @@ def threshold_trajectories(
     return Ensemble(r0, velocity, motion.window, motion.time_step)
 
 
-def _first_coincidence_index(times: np.ndarray, window_s: float) -> int:
-    """Index into ``times`` of the second click of the first coincidence.
+def _first_coincidences(
+    accepted: np.ndarray, times: np.ndarray, window_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows holding a coincidence, and the second-click time of each row's first.
 
-    ``times`` must be sorted click times; returns -1 when no two consecutive
-    clicks fall within the window.
+    ``accepted`` masks the clicks of each row of ``times`` (sorted along the
+    row); a coincidence is two consecutive clicks of one row within the window.
     """
-    if times.size < 2:
-        return -1
-    gaps = np.diff(times)
-    hits = np.flatnonzero(gaps <= window_s)
-    if hits.size == 0:
-        return -1
-    return int(hits[0]) + 1
+    row, col = np.nonzero(accepted)
+    clicks = times[row, col]
+    hits = np.flatnonzero((row[1:] == row[:-1]) & (np.diff(clicks) <= window_s)) + 1
+    rows, first = np.unique(row[hits], return_index=True)
+    return rows, clicks[hits[first]]
 
 
 def sample_selected_trajectories(
@@ -240,10 +240,7 @@ def sample_selected_trajectories(
         vy = -motion.v_fall
 
         # Homogeneous candidate clicks at rate_max, then thinning.
-        gaps = rng.exponential(1.0 / coinc.rate_max, size=(m, k_max))
-        times = np.cumsum(gaps, axis=1)
-        valid = times <= t_total
-
+        times = np.cumsum(rng.exponential(1.0 / coinc.rate_max, size=(m, k_max)), axis=1)
         x = x0[:, None] + vx[:, None] * times
         y = y0[:, None] + vy * times
         z = z0[:, None] + vz[:, None] * times
@@ -252,23 +249,13 @@ def sample_selected_trajectories(
             * np.cos(2.0 * math.pi * z / params.wavelength) ** 2
             * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
         )
-        accepted = valid & (rng.uniform(size=(m, k_max)) < ratio)
+        accepted = (times <= t_total) & (rng.uniform(size=(m, k_max)) < ratio)
 
-        counts = accepted.sum(axis=1)
-        rows: list[int] = []
-        t_sel: list[float] = []
-        for row in np.flatnonzero(counts >= 2):
-            click_times = times[row][accepted[row]]
-            hit = _first_coincidence_index(click_times, coinc.window_s)
-            if hit < 0:
-                continue
-            rows.append(row)
-            t_sel.append(click_times[hit])
-            if selected + len(rows) == n:
-                break
+        rows, t_sel = _first_coincidences(accepted, times, coinc.window_s)
+        rows, t_sel = rows[: n - selected], t_sel[: n - selected]
         velocity = np.column_stack([vx[rows], np.full(len(rows), vy), vz[rows]])
         start = np.column_stack([x0[rows], y0[rows], z0[rows]])
-        r0_parts.append(start + velocity * np.array(t_sel)[:, None])
+        r0_parts.append(start + velocity * t_sel[:, None])
         v_parts.append(velocity)
         selected += len(rows)
 

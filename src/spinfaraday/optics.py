@@ -1,22 +1,19 @@
-"""Weak-drive analytic optics: coupling map, complex transmittance,
-polarization propagation in the circular basis, and the photon-count angle
-estimator.
+"""Weak-drive analytic optics: coupling map, complex sigma- transmittance,
+and the photon-count angle estimator.
 
 ``angle_from_counts`` is the one estimator, elementwise over count arrays:
 single count pairs, expected intensities and ensemble-averaged counts alike.
 
 Conventions
 -----------
-Circular unit vectors are sigma+- = (x +- i y)/sqrt(2); a field is stored as
-its two circular amplitudes (amp_plus, amp_minus). A linear polarizer at
-angle phi from x projects onto (amp_plus*exp(+i*phi) + amp_minus*exp(-i*phi))
-/ sqrt(2).
-
-Only the sigma- circular component couples to the atom (the other component
-is shifted far off resonance by the level splitting), so a transmitted probe
-acquires a complex factor t_minus on that component while t_plus stays 1.
-The analyzer is offset by 45 degrees so that the two output ports balance
-exactly when no atom is present; the count-based estimator
+Only the sigma- circular component couples to the atom (the sigma+
+component is shifted far off resonance by the level splitting), so an
+x-polarized probe leaves the cavity with a complex factor t on its sigma-
+component and factor 1 on its sigma+ component. Behind a linear analyzer at
+angle phi from x its intensity is |exp(-i phi) t + exp(+i phi)|^2 / 4.
+The analyzer is offset by 45 degrees, giving the two output ports
+|t + i|^2 / 4 and |t - i|^2 / 4, which balance exactly when no atom is
+present (t = 1); the count-based estimator
 arccos(sqrt(n_t/(n_t+n_r))) - pi/4 then reads zero without an atom and the
 with-atom reading is reported directly as the rotation angle.
 """
@@ -24,53 +21,14 @@ with-atom reading is reported directly as the rotation angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import SystemParams
 
-# Analyzer offset that balances the two ports for an x-polarized input.
-BALANCED_ANALYZER_OFFSET = math.pi / 4.0
-
-_SQRT_HALF = math.sqrt(0.5)
-
 
 class InsufficientCountsError(ValueError):
     """Raised when an angle is requested from zero total photon counts."""
-
-
-@dataclass(frozen=True)
-class PolarizationField:
-    """Two circular-basis complex amplitudes of a fully polarized field."""
-
-    amp_plus: complex
-    amp_minus: complex
-
-    @staticmethod
-    def linear_x() -> "PolarizationField":
-        """Unit-power linear x polarization: equal circular amplitudes."""
-        return PolarizationField(_SQRT_HALF, _SQRT_HALF)
-
-    def analyzer_amplitude(self, phi: float) -> complex:
-        """Amplitude behind a linear analyzer at angle phi from x."""
-        return (
-            self.amp_plus * np.exp(1j * phi) + self.amp_minus * np.exp(-1j * phi)
-        ) * _SQRT_HALF
-
-    def port_intensities(self, phi: float) -> tuple[float, float]:
-        """Intensities at the analyzer's two output ports (phi, phi + 90 deg)."""
-        transmitted = abs(self.analyzer_amplitude(phi)) ** 2
-        reflected = abs(self.analyzer_amplitude(phi + math.pi / 2.0)) ** 2
-        return transmitted, reflected
-
-
-@dataclass(frozen=True)
-class Transmittance:
-    """Complex transmittances of the two circular components."""
-
-    t_minus: complex
-    t_plus: complex = 1.0 + 0.0j
 
 
 def coupling_grid(x: np.ndarray, y: np.ndarray, z: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -117,21 +75,6 @@ def t_minus_value(
     return result
 
 
-def transmittance(
-    delta: float,
-    g: float,
-    params: SystemParams,
-    cavity_detuning: float | None = None,
-) -> Transmittance:
-    """Transmittance of both circular components for one operating point.
-
-    The sigma+ component is taken as fully transmitted (t_plus = 1): its
-    transition is shifted by twice the level splitting, far outside the
-    cavity line.
-    """
-    return Transmittance(t_minus=complex(t_minus_value(delta, g, params, cavity_detuning)))
-
-
 def t_moments(
     delta: np.ndarray | float, g: np.ndarray, params: SystemParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -147,14 +90,6 @@ def t_moments(
         m2[i] = np.mean(np.abs(t) ** 2)
         m1[i] = np.mean(t)
     return m2, m1
-
-
-def propagate(field: PolarizationField, t: Transmittance) -> PolarizationField:
-    """Apply the cavity transmittance to a polarization state (linear map)."""
-    return PolarizationField(
-        amp_plus=field.amp_plus * t.t_plus,
-        amp_minus=field.amp_minus * t.t_minus,
-    )
 
 
 def angle_from_counts(n_t: np.ndarray | float, n_r: np.ndarray | float) -> np.ndarray | float:
@@ -178,48 +113,18 @@ def angle_from_counts(n_t: np.ndarray | float, n_r: np.ndarray | float) -> np.nd
     return float(angle) if angle.ndim == 0 else angle
 
 
-def rotation_angle(
-    delta: float,
-    g: float,
-    params: SystemParams,
-    cavity_detuning: float | None = None,
-) -> float:
-    """Polarization rotation angle read by the balanced-analyzer procedure.
-
-    Simulates the measurement: x-polarized probe, transmittance applied,
-    analyzer offset so the empty cavity balances the ports, count estimator
-    applied to the expected intensities. The empty-cavity reading is zero by
-    construction, so the with-atom reading is the rotation angle. Radians.
-    """
-    return float(rotation_curve(delta, g, params, cavity_detuning)[0])
-
-
 def rotation_curve(
     delta_grid: np.ndarray,
     g: float,
     params: SystemParams,
     cavity_detuning: np.ndarray | float | None = None,
 ) -> np.ndarray:
-    """Vectorized rotation_angle over a detuning grid. Radians.
+    """Rotation angle read by the balanced-analyzer procedure. Radians, an array.
 
-    For an x-polarized input and the 45-degree analyzer offset the expected
-    port intensities are |t_minus + i|^2 / 4 and |t_minus - i|^2 / 4; the
-    common factor cancels in the estimator.
+    The 45-degree analyzer's expected port intensities |t_minus + i|^2 / 4
+    and |t_minus - i|^2 / 4 go into the count estimator; the common factor
+    cancels and the empty cavity reads zero.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     t = np.atleast_1d(t_minus_value(delta_grid, g, params, cavity_detuning))
     return angle_from_counts(np.abs(t + 1j) ** 2, np.abs(t - 1j) ** 2)
-
-
-def polarization_azimuth(t: Transmittance) -> float:
-    """Major-axis azimuth of the transmitted ellipse: arg(t_minus/t_plus)/2.
-
-    This is the geometric ellipse orientation, distinct from the count-based
-    estimator above; the two agree in magnitude only for a lossless pure
-    rotation and carry opposite signs under these conventions. Exposed for
-    inspection; all reported rotation angles use the count estimator.
-    """
-    return 0.5 * math.atan2(
-        (t.t_minus / t.t_plus).imag,
-        (t.t_minus / t.t_plus).real,
-    )

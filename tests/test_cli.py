@@ -281,6 +281,18 @@ def test_manifest_round_trip_is_byte_identical(tmp_path, capsys, argv):
         assert read(first / name) == read(second / name)
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("fig6", "samples", "5"), ("fig6", "grid", "-1:1:3"), ("validate", "grid", "-1:1:3")],
+)
+def test_unread_config_key_is_recorded_as_null(tmp_path, capsys, command, key, value):
+    # The same value as a flag exits 2; from a config file it is checked, then dropped.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads(read(tmp_path / f"{command}.manifest.json"))[key] is None
+
+
 class TestErrorHandling:
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,8 @@
-"""Smoke test: the walkthrough scripts in demos/ run to completion."""
+"""The walkthrough scripts in demos/ run and print exactly their stored output.
+
+Each expected printout lives in ``tests/demo_output/<name>.txt``; rewrite it
+only when a demo's numbers are meant to change.
+"""
 
 import contextlib
 import io
@@ -7,7 +11,8 @@ import runpy
 
 import pytest
 
-DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+DEMOS = os.path.join(os.path.dirname(TESTS), "demos")
 
 
 # The fluorescence and coincidence demos are left out for their run time.
@@ -24,4 +29,5 @@ def test_demo_runs(name):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(os.path.join(DEMOS, f"{name}.py"), run_name="__main__")
-    assert out.getvalue().strip()
+    with open(os.path.join(TESTS, "demo_output", f"{name}.txt"), encoding="utf-8") as fh:
+        assert out.getvalue() == fh.read()

@@ -24,7 +24,7 @@ from spinfaraday.measurement import (
     pure_rotation_curves,
 )
 from spinfaraday.montecarlo import MotionModel, coupling_matrix, threshold_trajectories
-from spinfaraday.optics import Transmittance, t_minus_value, transmittance
+from spinfaraday.optics import t_minus_value
 from spinfaraday.params import DEFAULT_PARAMS, TWO_PI
 
 MHZ = TWO_PI * 1e6
@@ -122,14 +122,14 @@ class TestApplyMeasurement:
 
 class TestDetectionProbabilities:
     def test_transparent_equalizes_spins(self):
-        t = Transmittance(t_minus=1.0 + 0.0j)
+        t = 1.0 + 0.0j
         for phi in (0.0, 0.3, 1.2):
             assert detection_prob_down(phi, t) == pytest.approx(
                 detection_prob_up(phi), rel=1e-12
             )
 
     def test_frozen_cross_check(self):
-        t = Transmittance(t_minus=complex(t_minus_value(MHZ, P.g0, P)))
+        t = complex(t_minus_value(MHZ, P.g0, P))
         assert detection_prob_down(0.0, t) == pytest.approx(
             0.4415933563741458, rel=1e-12
         )
@@ -141,14 +141,14 @@ class TestDetectionProbabilities:
     )
     @settings(max_examples=300)
     def test_port_sum_identity(self, phi, amp, phase):
-        t = Transmittance(t_minus=amp * cmath.exp(1j * phase))
+        t = amp * cmath.exp(1j * phase)
         total = detection_prob_down(phi, t) + detection_prob_down(
             phi + math.pi / 2.0, t
         )
         assert total == pytest.approx((1.0 + amp**2) / 2.0, abs=1e-12)
 
     def test_vectorized_matches_scalar(self):
-        t = Transmittance(t_minus=0.3 - 0.4j)
+        t = 0.3 - 0.4j
         phis = np.linspace(0.0, math.pi, 19)
         vec = detection_prob_down(phis, t)
         scalar = [detection_prob_down(float(x), t) for x in phis]
@@ -157,41 +157,40 @@ class TestDetectionProbabilities:
 
 class TestConditionalPopulation:
     def test_frozen_oracle(self):
-        t = Transmittance(t_minus=complex(t_minus_value(MHZ, P.g0, P)))
+        t = complex(t_minus_value(MHZ, P.g0, P))
         result = conditional_population(0.5, 0.0, t)
         assert result.p_down_given_click == pytest.approx(
             0.3063231072906917, rel=1e-12
         )
 
     def test_certain_outcome_at_ninety_degrees(self):
-        t = Transmittance(t_minus=complex(t_minus_value(-1.1 * MHZ, P.g0, P)))
+        t = complex(t_minus_value(-1.1 * MHZ, P.g0, P))
         result = conditional_population(0.5, math.pi / 2.0, t)
         assert result.p_down_given_click == pytest.approx(1.0, rel=1e-14)
 
     def test_prior_extremes_fixed_points(self):
-        t = Transmittance(t_minus=0.2 + 0.1j)
+        t = 0.2 + 0.1j
         assert conditional_population(0.0, 0.4, t).p_down_given_click == 0.0
         assert conditional_population(1.0, 0.4, t).p_down_given_click == 1.0
 
     def test_zero_click_probability_raises(self):
-        # both circular components fully blocked and a certain-down prior
-        # leaves literally no photon to condition on
-        t = Transmittance(t_minus=0.0j, t_plus=0.0j)
+        # t = -1 cancels the uncoupled component exactly at phi = 0, so a
+        # certain-down prior leaves literally no photon to condition on
         with pytest.raises(MeasurementError):
-            conditional_population(1.0, 0.3, t)
+            conditional_population(1.0, 0.0, -1.0 + 0.0j)
 
     def test_invalid_prior_rejected(self):
         with pytest.raises(ValueError):
-            conditional_population(1.2, 0.1, Transmittance(t_minus=1.0 + 0.0j))
+            conditional_population(1.2, 0.1, 1.0 + 0.0j)
 
     def test_invalid_port_rejected(self):
         with pytest.raises(ValueError):
-            conditional_population(0.5, 0.1, Transmittance(t_minus=1.0 + 0.0j), port="up")
+            conditional_population(0.5, 0.1, 1.0 + 0.0j, port="up")
 
     @given(prior=st.floats(0.0, 1.0), phi=angles, phase=angles)
     @settings(max_examples=300)
     def test_total_probability_on_lossless_manifold(self, prior, phi, phase):
-        t = Transmittance(t_minus=cmath.exp(1j * phase))
+        t = cmath.exp(1j * phase)
         try:
             transmitted = conditional_population(prior, phi, t, port=TRANSMITTED)
             reflected = conditional_population(prior, phi, t, port=REFLECTED)
@@ -213,7 +212,7 @@ class TestConditionalPopulation:
     def test_joint_probability_identity_general(self, prior, phi, amp, phase):
         # for lossy transmittance the two-port joint probabilities satisfy
         # P(down & T) + P(down & R) = prior * (P(phi|down) + P(phi+90|down))
-        t = Transmittance(t_minus=amp * cmath.exp(1j * phase))
+        t = amp * cmath.exp(1j * phase)
         try:
             transmitted = conditional_population(prior, phi, t, port=TRANSMITTED)
             reflected = conditional_population(prior, phi, t, port=REFLECTED)
@@ -302,7 +301,7 @@ class TestConditionalCurves:
         g = coupling_matrix(threshold_trajectories(MotionModel(seed=5), P, 100), P).reshape(-1)
         phi = np.radians(np.linspace(0.0, 180.0, 181))
         for delta in MHZ * np.array([-2.0, -1.1, 0.0, 0.7, 3.0]):
-            t = Transmittance(t_minus=t_minus_value(delta, g, P))
+            t = t_minus_value(delta, g, P)
             cc = conditional_curves(1.0, delta, P, g)
             for click, angle in (
                 (cc.click_prob_transmitted, phi),
@@ -346,8 +345,8 @@ class TestPopulationVsDetuning:
         for port in (TRANSMITTED, REFLECTED):
             pops = population_vs_detuning(0.4, 0.7, grid, P, port=port)
             expected = [
-                conditional_population(0.4, 0.7, transmittance(d, P.g0, P), port).p_down_given_click
-                for d in grid
+                conditional_population(0.4, 0.7, t, port).p_down_given_click
+                for t in t_minus_value(grid, P.g0, P)
             ]
             np.testing.assert_allclose(pops, expected, rtol=0.0, atol=1e-12)
 
@@ -356,7 +355,7 @@ class TestPopulationVsDetuning:
         grid = MHZ * np.linspace(-3.0, 3.0, 13)
         for port, angle in ((TRANSMITTED, 0.7), (REFLECTED, 0.7 + math.pi / 2.0)):
             pops = population_vs_detuning(0.4, 0.7, grid, P, g, port=port)
-            t = Transmittance(t_minus=t_minus_value(grid[:, None], g, P))
+            t = t_minus_value(grid[:, None], g, P)
             p_down = detection_prob_down(angle, t).mean(axis=1)
             p_up = detection_prob_up(angle)
             expected = p_down * 0.4 / (p_up * 0.6 + p_down * 0.4)

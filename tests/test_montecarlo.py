@@ -11,7 +11,7 @@ from spinfaraday.montecarlo import (
     MotionModel,
     Ensemble,
     SelectionError,
-    _first_coincidence_index,
+    _first_coincidences,
     average_rotation,
     average_transmittance,
     coincidence_gap_probability,
@@ -175,13 +175,23 @@ class TestThresholdEnsemble:
 
 
 class TestCoincidenceSelection:
-    def test_first_coincidence_index_hand_cases(self):
+    def test_first_coincidences_hand_cases(self):
+        # One row per case; NaN pads the shorter rows and is never accepted.
         w = 600e-9
-        assert _first_coincidence_index(np.array([0.0, 1e-6, 1.5e-6]), w) == 2
-        assert _first_coincidence_index(np.array([0.0, 0.4e-6]), w) == 1
-        assert _first_coincidence_index(np.array([0.0, 1e-6, 2e-6]), w) == -1
-        assert _first_coincidence_index(np.array([0.0]), w) == -1
-        assert _first_coincidence_index(np.array([]), w) == -1
+        cases = [
+            [0.0, 1e-6, 1.5e-6],  # second gap hits: selected at 1.5 us
+            [0.0, 0.4e-6],  # first gap hits
+            [0.0, 1e-6, 2e-6],  # no gap within the window
+            [0.0],  # one click
+            [],  # no click
+            [0.0, w],  # a gap exactly equal to the window counts
+        ]
+        times = np.full((len(cases), 3), np.nan)
+        for i, row in enumerate(cases):
+            times[i, : len(row)] = row
+        rows, t_sel = _first_coincidences(~np.isnan(times), times, w)
+        np.testing.assert_array_equal(rows, [0, 1, 5])
+        np.testing.assert_array_equal(t_sel, [1.5e-6, 0.4e-6, w])
 
     def test_gap_probability_matches_analytic(self):
         # frozen analytic value: 1 - exp(-7.6e5 * 600e-9)

@@ -1,4 +1,4 @@
-"""Analytic transmittance, polarization propagation, and the count estimator."""
+"""Analytic transmittance, its ensemble moments, and the count estimator."""
 
 import cmath
 import math
@@ -9,19 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfaraday.optics import (
-    BALANCED_ANALYZER_OFFSET,
     InsufficientCountsError,
-    PolarizationField,
-    Transmittance,
     angle_from_counts,
     coupling_grid,
-    polarization_azimuth,
-    propagate,
-    rotation_angle,
     rotation_curve,
     t_minus_value,
     t_moments,
-    transmittance,
 )
 from spinfaraday.params import DEFAULT_PARAMS, TWO_PI
 
@@ -111,12 +104,6 @@ class TestTransmittance:
         scalar = [complex(t_minus_value(float(d), P.g0, P)) for d in deltas]
         np.testing.assert_allclose(vec, scalar, rtol=1e-14)
 
-    def test_transmittance_object(self):
-        t = transmittance(MHZ, P.g0, P)
-        assert isinstance(t, Transmittance)
-        assert t.t_plus == 1.0 + 0.0j
-        assert t.t_minus == pytest.approx(complex(t_minus_value(MHZ, P.g0, P)))
-
 
 class TestMoments:
     def test_match_direct_sample_means(self):
@@ -133,54 +120,6 @@ class TestMoments:
         assert m2.shape == m1.shape == (1,)
         assert m2[0] == pytest.approx(abs(t) ** 2, rel=1e-14)
         assert m1[0] == pytest.approx(t, rel=1e-14)
-
-
-class TestPropagation:
-    def test_unit_transmittance_is_identity(self):
-        field = PolarizationField.linear_x()
-        out = propagate(field, Transmittance(t_minus=1.0 + 0.0j))
-        assert out.amp_plus == pytest.approx(field.amp_plus)
-        assert out.amp_minus == pytest.approx(field.amp_minus)
-
-    def test_full_blocking_leaves_circular(self):
-        out = propagate(PolarizationField.linear_x(), Transmittance(t_minus=0.0j))
-        assert out.amp_minus == 0.0
-        assert abs(out.amp_plus) == pytest.approx(1.0 / math.sqrt(2.0))
-
-    @given(
-        re=st.floats(-1.0, 1.0),
-        im=st.floats(-1.0, 1.0),
-        scale=st.floats(0.1, 2.0),
-    )
-    @settings(max_examples=100)
-    def test_linearity(self, re, im, scale):
-        t = Transmittance(t_minus=complex(re, im))
-        field = PolarizationField.linear_x()
-        scaled = PolarizationField(
-            amp_plus=scale * field.amp_plus, amp_minus=scale * field.amp_minus
-        )
-        a = propagate(scaled, t)
-        b = propagate(field, t)
-        assert a.amp_plus == pytest.approx(scale * b.amp_plus, rel=1e-12, abs=1e-15)
-        assert a.amp_minus == pytest.approx(scale * b.amp_minus, rel=1e-12, abs=1e-15)
-
-    def test_port_intensity_oracle(self):
-        # frozen cross-check of the analyzer projection at phi = 0 for the
-        # +1 MHz elliptical transmittance: |1 + t|^2 / 4
-        t = transmittance(MHZ, P.g0, P)
-        out = propagate(PolarizationField.linear_x(), t)
-        transmitted, reflected = out.port_intensities(0.0)
-        assert transmitted == pytest.approx(0.4415933563741458, rel=1e-12)
-        total = (1.0 + abs(t.t_minus) ** 2) / 2.0
-        assert transmitted + reflected == pytest.approx(total, rel=1e-12)
-
-    def test_port_intensities_swap_at_quarter_turn(self):
-        t = transmittance(-2.2 * MHZ, P.g0, P)
-        out = propagate(PolarizationField.linear_x(), t)
-        t0, r0 = out.port_intensities(0.3)
-        t1, r1 = out.port_intensities(0.3 + math.pi / 2.0)
-        assert t1 == pytest.approx(r0, rel=1e-12)
-        assert r1 == pytest.approx(t0, rel=1e-12)
 
 
 class TestAngleFromCounts:
@@ -237,21 +176,21 @@ class TestAngleFromCounts:
 
 class TestRotationAngle:
     def test_resonance_reads_zero(self):
-        assert rotation_angle(0.0, P.g0, P) == pytest.approx(0.0, abs=1e-12)
+        assert rotation_curve(0.0, P.g0, P)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_probe_point(self):
-        angle = rotation_angle(-1.1 * MHZ, P.g0, P)
+        angle = rotation_curve(-1.1 * MHZ, P.g0, P)[0]
         assert math.degrees(angle) == pytest.approx(-20.730127951503526, rel=1e-12)
 
     def test_negative_detuning_negative_angle(self):
-        assert rotation_angle(-0.5 * MHZ, P.g0, P) < 0.0
-        assert rotation_angle(0.5 * MHZ, P.g0, P) > 0.0
+        assert rotation_curve(-0.5 * MHZ, P.g0, P)[0] < 0.0
+        assert rotation_curve(0.5 * MHZ, P.g0, P)[0] > 0.0
 
     @given(delta_mhz=st.floats(0.01, 6.0))
     @settings(max_examples=100)
     def test_antisymmetric_in_detuning(self, delta_mhz):
-        plus = rotation_angle(delta_mhz * MHZ, P.g0, P)
-        minus = rotation_angle(-delta_mhz * MHZ, P.g0, P)
+        plus = rotation_curve(delta_mhz * MHZ, P.g0, P)[0]
+        minus = rotation_curve(-delta_mhz * MHZ, P.g0, P)[0]
         assert plus == pytest.approx(-minus, rel=1e-9, abs=1e-12)
 
     def test_decoupled_reads_zero_everywhere(self):
@@ -261,25 +200,16 @@ class TestRotationAngle:
     def test_curve_matches_scalar(self):
         deltas = MHZ * np.linspace(-3, 3, 13)
         curve = rotation_curve(deltas, P.g0, P)
-        scalar = [rotation_angle(float(d), P.g0, P) for d in deltas]
+        scalar = [rotation_curve(float(d), P.g0, P)[0] for d in deltas]
         np.testing.assert_allclose(curve, scalar, rtol=1e-12, atol=1e-15)
-
-    def test_balanced_offset_constant(self):
-        assert BALANCED_ANALYZER_OFFSET == pytest.approx(math.pi / 4.0)
 
 
 class TestAzimuth:
-    def test_transparent_reads_zero(self):
-        assert polarization_azimuth(Transmittance(t_minus=1.0 + 0.0j)) == pytest.approx(0.0)
-
     def test_pure_rotation_reads_operator_angle(self):
-        # t = e^{2 i psi} rotates the ellipse azimuth by psi; the count
-        # estimator reads the opposite sign (documented convention)
+        # t = e^{2 i psi} rotates the ellipse azimuth, arg(t)/2, by psi; the
+        # count estimator reads the opposite sign (documented convention)
         psi = 0.15
-        t = Transmittance(t_minus=cmath.exp(2j * psi))
-        assert polarization_azimuth(t) == pytest.approx(psi, rel=1e-12)
-        n_t, n_r = (
-            abs(t.t_minus + 1j) ** 2 / 4.0,
-            abs(t.t_minus - 1j) ** 2 / 4.0,
-        )
+        t = cmath.exp(2j * psi)
+        assert cmath.phase(t) / 2.0 == pytest.approx(psi, rel=1e-12)
+        n_t, n_r = abs(t + 1j) ** 2 / 4.0, abs(t - 1j) ** 2 / 4.0
         assert angle_from_counts(n_t, n_r) == pytest.approx(-psi, rel=1e-9)

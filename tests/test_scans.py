@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinfaraday.optics import rotation_angle, t_minus_value
+from spinfaraday.optics import rotation_curve, t_minus_value
 from spinfaraday.params import (
     DEFAULT_GEOMETRY,
     DEFAULT_PARAMS,
@@ -58,7 +58,7 @@ class TestMaxRotation:
     def test_optimum_is_a_true_maximum(self):
         result = max_rotation(P, PROBE_EQUALS_CAVITY)
         for bump in (-0.01 * MHZ, 0.01 * MHZ):
-            nearby = abs(rotation_angle(result.delta_star + bump, P.g0, P))
+            nearby = abs(rotation_curve(result.delta_star + bump, P.g0, P)[0])
             assert nearby <= result.angle + 1e-12
 
     def test_coarse_grid_insensitive(self):
@@ -104,7 +104,7 @@ class TestLosslessPoint:
     def test_estimator_saturates_at_45_degrees(self):
         point = lossless_rotation_point()
         tuned = P.with_updates(kappa=point.kappa)
-        angle = rotation_angle(point.delta, P.g0, tuned, cavity_detuning=point.delta)
+        angle = rotation_curve(point.delta, P.g0, tuned, cavity_detuning=point.delta)[0]
         assert math.degrees(abs(angle)) == pytest.approx(45.0, abs=1e-7)
 
 
