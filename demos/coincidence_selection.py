@@ -12,27 +12,26 @@ import numpy as np
 
 from spinfaraday import (
     DEFAULT_PARAMS,
-    TWO_PI,
     CoincidenceConfig,
     MotionModel,
-    coincidence_gap_probability,
     coupling_grid,
     sample_selected_trajectories,
-    selected_mean_coupling,
 )
 
 params = DEFAULT_PARAMS
 
 config = CoincidenceConfig()
 analytic = 1.0 - np.exp(-config.rate_max * config.window_s)
-simulated = coincidence_gap_probability(config.rate_max, config.window_s, 100_000)
+# Exponential gaps between clicks at a constant rate, as the selection draws them.
+gaps = np.random.default_rng(0).exponential(1.0 / config.rate_max, size=100_000)
+simulated = float(np.mean(gaps <= config.window_s))
 print("per-gap coincidence probability at the maximum click rate:")
 print("  simulated %.4f vs analytic 1 - exp(-r*w) = %.4f" % (simulated, analytic))
 print()
 
 motion = MotionModel(seed=2025)
 trajectories = sample_selected_trajectories(motion, config, params, 2000)
-mean_g = selected_mean_coupling(trajectories, params)
+mean_g = float(np.mean(np.abs(coupling_grid(*trajectories.r0.T, params))) / params.g0)
 print("coincidence-selected ensemble of %d atoms: mean |g(r0)|/g0 = %.3f"
       % (len(trajectories), mean_g))
 

@@ -15,8 +15,6 @@ import numpy as np
 from spinfaraday import (
     DEFAULT_PARAMS,
     TWO_PI,
-    SpinState,
-    apply_measurement,
     conditional_curves,
     conditional_population,
     kraus,
@@ -25,24 +23,33 @@ from spinfaraday import (
 )
 
 params = DEFAULT_PARAMS
-state = SpinState.pure(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+
+
+def click(amplitudes, op):
+    """Spin amplitudes (up, down) after a click, renormalized, and its probability."""
+    updated = np.diagonal(op.matrix) * amplitudes
+    probability = float(np.sum(np.abs(updated) ** 2))
+    return updated / math.sqrt(probability), probability
+
+
+state = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 print("ideal rotation of -10 degrees, spin prepared in an equal superposition:")
 theta = math.radians(-10.0)
 for phi_deg in (30.0, 60.0, 85.0, 90.0):
     op = kraus(theta, math.radians(phi_deg))
-    updated, prob = apply_measurement(state, op)
+    updated, prob = click(state, op)
     print("  click at phi = %5.1f deg: p(click) = %.3f, P(down) -> %.3f"
-          % (phi_deg, prob, updated.p_down))
+          % (phi_deg, prob, abs(updated[1]) ** 2))
 print()
 
 op = kraus(theta, math.radians(60.0))
-partial, p1 = apply_measurement(state, op)
+partial, p1 = click(state, op)
 reversal = kraus(theta, theta - math.radians(60.0))
-restored, p2 = apply_measurement(partial, reversal)
+restored, p2 = click(partial, reversal)
 print("measurement reversal: after clicks at 60 deg and at the mirrored angle,")
 print("  P(down) = %.6f (started at %.6f); success probability %.3f"
-      % (restored.p_down, state.p_down, p1 * p2))
+      % (abs(restored[1]) ** 2, abs(state[1]) ** 2, p1 * p2))
 print()
 
 delta = -TWO_PI * 1.1e6

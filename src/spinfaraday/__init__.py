@@ -22,7 +22,6 @@ from .lindblad import (
     CutoffError,
     LindbladModel,
     Lineshape,
-    SteadyState,
     curve_fwhm,
     fluorescence_lineshape,
     fluorescence_rate,
@@ -38,9 +37,7 @@ from .measurement import (
     MeasurementError,
     MeasurementOperator,
     REFLECTED,
-    SpinState,
     TRANSMITTED,
-    apply_measurement,
     conditional_curves,
     conditional_population,
     detection_prob_down,
@@ -56,12 +53,8 @@ from .montecarlo import (
     SelectionError,
     average_rotation,
     average_transmittance,
-    coincidence_gap_probability,
     coupling_matrix,
-    export_trajectories_csv,
-    pinned_trajectories,
     sample_selected_trajectories,
-    selected_mean_coupling,
     threshold_trajectories,
 )
 from .optics import (

@@ -71,40 +71,6 @@ class LindbladModel:
         if self.drive_target not in ("atom", "cavity"):
             raise ValueError("drive_target must be 'atom' or 'cavity'")
 
-    @property
-    def dimension(self) -> int:
-        return 2 * (self.fock_cutoff + 1)
-
-
-@dataclass(frozen=True)
-class SteadyState:
-    """Steady-state density matrix with convenience observables."""
-
-    density_matrix: np.ndarray
-    fock_cutoff: int
-
-    def expectation(self, operator: np.ndarray) -> complex:
-        return complex(np.trace(self.density_matrix @ operator))
-
-    @property
-    def photon_number(self) -> float:
-        ops = _operators(self.fock_cutoff)
-        return float(self.expectation(ops.number).real)
-
-    @property
-    def atom_excitation(self) -> float:
-        ops = _operators(self.fock_cutoff)
-        return float(self.expectation(ops.excited).real)
-
-    @property
-    def cavity_amplitude(self) -> complex:
-        ops = _operators(self.fock_cutoff)
-        return self.expectation(ops.a)
-
-    @property
-    def top_fock_population(self) -> float:
-        return float(_top_fock_population(self.density_matrix, self.fock_cutoff))
-
 
 @dataclass(frozen=True)
 class _Operators:
@@ -285,8 +251,8 @@ def _steady_states(
     return _solve_real(liou_r, cutoff, ok)
 
 
-def steady_state(model: LindbladModel, *, check_cutoff: bool = True) -> SteadyState:
-    """Steady state of the master equation via a dense trace-row solve.
+def steady_state(model: LindbladModel) -> np.ndarray:
+    """Steady-state density matrix of the master equation (dense trace-row solve).
 
     Raises numpy.linalg.LinAlgError if the system is singular or the
     solution fails the trace, hermiticity or positivity check, and
@@ -298,13 +264,13 @@ def steady_state(model: LindbladModel, *, check_cutoff: bool = True) -> SteadySt
             "steady-state solve is singular or failed the trace, hermiticity "
             "or positivity check"
         )
-    if check_cutoff and top_fock[0] >= TOP_FOCK_TOLERANCE:
+    if top_fock[0] >= TOP_FOCK_TOLERANCE:
         raise CutoffError(
             "top Fock level holds population "
             f"{top_fock[0]:.2e} >= {TOP_FOCK_TOLERANCE:.0e}; "
             "increase fock_cutoff"
         )
-    return SteadyState(density_matrix=rho[0], fock_cutoff=model.fock_cutoff)
+    return rho[0]
 
 
 def transmittance_steady(
@@ -331,8 +297,9 @@ def transmittance_steady(
         detuning_atom=float(delta),
         detuning_cavity=delta_c,
     )
-    coupled = steady_state(LindbladModel(g=float(g), **common)).cavity_amplitude
-    empty = steady_state(LindbladModel(g=0.0, **common)).cavity_amplitude
+    a = _operators(PROBE_FOCK_CUTOFF).a
+    coupled = complex(np.trace(steady_state(LindbladModel(g=float(g), **common)) @ a))
+    empty = complex(np.trace(steady_state(LindbladModel(g=0.0, **common)) @ a))
     return coupled / empty
 
 
@@ -345,7 +312,8 @@ def fluorescence_rate(model: LindbladModel) -> float:
     """
     if model.drive_target != "atom":
         raise ValueError("fluorescence_rate expects an atom-driven model")
-    return model.kappa * steady_state(model).photon_number
+    number = _operators(model.fock_cutoff).number
+    return model.kappa * np.trace(steady_state(model) @ number).real
 
 
 def purcell_rate_formula(params: SystemParams, rabi: float | None = None) -> float:

@@ -1,13 +1,15 @@
 """Ancilla-assisted spin measurement: Kraus operators for a pure
 polarization rotation, Bayesian conditional populations including
-ellipticity, stochastic reversal, and the conditional-population curves.
+ellipticity, and the conditional-population curves.
 
 A probe photon transmitted through the cavity and detected behind an
 analyzer at angle phi updates the spin. For a spin-independent ideal
 rotation by theta on the down component the update is the diagonal Kraus
-operator diag(cos(phi), cos(phi - theta)); detection at the orthogonal port
-replaces phi with phi + pi/2, and the two ports together satisfy the
-completeness relation exactly.
+operator diag(cos(phi), cos(phi - theta)), applied to the spin amplitudes
+by its diagonal; detection at the orthogonal port replaces phi with
+phi + pi/2, and the two ports together satisfy the completeness relation
+exactly. A second click at basis - theta with rotation -theta composes with
+the first to a multiple of the identity, which reverses the measurement.
 
 With the real (lossy, elliptical) sigma- transmittance t_minus, and the
 sigma+ component passing with factor 1, the per-photon detection
@@ -45,37 +47,6 @@ class MeasurementError(ValueError):
 
 
 @dataclass(frozen=True)
-class SpinState:
-    """Qubit state over (up, down), pure amplitudes or classical mixture."""
-
-    p_up: float
-    p_down: float
-    amp_up: complex | None = None
-    amp_down: complex | None = None
-
-    @staticmethod
-    def pure(amp_up: complex, amp_down: complex) -> "SpinState":
-        norm_sq = abs(amp_up) ** 2 + abs(amp_down) ** 2
-        if norm_sq <= 0.0:
-            raise ValueError("pure state must have nonzero norm")
-        scale = 1.0 / math.sqrt(norm_sq)
-        au = complex(amp_up) * scale
-        ad = complex(amp_down) * scale
-        return SpinState(p_up=abs(au) ** 2, p_down=abs(ad) ** 2, amp_up=au, amp_down=ad)
-
-    @staticmethod
-    def mixed(p_up: float, p_down: float) -> "SpinState":
-        total = p_up + p_down
-        if p_up < 0.0 or p_down < 0.0 or total <= 0.0:
-            raise ValueError("populations must be non-negative with positive sum")
-        return SpinState(p_up=p_up / total, p_down=p_down / total)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.amp_up is not None
-
-
-@dataclass(frozen=True)
 class MeasurementOperator:
     """Diagonal Kraus operator for a click behind the analyzer."""
 
@@ -94,33 +65,6 @@ def kraus(theta: float, phi: float) -> MeasurementOperator:
         [[math.cos(phi), 0.0], [0.0, math.cos(phi - theta)]], dtype=complex
     )
     return MeasurementOperator(rotation=theta, basis_angle=phi, matrix=matrix)
-
-
-def apply_measurement(
-    state: SpinState, op: MeasurementOperator
-) -> tuple[SpinState, float]:
-    """Post-measurement state and click probability for one detected photon.
-
-    Pure states update as M|psi> / ||M|psi>||; classical mixtures update
-    their populations with the diagonal weights. Conditioning on a
-    zero-probability outcome raises MeasurementError.
-    """
-    m_up = op.matrix[0, 0]
-    m_down = op.matrix[1, 1]
-    if state.is_pure:
-        new_up = m_up * state.amp_up
-        new_down = m_down * state.amp_down
-        probability = abs(new_up) ** 2 + abs(new_down) ** 2
-        if probability <= 0.0:
-            raise MeasurementError("cannot condition on a zero-probability outcome")
-        return SpinState.pure(new_up, new_down), float(probability)
-
-    w_up = abs(m_up) ** 2 * state.p_up
-    w_down = abs(m_down) ** 2 * state.p_down
-    probability = w_up + w_down
-    if probability <= 0.0:
-        raise MeasurementError("cannot condition on a zero-probability outcome")
-    return SpinState.mixed(w_up / probability, w_down / probability), float(probability)
 
 
 def detection_prob_down(
@@ -152,7 +96,6 @@ class ConditionalResult:
 
     p_down_given_click: float
     click_probability: float
-    port: str
 
 
 def _port_angle(phi: float, port: str) -> float:
@@ -198,7 +141,6 @@ def conditional_population(
     return ConditionalResult(
         p_down_given_click=float(posterior),
         click_probability=float(click),
-        port=port,
     )
 
 

@@ -19,8 +19,8 @@ models are provided:
   coupling at selection" and is insensitive to brightness assumptions.
 
 Both return an ``Ensemble``: start positions and velocities as two (n, 3)
-arrays on one shared probe window and time step, which the averages and
-the CSV export read directly.
+arrays on one shared probe window and time step, which the averages read
+directly.
 
 Averages are taken over intensities (expected photon counts), not field
 amplitudes, since counts accumulate over many atoms.
@@ -112,11 +112,6 @@ def coupling_matrix(ensemble: Ensemble, params: SystemParams) -> np.ndarray:
     """g(r(t)) over the ensemble's time grid, shape (n_traj, n_times)."""
     r = ensemble.r0[:, :, None] + ensemble.velocity[:, :, None] * ensemble.times()
     return coupling_grid(r[:, 0], r[:, 1], r[:, 2], params)
-
-
-def pinned_trajectories(n: int, window: float = 34e-6, time_step: float = 0.5e-6) -> Ensemble:
-    """Degenerate ensemble: atoms at rest at a mode antinode."""
-    return Ensemble(np.zeros((n, 3)), np.zeros((n, 3)), window, time_step)
 
 
 def _sample_disc(
@@ -268,25 +263,6 @@ def sample_selected_trajectories(
     return Ensemble(r0, velocity, motion.window, motion.time_step)
 
 
-def selected_mean_coupling(ensemble: Ensemble, params: SystemParams) -> float:
-    """Mean |g(r0)| / g0 over an ensemble's selection points."""
-    return float(np.mean(np.abs(coupling_grid(*ensemble.r0.T, params))) / params.g0)
-
-
-def coincidence_gap_probability(
-    rate: float, window_s: float, n_gaps: int, seed: int = 0
-) -> float:
-    """Monte Carlo estimate of P(next click within window) at constant rate.
-
-    For a constant-rate Poisson process the analytic value is
-    1 - exp(-rate * window); this estimator exists to validate the
-    exponential-gap sampling used by the selection simulation.
-    """
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1.0 / rate, size=n_gaps)
-    return float(np.mean(gaps <= window_s))
-
-
 def average_transmittance(
     ensemble: Ensemble,
     delta: np.ndarray,
@@ -315,16 +291,3 @@ def average_rotation(
     """
     m2, m1 = t_moments(delta_grid, coupling_matrix(ensemble, params).reshape(-1), params)
     return angle_from_counts(m2 + 1.0 + 2.0 * m1.imag, m2 + 1.0 - 2.0 * m1.imag)
-
-
-def export_trajectories_csv(ensemble: Ensemble, path: str) -> None:
-    """Write an ensemble to CSV for external inspection."""
-    grid_us = np.tile([ensemble.window * 1e6, ensemble.time_step * 1e6], (len(ensemble), 1))
-    columns = np.column_stack([ensemble.r0 * 1e6, ensemble.velocity, grid_us])
-    header = "x0_um,y0_um,z0_um,vx_mps,vy_mps,vz_mps,window_us,step_us"
-    # "\r\n" line ends, as the csv module writes them, keep the file format.
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        np.savetxt(
-            fh, columns, fmt=["%.6f"] * 6 + ["%.3f"] * 2, delimiter=",",
-            newline="\r\n", header=header, comments="",
-        )

@@ -66,9 +66,6 @@ class SystemParams:
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be strictly positive")
 
-    def with_updates(self, **changes: float) -> "SystemParams":
-        return replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class CavityGeometry:
@@ -114,11 +111,6 @@ class DetectionChain:
         attenuate photons emitted by the atom into the mode.
         """
         return self.cavity_escape * self.fiber_coupling * self.detector_qe
-
-    @property
-    def efficiency_nominal(self) -> float:
-        """The efficiency rounded to one decimal, as usually quoted (0.4)."""
-        return round(self.efficiency, 1)
 
 
 DEFAULT_PARAMS = SystemParams()

@@ -17,7 +17,9 @@ The count-based rotation estimator is bounded by +-45 degrees (all counts in
 one port). In the cavity-locked configuration there is an exact lossless
 point where the coupled transmittance equals i times the uncoupled one; the
 estimator reaches the full 45 degrees there. ``lossless_rotation_point``
-solves for it in closed form up to a one-dimensional root find.
+solves for it in closed form up to a one-dimensional root find, and the
+feasibility report reads its best mirror off that point without a search:
+the lossless reflectivity, clipped to the allowed range.
 """
 
 from __future__ import annotations
@@ -124,7 +126,6 @@ class ScanResult:
     g0_mhz: np.ndarray
     kappa_mhz: np.ndarray
     gamma_khz: np.ndarray
-    fixed: dict
 
     @property
     def argmax_index(self) -> int:
@@ -176,7 +177,6 @@ def default_length_grid(n: int = 25) -> np.ndarray:
 _GEOMETRY_AXES = {
     "length": ("length_um", 1e6),
     "reflectivity": ("reflectivity", 1.0),
-    "mirror_roc": ("mirror_roc_mm", 1e3),
 }
 
 
@@ -203,11 +203,6 @@ def _scan(
         g0_mhz=np.array([p.g0 / mhz for p, _ in pairs], dtype=float),
         kappa_mhz=np.array([p.kappa / mhz for p, _ in pairs], dtype=float),
         gamma_khz=np.full(len(pairs), anchor.gamma / (TWO_PI * 1e3)),
-        fixed={
-            name: getattr(anchor_geometry, other) * other_scale
-            for other, (name, other_scale) in _GEOMETRY_AXES.items()
-            if other != field
-        },
     )
 
 
@@ -338,12 +333,15 @@ def cnot_feasibility(
     rho_limit: float = 0.999990,
     rho_floor: float = 0.999,
 ) -> CnotReport:
-    """Best achievable rotation with mirrors up to ``rho_limit``.
+    """Best achievable rotation with mirrors in [rho_floor, rho_limit].
 
-    Maximizes the rotation angle over mirror reflectivity in
-    [rho_floor, rho_limit] (a technology bound: better coatings can always
-    be specified down). The known lossless point is evaluated analytically
-    when it lies inside the bound.
+    The rotation peaks at the lossless point, where the estimator reaches
+    its 45-degree bound, and falls away from it on either side, so the best
+    mirror is the lossless reflectivity clipped to the bounds (``rho_limit``
+    is a technology limit: better coatings can always be specified down).
+    The lossless point itself reads 45 degrees exactly; a clipped point goes
+    through the cavity-locked design-point evaluation. Raises ValueError
+    when ``lossless_rotation_point`` finds no lossless point.
     """
     if not (0.0 < rho_floor < rho_limit < 1.0):
         raise ValueError("need 0 < rho_floor < rho_limit < 1")
@@ -363,46 +361,16 @@ def cnot_feasibility(
             rotation_up_deg=0.0,
         )
 
-    # Coarse scan, geometric in the mirror loss.
-    losses = np.geomspace(1.0 - rho_floor, 1.0 - rho_limit, 41)
-    rhos = 1.0 - losses
-    coarse = [angle_at(float(r)) for r in rhos]
-    best = int(np.argmax([angle for angle, _ in coarse]))
-    (best_angle, best_delta), best_rho = coarse[best], float(rhos[best])
-
-    if 0 < best < rhos.size - 1:
-        from scipy.optimize import minimize_scalar
-
-        u = np.log10(losses)
-        try:
-            refined = minimize_scalar(
-                lambda v: -angle_at(float(1.0 - 10.0**v))[0],
-                bracket=(u[best - 1], u[best], u[best + 1]),
-                method="golden",
-                options={"xtol": 1e-10},
-            )
-            if -refined.fun > best_angle:
-                best_angle = -float(refined.fun)
-                best_rho = float(1.0 - 10.0 ** float(refined.x))
-                best_delta = angle_at(best_rho)[1]
-        except ValueError:
-            pass
-
-    # The lossless point is the analytic optimum (the estimator is bounded
-    # by 45 degrees); use it exactly when it lies inside the bound.
-    try:
-        lossless = lossless_rotation_point(params, anchor_geometry)
-        if rho_floor <= lossless.reflectivity <= rho_limit:
-            best_angle = 45.0
-            best_rho = lossless.reflectivity
-            best_delta = lossless.delta / (TWO_PI * 1e6)
-    except ValueError:
-        pass
+    lossless = lossless_rotation_point(params, anchor_geometry)
+    best_rho = min(max(lossless.reflectivity, rho_floor), rho_limit)
+    if best_rho == lossless.reflectivity:
+        best_angle, best_delta = 45.0, lossless.delta / (TWO_PI * 1e6)
+    else:
+        best_angle, best_delta = angle_at(best_rho)
 
     angle_at_limit, _ = angle_at(rho_limit)
-    feasible = best_angle >= 45.0 - 1e-9
     return CnotReport(
-        feasible=feasible,
+        feasible=best_angle >= 45.0 - 1e-9,
         best_angle_deg=best_angle,
         best_reflectivity=best_rho,
         best_delta_mhz=best_delta,

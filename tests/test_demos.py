@@ -15,7 +15,7 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 DEMOS = os.path.join(os.path.dirname(TESTS), "demos")
 
 
-# The fluorescence and coincidence demos are left out for their run time.
+# The fluorescence demo is left out for its run time.
 @pytest.mark.parametrize(
     "name",
     [
@@ -23,6 +23,7 @@ DEMOS = os.path.join(os.path.dirname(TESTS), "demos")
         "conditional_spin_readout",
         "falling_atom_ensembles",
         "cavity_design_scans",
+        "coincidence_selection",
     ],
 )
 def test_demo_runs(name):

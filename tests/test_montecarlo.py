@@ -1,7 +1,6 @@
 """Falling-atom ensembles, coincidence selection, and curve averaging."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -14,12 +13,8 @@ from spinfaraday.montecarlo import (
     _first_coincidences,
     average_rotation,
     average_transmittance,
-    coincidence_gap_probability,
     coupling_matrix,
-    export_trajectories_csv,
-    pinned_trajectories,
     sample_selected_trajectories,
-    selected_mean_coupling,
     threshold_trajectories,
 )
 from spinfaraday.optics import (
@@ -97,8 +92,6 @@ class TestTrajectories:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
             Ensemble(np.zeros((0, 3)), np.zeros((0, 3)), window=34e-6)
-        with pytest.raises(ValueError):
-            pinned_trajectories(0)
 
     @pytest.mark.parametrize(
         "window, time_step",
@@ -112,12 +105,13 @@ class TestTrajectories:
         assert len(threshold_trajectories(MotionModel(seed=3), P, 37)) == 37
         selected = sample_selected_trajectories(MotionModel(seed=3), CoincidenceConfig(), P, 23)
         assert len(selected) == 23
-        assert len(pinned_trajectories(5)) == 5
+        assert len(Ensemble(np.zeros((5, 3)), np.zeros((5, 3)), window=34e-6)) == 5
 
 
 class TestPinnedEnsemble:
     def test_degenerate_averages_match_single_atom(self):
-        trajs = pinned_trajectories(5)
+        # atoms at rest at a mode antinode
+        trajs = Ensemble(np.zeros((5, 3)), np.zeros((5, 3)), window=34e-6)
         averaged_t = average_transmittance(trajs, GRID, P)
         pinned_t = np.abs(t_minus_value(GRID, P.g0, P))
         np.testing.assert_allclose(averaged_t, pinned_t, rtol=1e-12)
@@ -193,19 +187,11 @@ class TestCoincidenceSelection:
         np.testing.assert_array_equal(rows, [0, 1, 5])
         np.testing.assert_array_equal(t_sel, [1.5e-6, 0.4e-6, w])
 
-    def test_gap_probability_matches_analytic(self):
-        # frozen analytic value: 1 - exp(-7.6e5 * 600e-9)
-        analytic = 0.3661861629014509
-        n = 200_000
-        estimate = coincidence_gap_probability(7.6e5, 600e-9, n, seed=0)
-        sigma = math.sqrt(analytic * (1.0 - analytic) / n)
-        assert abs(estimate - analytic) < 3.0 * sigma
-
     def test_selection_biases_toward_strong_coupling(self):
         motion = MotionModel(seed=77)
         trajs = sample_selected_trajectories(motion, CoincidenceConfig(), P, 500)
         assert len(trajs) == 500
-        mean_coupling = selected_mean_coupling(trajs, P)
+        mean_coupling = np.mean(np.abs(coupling_grid(*trajs.r0.T, P))) / P.g0
         # unselected drop points on the source disc average well below this
         assert 0.55 < mean_coupling < 0.85
 
@@ -276,24 +262,3 @@ class TestAveragedCurves:
         a = average_transmittance(coarse, GRID, P)
         b = average_transmittance(fine, GRID, P)
         assert np.max(np.abs(a - b)) < 0.01
-
-
-class TestExport:
-    def test_csv_round_trip(self, tmp_path):
-        trajs = threshold_trajectories(MotionModel(seed=2), P, 7)
-        path = os.path.join(tmp_path, "ensemble.csv")
-        export_trajectories_csv(trajs, path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert data.shape == (7,)
-        np.testing.assert_allclose(data["x0_um"][0], trajs.r0[0, 0] * 1e6, rtol=1e-6)
-        np.testing.assert_allclose(data["vy_mps"], -0.3, rtol=1e-6)
-
-    def test_csv_layout(self, tmp_path):
-        path = os.path.join(tmp_path, "pinned.csv")
-        export_trajectories_csv(pinned_trajectories(2), path)
-        with open(path, "rb") as fh:
-            content = fh.read().decode("utf-8")
-        row = "0.000000,0.000000,0.000000,0.000000,0.000000,0.000000,34.000,0.500\r\n"
-        assert content == (
-            "x0_um,y0_um,z0_um,vx_mps,vy_mps,vz_mps,window_us,step_us\r\n" + row + row
-        )

@@ -1,6 +1,7 @@
 """Detuning optimization, geometry scans, and the two-qubit gate budget."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ class TestMaxRotation:
         assert abs(math.degrees(a.angle) - math.degrees(b.angle)) < 1e-6
 
     def test_zero_coupling(self):
-        result = max_rotation(P.with_updates(g0=0.0), PROBE_EQUALS_CAVITY)
+        result = max_rotation(replace(P, g0=0.0), PROBE_EQUALS_CAVITY)
         assert result.angle == 0.0
         assert result.delta_star == 0.0
         assert not result.non_unimodal
@@ -97,13 +98,13 @@ class TestLosslessPoint:
 
     def test_transmittance_is_pure_quarter_wave(self):
         point = lossless_rotation_point()
-        tuned = P.with_updates(kappa=point.kappa)
+        tuned = replace(P, kappa=point.kappa)
         t = t_minus_value(point.delta, P.g0, tuned, cavity_detuning=point.delta)
         assert abs(t - 1j) < 1e-9
 
     def test_estimator_saturates_at_45_degrees(self):
         point = lossless_rotation_point()
-        tuned = P.with_updates(kappa=point.kappa)
+        tuned = replace(P, kappa=point.kappa)
         angle = rotation_curve(point.delta, P.g0, tuned, cavity_detuning=point.delta)[0]
         assert math.degrees(abs(angle)) == pytest.approx(45.0, abs=1e-7)
 
@@ -134,13 +135,6 @@ class TestScanLength:
         assert result.g0_mhz[0] > result.g0_mhz[-1]
         assert result.kappa_mhz[0] > result.kappa_mhz[-1]
         assert np.all(result.gamma_khz == result.gamma_khz[0])
-
-    def test_fixed_metadata(self):
-        result = scan_length()
-        assert result.fixed["reflectivity"] == pytest.approx(
-            DEFAULT_GEOMETRY.reflectivity
-        )
-        assert result.fixed["mirror_roc_mm"] == pytest.approx(50.0)
 
     def test_rows_shape(self):
         result = scan_length()
@@ -211,10 +205,26 @@ class TestCnotFeasibility:
         assert report.spin_split_deg == pytest.approx(2.0 * report.best_angle_deg)
 
     def test_limit_below_lossless_point_infeasible(self):
-        report = cnot_feasibility(rho_limit=0.99998)
-        assert not report.feasible
-        assert report.best_angle_deg == pytest.approx(32.60115963881565, rel=1e-6)
-        assert report.best_reflectivity == pytest.approx(0.99998, abs=1e-9)
+        # (coupling scale, rho_limit, best angle in deg): the best mirror is the limit
+        for scale, rho_limit, angle in [
+            (1.0, 0.99998, 32.60115963881565),
+            (0.5, 0.99999, 31.200372509198385),
+        ]:
+            report = cnot_feasibility(replace(P, g0=scale * P.g0), rho_limit=rho_limit)
+            assert not report.feasible
+            assert report.best_angle_deg == pytest.approx(angle, rel=1e-6)
+            assert report.best_reflectivity == pytest.approx(rho_limit, abs=1e-9)
+
+    def test_lossless_point_inside_bound_feasible(self):
+        # (coupling scale, rho_limit, lossless reflectivity)
+        for scale, rho_limit, reflectivity in [
+            (2.0, 0.99999, 0.9999759469521942),
+            (1.0, 0.9999999, 0.9999883822444183),
+        ]:
+            report = cnot_feasibility(replace(P, g0=scale * P.g0), rho_limit=rho_limit)
+            assert report.feasible
+            assert report.best_angle_deg == pytest.approx(45.0, abs=1e-9)
+            assert report.best_reflectivity == pytest.approx(reflectivity, abs=1e-9)
 
     def test_anchor_mirrors_far_from_feasible(self):
         report = cnot_feasibility(rho_limit=DEFAULT_GEOMETRY.reflectivity)
@@ -227,7 +237,7 @@ class TestCnotFeasibility:
             mirror_roc=DEFAULT_GEOMETRY.mirror_roc,
             reflectivity=DEFAULT_GEOMETRY.reflectivity,
         )
-        report = cnot_feasibility(P.with_updates(g0=0.0), geometry)
+        report = cnot_feasibility(replace(P, g0=0.0), geometry)
         assert not report.feasible
         assert report.best_angle_deg == 0.0
 
