@@ -9,11 +9,8 @@ its 45-degree ceiling exactly; reaching it would let a transit CNOT between
 the spin and a photon run at the full 90-degree spin splitting.
 """
 
-import numpy as np
-
 from spinfaraday import (
     DEFAULT_GEOMETRY,
-    DEFAULT_PARAMS,
     TWO_PI,
     cnot_feasibility,
     lossless_rotation_point,

@@ -12,7 +12,10 @@ models are provided:
   follows the local emission rate (coupling squared, scaled to ``rate_max``
   at the mode center, weighted by the excitation-beam profile), and an atom
   is selected when two clicks arrive within the coincidence window. The
-  returned trajectory starts at the second click.
+  returned trajectory starts at the second click. A batch of candidates
+  holds one (batch, k_max) float array of click times plus row-slice
+  temporaries; the click rate is evaluated only where an exact bound says
+  a click can pass.
 * ``threshold_trajectories`` keeps atoms whose initial coupling magnitude is
   at least a set fraction (default 0.9) of the maximum. This is the default
   ensemble for averaged curves: it directly encodes "nearly maximal
@@ -40,6 +43,7 @@ SOURCE_RADIUS_FACTOR = 2.0              # source disc radius, in mode waists
 THRESHOLD_MAX_CANDIDATES = 4_000_000    # candidates the threshold sampler may draw
 COINCIDENCE_START_HEIGHT = 50e-6        # m, candidate entry height above the mode center
 COINCIDENCE_BATCH_SIZE = 5_000          # candidates simulated per batch
+COINCIDENCE_ROW_BLOCK = 500             # batch rows thinned at a time
 COINCIDENCE_MAX_CANDIDATES = 2_000_000  # candidates the coincidence sampler may draw
 COINCIDENCE_MIN_ACCEPTANCE = 1e-4       # acceptance floor, checked from 50,000 candidates on
 
@@ -200,15 +204,41 @@ def sample_selected_trajectories(
 
         rate_max * (g(r)/g0)^2 * exp(-2 (y^2+z^2)/w_exc^2),
 
-    simulated exactly by thinning a homogeneous process at ``rate_max``. An
-    atom is selected when two consecutive clicks arrive within the
-    coincidence window; its trajectory starts at the second click.
+    simulated exactly by thinning a homogeneous process at ``rate_max``: a
+    candidate click at time t is kept when a uniform draw u satisfies
+    u < ratio(t), the rate above divided by ``rate_max``. An atom is selected
+    when two consecutive clicks arrive within the coincidence window; its
+    trajectory starts at the second click.
 
-    Raises SelectionError when the acceptance rate falls below
+    Each batch draws its exponential gaps as one (batch, k_max) block whose
+    running sum, taken in place, is the only batch-sized float array held.
+    The uniforms are drawn ``COINCIDENCE_ROW_BLOCK`` rows at a time, which
+    consumes the generator exactly as one whole block would, and each row
+    slice is thinned over only the columns up to its last click in
+    ``[0, t_total]`` (click times grow along a row).
+
+    The ratio is evaluated only on candidate clicks that pass an exact
+    prefilter. The height y depends on t alone, and x^2, z^2 >= 0 and
+    cos^2 <= 1 give ratio <= exp(-c y^2) with c = 2 (1/w0^2 + 1/w_exc^2).
+    A click is a candidate when u <= exp(-c y^2) (1 + 1e-9). The ``<=``
+    keeps every u == 0. Otherwise u >= 2^-53, so only ratios of at least
+    2^-53 can pass: their exponent arguments are at most 53 ln 2 < 37, and
+    their rounding errors about 1e-14 relative, far inside the 1e-9 margin.
+    The accepted clicks are therefore exactly those of thinning the whole
+    block.
+
+    Raises ValueError for a non-finite ``rate_max`` or a window or
+    excitation waist that is not finite and positive, and SelectionError
+    when ``rate_max`` is not positive or the acceptance rate falls below
     ``COINCIDENCE_MIN_ACCEPTANCE`` (or no candidate can ever click).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not math.isfinite(coinc.rate_max):
+        raise ValueError(f"rate_max must be finite, got {coinc.rate_max}")
+    for name, value in (("window_ns", coinc.window_ns), ("excitation_waist", excitation_waist)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if coinc.rate_max <= 0.0:
         raise SelectionError("rate_max must be positive for any selection to occur")
 
@@ -217,6 +247,7 @@ def sample_selected_trajectories(
     t_total = 2.0 * COINCIDENCE_START_HEIGHT / motion.v_fall
     mean_events = coinc.rate_max * t_total
     k_max = int(mean_events + 6.0 * math.sqrt(max(mean_events, 1.0))) + 10
+    bound_rate = 2.0 * (1.0 / params.waist**2 + 1.0 / excitation_waist**2)
 
     r0_parts: list[np.ndarray] = []
     v_parts: list[np.ndarray] = []
@@ -235,16 +266,29 @@ def sample_selected_trajectories(
         vy = -motion.v_fall
 
         # Homogeneous candidate clicks at rate_max, then thinning.
-        times = np.cumsum(rng.exponential(1.0 / coinc.rate_max, size=(m, k_max)), axis=1)
-        x = x0[:, None] + vx[:, None] * times
-        y = y0[:, None] + vy * times
-        z = z0[:, None] + vz[:, None] * times
-        ratio = (
-            np.exp(-2.0 * (x**2 + y**2) / params.waist**2)
-            * np.cos(2.0 * math.pi * z / params.wavelength) ** 2
-            * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
-        )
-        accepted = (times <= t_total) & (rng.uniform(size=(m, k_max)) < ratio)
+        times = rng.exponential(1.0 / coinc.rate_max, size=(m, k_max))
+        np.cumsum(times, axis=1, out=times)
+        accepted = np.zeros((m, k_max), dtype=bool)
+        for lo in range(0, m, COINCIDENCE_ROW_BLOCK):
+            t = times[lo : lo + COINCIDENCE_ROW_BLOCK]
+            u = rng.uniform(size=t.shape)
+            k = int(np.count_nonzero(t <= t_total, axis=1).max())
+            t, u = t[:, :k], u[:, :k]
+            y = COINCIDENCE_START_HEIGHT + vy * t
+            row, col = np.nonzero(
+                (t <= t_total) & (u <= np.exp(-bound_rate * y * y) * (1.0 + 1e-9))
+            )
+            t, u, y = t[row, col], u[row, col], y[row, col]
+            row += lo
+            x = x0[row] + vx[row] * t
+            z = z0[row] + vz[row] * t
+            ratio = (
+                np.exp(-2.0 * (x**2 + y**2) / params.waist**2)
+                * np.cos(2.0 * math.pi * z / params.wavelength) ** 2
+                * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
+            )
+            keep = u < ratio
+            accepted[row[keep], col[keep]] = True
 
         rows, t_sel = _first_coincidences(accepted, times, coinc.window_s)
         rows, t_sel = rows[: n - selected], t_sel[: n - selected]

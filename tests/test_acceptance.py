@@ -5,7 +5,6 @@ or in the failure report) and then asserts. Three criteria are known not to
 hold for the model as built and fail honestly; README.md discusses each.
 """
 
-import json
 import math
 import time
 

@@ -1,16 +1,22 @@
 """Falling-atom ensembles, coincidence selection, and curve averaging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinfaraday.montecarlo import (
+    COINCIDENCE_BATCH_SIZE,
+    COINCIDENCE_START_HEIGHT,
+    SOURCE_RADIUS_FACTOR,
     CoincidenceConfig,
     MotionModel,
     Ensemble,
     SelectionError,
     _first_coincidences,
+    _sample_disc,
+    _sample_velocities,
     average_rotation,
     average_transmittance,
     coupling_matrix,
@@ -42,6 +48,43 @@ def pointwise_couplings(r0, velocity, times):
         closed_form_coupling(*(float(r) + float(v) * float(t) for r, v in zip(r0, velocity)))
         for t in times
     ]
+
+
+def whole_block_selection(motion, coinc, params, n, excitation_waist=24e-6):
+    """The coincidence sampler thinned over whole (batch, k_max) arrays.
+
+    Same draws in the same order as ``sample_selected_trajectories``: the
+    click rate is evaluated at every candidate click, with one uniform block.
+    """
+    rng = np.random.default_rng(motion.seed)
+    t_total = 2.0 * COINCIDENCE_START_HEIGHT / motion.v_fall
+    mean_events = coinc.rate_max * t_total
+    k_max = int(mean_events + 6.0 * math.sqrt(max(mean_events, 1.0))) + 10
+    r0_parts, v_parts, selected = [], [], 0
+    while selected < n:
+        m = COINCIDENCE_BATCH_SIZE
+        x0, z0 = _sample_disc(rng, m, SOURCE_RADIUS_FACTOR * params.waist)
+        y0 = np.full(m, COINCIDENCE_START_HEIGHT)
+        vx, vz = _sample_velocities(rng, m, motion)
+        vy = -motion.v_fall
+        times = np.cumsum(rng.exponential(1.0 / coinc.rate_max, size=(m, k_max)), axis=1)
+        x = x0[:, None] + vx[:, None] * times
+        y = y0[:, None] + vy * times
+        z = z0[:, None] + vz[:, None] * times
+        ratio = (
+            np.exp(-2.0 * (x**2 + y**2) / params.waist**2)
+            * np.cos(2.0 * math.pi * z / params.wavelength) ** 2
+            * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
+        )
+        accepted = (times <= t_total) & (rng.uniform(size=(m, k_max)) < ratio)
+        rows, t_sel = _first_coincidences(accepted, times, coinc.window_s)
+        rows, t_sel = rows[: n - selected], t_sel[: n - selected]
+        velocity = np.column_stack([vx[rows], np.full(len(rows), vy), vz[rows]])
+        start = np.column_stack([x0[rows], y0[rows], z0[rows]])
+        r0_parts.append(start + velocity * t_sel[:, None])
+        v_parts.append(velocity)
+        selected += len(rows)
+    return np.concatenate(r0_parts), np.concatenate(v_parts)
 
 
 def single(r0, velocity, window, time_step=0.5e-6):
@@ -225,6 +268,59 @@ class TestCoincidenceSelection:
             sample_selected_trajectories(
                 MotionModel(seed=1), CoincidenceConfig(rate_max=1.0), P, 10
             )
+
+    @pytest.mark.parametrize(
+        "coinc, excitation_waist",
+        [
+            (CoincidenceConfig(rate_max=math.nan), 24e-6),
+            (CoincidenceConfig(rate_max=math.inf), 24e-6),
+            (CoincidenceConfig(window_ns=-1.0), 24e-6),
+            (CoincidenceConfig(window_ns=0.0), 24e-6),
+            (CoincidenceConfig(window_ns=math.inf), 24e-6),
+            (CoincidenceConfig(), 0.0),
+            (CoincidenceConfig(), math.nan),
+            (CoincidenceConfig(), -24e-6),
+        ],
+        ids=[
+            "rate-nan", "rate-inf", "window-negative", "window-zero", "window-inf",
+            "waist-zero", "waist-nan", "waist-negative",
+        ],
+    )
+    def test_invalid_inputs_raise_before_sampling(self, coinc, excitation_waist):
+        with pytest.raises(ValueError):
+            sample_selected_trajectories(
+                MotionModel(seed=1), coinc, P, 10, excitation_waist=excitation_waist
+            )
+
+    @pytest.mark.parametrize(
+        "coinc, excitation_waist, n",
+        [
+            (CoincidenceConfig(), 24e-6, 1000),
+            (CoincidenceConfig(), 2e-6, 30),
+            (CoincidenceConfig(rate_max=4 * 7.6e5), 24e-6, 2500),
+            (CoincidenceConfig(window_ns=50.0), 24e-6, 200),
+        ],
+        ids=["default", "waist-2um", "rate-x4", "window-50ns"],
+    )
+    def test_matches_whole_block_thinning(self, coinc, excitation_waist, n):
+        # each case spans at least two batches
+        motion = MotionModel(seed=99)
+        trajs = sample_selected_trajectories(
+            motion, coinc, P, n, excitation_waist=excitation_waist
+        )
+        r0, velocity = whole_block_selection(motion, coinc, P, n, excitation_waist)
+        assert np.array_equal(trajs.r0, r0)
+        assert np.array_equal(trajs.velocity, velocity)
+
+    def test_peak_memory_of_one_batch(self):
+        # Below 2.5 (batch x k_max) float arrays; k_max = 358 at the defaults.
+        tracemalloc.start()
+        try:
+            sample_selected_trajectories(MotionModel(), CoincidenceConfig(), P, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * COINCIDENCE_BATCH_SIZE * 358 * 8
 
 
 class TestAveragedCurves:
