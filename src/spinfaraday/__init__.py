@@ -47,7 +47,6 @@ from .measurement import (
     pure_rotation_curves,
 )
 from .montecarlo import (
-    CoincidenceConfig,
     Ensemble,
     MotionModel,
     SelectionError,
@@ -92,7 +91,6 @@ from .scans import (
     PROBE_EQUALS_CAVITY,
     ScanResult,
     cnot_feasibility,
-    default_length_grid,
     default_reflectivity_grid,
     lossless_rotation_point,
     max_rotation,

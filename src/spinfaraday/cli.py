@@ -39,7 +39,6 @@ from .measurement import (
     pure_rotation_curves,
 )
 from .montecarlo import (
-    CoincidenceConfig,
     MotionModel,
     SelectionError,
     average_rotation,
@@ -88,8 +87,20 @@ _RUN_RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
 
 
 def _check_run_key(key: str, value: object) -> None:
-    """Raise ConfigError unless a run key's value obeys its rule."""
-    if key in _RUN_RANGES:
+    """Raise ConfigError unless a run key's value obeys its rule. A null seed,
+    samples or grid is how a manifest records a key its command does not read."""
+    if key in ("seed", "samples", "grid") and value is None:
+        return
+    if key in ("seed", "samples"):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if key == "seed" and value < 0:
+            raise ConfigError("seed must be non-negative")
+        if key == "samples" and value < 1:
+            raise ConfigError("samples must be at least 1")
+    elif key == "grid":
+        _parse_grid(value)
+    elif key in _RUN_RANGES:
         rule, admitted = _RUN_RANGES[key]
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and math.isfinite(value) and admitted(value)):
@@ -104,11 +115,15 @@ def _resolve(args: argparse.Namespace):
     """Merge CLI flags > config file > defaults, check them, and parse the grid."""
     defaults = _COMMANDS[args.command][1]
     file_cfg = dict(load_config(args.config)) if args.config else {}
-    file_cfg.pop("command", None)  # manifests echo it; informational only
 
-    run: dict[str, object] = {}
-    for key, default in defaults.items():
-        run[key] = file_cfg.pop(key, default)
+    run = dict(defaults)
+    # Run keys come from the command's own manifest or a file naming no
+    # command; another command's manifest lends only its physics keys.
+    command = file_cfg.pop("command", args.command)
+    if command not in _COMMANDS:
+        raise ConfigError(f"command must be one of {', '.join(_COMMANDS)}, got {command!r}")
+    if command == args.command:
+        run.update((key, file_cfg.pop(key)) for key in defaults if key in file_cfg)
     # Tolerate valid run keys of sibling commands so any manifest loads anywhere.
     for _, other, _ in _COMMANDS.values():
         for key in other:
@@ -126,25 +141,17 @@ def _resolve(args: argparse.Namespace):
             raise ConfigError(f"--{key} is not read by {args.command}")
         run[key] = flag
 
-    for key in ("seed", "samples"):
-        value = run[key]
-        if value is None and defaults[key] is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if run["seed"] is not None and run["seed"] < 0:
-        raise ConfigError("seed must be non-negative")
-    if run["samples"] is not None and run["samples"] < 1:
-        raise ConfigError("samples must be at least 1")
     for key, value in run.items():
+        if value is None and defaults[key] is not None:
+            raise ConfigError(f"{key} is read by {args.command} and cannot be null")
         _check_run_key(key, value)
 
     params, geometry, detection = build_settings(file_cfg)
-    grid = None if run["grid"] is None else _parse_grid(run["grid"])
     # Run keys the command does not read are checked above, then dropped:
     # they reach neither the body nor the manifest.
     run.update((key, None) for key, default in defaults.items() if default is None)
-    return params, geometry, detection, run, None if run["grid"] is None else grid
+    grid = None if run["grid"] is None else _parse_grid(run["grid"])
+    return params, geometry, detection, run, grid
 
 
 def _parse_grid(text: object) -> np.ndarray:
@@ -214,15 +221,12 @@ def _fig4(params, geometry, run, grid, write) -> int:
             motion, params, n, threshold=float(run["selection_threshold"])
         )
     else:
-        coinc = CoincidenceConfig(
-            window_ns=float(run["coincidence_window_ns"]),
-            rate_max=float(run["rate_max_per_s"]),
-        )
         trajectories = sample_selected_trajectories(
             motion,
-            coinc,
             params,
             n,
+            window_ns=float(run["coincidence_window_ns"]),
+            rate_max=float(run["rate_max_per_s"]),
             excitation_waist=float(run["excitation_waist_um"]) * 1e-6,
         )
 

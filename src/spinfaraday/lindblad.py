@@ -39,6 +39,7 @@ TRACE_TOLERANCE = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 PROBE_DRIVE_RATIO = 3e-5   # weak-drive transmittance oracle: cavity drive / kappa
 PROBE_FOCK_CUTOFF = 4      # Fock cutoff of the weak-drive transmittance oracle
+LINESHAPE_START_CUTOFF = 3  # Fock cutoff the adaptive lineshape starts from
 MAX_LINESHAPE_CUTOFF = 10  # highest Fock cutoff the adaptive lineshape may reach
 MIRROR_TOLERANCE = 1e-12   # lineshape mirror match, relative to the largest |detuning|
 LINESHAPE_BLOCK = 64       # most detunings per solved stack: the default grid's 61 fit one
@@ -238,19 +239,6 @@ def _solve_real(
     return rho, _top_fock_population(rho, cutoff), ok
 
 
-def _steady_states(
-    liou: np.ndarray, cutoff: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked steady states of a stack of Liouvillians, shape (n, d^2, d^2).
-
-    The stack is taken to the real Hermitian basis (_to_real, which checks
-    that each generator preserves hermiticity) and solved by _solve_real.
-    Returns (rho, top_fock, ok) as _solve_real does.
-    """
-    liou_r, ok = _to_real(liou)
-    return _solve_real(liou_r, cutoff, ok)
-
-
 def steady_state(model: LindbladModel) -> np.ndarray:
     """Steady-state density matrix of the master equation (dense trace-row solve).
 
@@ -258,7 +246,8 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     solution fails the trace, hermiticity or positivity check, and
     CutoffError if the top Fock level holds more than 1e-6 population.
     """
-    rho, top_fock, ok = _steady_states(liouvillian(model)[None], model.fock_cutoff)
+    liou_r, ok = _to_real(liouvillian(model)[None])
+    rho, top_fock, ok = _solve_real(liou_r, model.fock_cutoff, ok)
     if not ok[0]:
         raise np.linalg.LinAlgError(
             "steady-state solve is singular or failed the trace, hermiticity "
@@ -336,28 +325,21 @@ class Lineshape:
 def _mirror_map(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(solved, feeds) for the lineshape's mirror symmetry R(-delta) = R(delta).
 
-    A negative grid point whose mirror -delta is on the grid, within
-    MIRROR_TOLERANCE times the largest |detuning|, takes that mirror's rate;
-    every other point is solved itself. solved holds the detunings to solve,
-    in grid order, and feeds[k] indexes the one whose rate grid point k takes.
+    The grid is sorted by |delta| once; a new group starts wherever the
+    sorted |delta| steps by more than MIRROR_TOLERANCE times the largest
+    |detuning|. Each group is solved at its largest signed value, so a
+    non-negative point keeps its own detuning and a lone negative point is
+    solved at its own. solved holds one detuning per group, in |delta| order,
+    and feeds[k] indexes the one whose rate grid point k takes.
     """
-    source = np.arange(detunings.size)
-    upper = np.flatnonzero(detunings >= 0.0)
-    lower = np.flatnonzero(detunings < 0.0)
-    if upper.size and lower.size:
-        upper = upper[np.argsort(detunings[upper], kind="stable")]
-        values = detunings[upper]
-        mirror = -detunings[lower]
-        right = np.minimum(np.searchsorted(values, mirror), values.size - 1)
-        left = np.maximum(right - 1, 0)
-        nearest = np.where(
-            np.abs(values[right] - mirror) < np.abs(values[left] - mirror), right, left
-        )
-        tolerance = MIRROR_TOLERANCE * np.max(np.abs(detunings))
-        matched = np.abs(values[nearest] - mirror) <= tolerance
-        source[lower[matched]] = upper[nearest[matched]]
-    solved, feeds = np.unique(source, return_inverse=True)
-    return detunings[solved], feeds
+    order = np.argsort(np.abs(detunings), kind="stable")
+    magnitude = np.abs(detunings[order])
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    new[1:] = np.diff(magnitude) > MIRROR_TOLERANCE * magnitude[-1]
+    feeds = np.empty(order.size, dtype=int)
+    feeds[order] = np.cumsum(new) - 1
+    return np.maximum.reduceat(detunings[order], np.flatnonzero(new)), feeds
 
 
 def fluorescence_lineshape(
@@ -369,7 +351,6 @@ def fluorescence_lineshape(
     n_samples: int = 1000,
     seed: int = 7,
     excitation_waist: float = 24e-6,
-    fock_cutoff: int | None = None,
 ) -> Lineshape:
     """Fluorescence spectrum versus excitation-beam detuning.
 
@@ -391,16 +372,16 @@ def fluorescence_lineshape(
     matrix, and sigma_z on the atom maps -H(delta) to H(-delta) while leaving
     both dissipators invariant, so rho(-delta) = U rho(delta)* U^dag and the
     rate is even in delta (a Lindbladian symmetry in the sense of Albert and
-    Jiang, arXiv:1310.1523). A negative grid point whose mirror lies on the
-    grid within MIRROR_TOLERANCE (1e-12) of the largest |detuning| takes the
-    mirror's rate; every other point is solved directly, in stacks of at most
-    LINESHAPE_BLOCK detunings. failed_points counts grid points over all atom
-    positions of the final cutoff, so a failed solve counts once for each
-    grid point it feeds.
+    Jiang, arXiv:1310.1523). Grid points whose |delta| agree within
+    MIRROR_TOLERANCE (1e-12) of the largest |detuning| share one solve at the
+    largest signed value among them, found by one sort over |delta|; the
+    solves run in stacks of at most LINESHAPE_BLOCK detunings. failed_points
+    counts grid points over all atom positions of the final cutoff, so a
+    failed solve counts once for each grid point it feeds.
 
-    The Fock cutoff adapts upward (in steps of 2, up to MAX_LINESHAPE_CUTOFF) until
-    the top level holds less than 1e-6 population; CutoffError if that never
-    happens.
+    The Fock cutoff starts at LINESHAPE_START_CUTOFF and adapts upward (in
+    steps of 2, up to MAX_LINESHAPE_CUTOFF) until the top level holds less
+    than 1e-6 population; CutoffError if that never happens.
     """
     if not (math.isfinite(power_scale) and power_scale >= 0.0):
         raise ValueError(f"power_scale must be finite and non-negative, got {power_scale}")
@@ -422,7 +403,7 @@ def fluorescence_lineshape(
         omega_local = np.array([omega])
 
     solved, feeds = _mirror_map(detunings)
-    cutoff = fock_cutoff if fock_cutoff is not None else 3
+    cutoff = LINESHAPE_START_CUTOFF
     while True:
         ops = _operators(cutoff)
         # H(delta) = H(0) - delta * N with N = a^dag a + sp sm, so the
@@ -471,11 +452,8 @@ def fluorescence_lineshape(
 
         if worst_top < TOP_FOCK_TOLERANCE:
             break
-        if fock_cutoff is not None or cutoff + 2 > MAX_LINESHAPE_CUTOFF:
-            raise CutoffError(
-                f"top Fock population {worst_top:.2e} at cutoff {cutoff}; "
-                "increase fock_cutoff"
-            )
+        if cutoff + 2 > MAX_LINESHAPE_CUTOFF:
+            raise CutoffError(f"top Fock population {worst_top:.2e} at cutoff {cutoff}")
         cutoff += 2
 
     mean_rate = np.nanmean(rates, axis=0)

@@ -8,10 +8,11 @@ mode waist) in the x-z plane at the excitation-beam height. Two selection
 models are provided:
 
 * ``sample_selected_trajectories`` simulates the experiment's real-time
-  criterion: photon clicks form an inhomogeneous Poisson process whose rate
-  follows the local emission rate (coupling squared, scaled to ``rate_max``
-  at the mode center, weighted by the excitation-beam profile), and an atom
-  is selected when two clicks arrive within the coincidence window. The
+  criterion, set by its keyword arguments ``window_ns``, ``rate_max`` and
+  ``excitation_waist``: photon clicks form an inhomogeneous Poisson process
+  whose rate follows the local emission rate (coupling squared, scaled to
+  ``rate_max`` at the mode center, weighted by the excitation-beam profile),
+  and an atom is selected when two clicks arrive within ``window_ns``. The
   returned trajectory starts at the second click. A batch of candidates
   holds one (batch, k_max) float array of click times plus row-slice
   temporaries; the click rate is evaluated only where an exact bound says
@@ -61,18 +62,6 @@ class MotionModel:
     window: float = 34e-6           # s, measurement window after selection
     seed: int = 12345
     time_step: float = 0.5e-6       # s, trajectory discretization
-
-
-@dataclass(frozen=True)
-class CoincidenceConfig:
-    """Real-time selection criterion: two clicks within the window."""
-
-    window_ns: float = 600.0
-    rate_max: float = 7.6e5  # detected photons/s for an atom at the mode center
-
-    @property
-    def window_s(self) -> float:
-        return self.window_ns * 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,13 +179,17 @@ def _first_coincidences(
 
 def sample_selected_trajectories(
     motion: MotionModel,
-    coinc: CoincidenceConfig,
     params: SystemParams,
     n: int,
     *,
+    window_ns: float = 600.0,
+    rate_max: float = 7.6e5,
     excitation_waist: float = 24e-6,
 ) -> Ensemble:
     """Simulate the real-time coincidence selection.
+
+    ``rate_max`` is the detected click rate (photons/s) of an atom at the
+    mode center, and ``window_ns`` the coincidence window.
 
     Candidate atoms enter ``COINCIDENCE_START_HEIGHT`` above the mode center on the
     source disc and fall through the excitation region. Detected clicks form
@@ -234,18 +227,18 @@ def sample_selected_trajectories(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not math.isfinite(coinc.rate_max):
-        raise ValueError(f"rate_max must be finite, got {coinc.rate_max}")
-    for name, value in (("window_ns", coinc.window_ns), ("excitation_waist", excitation_waist)):
+    if not math.isfinite(rate_max):
+        raise ValueError(f"rate_max must be finite, got {rate_max}")
+    for name, value in (("window_ns", window_ns), ("excitation_waist", excitation_waist)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if coinc.rate_max <= 0.0:
+    if rate_max <= 0.0:
         raise SelectionError("rate_max must be positive for any selection to occur")
 
     rng = np.random.default_rng(motion.seed)
     radius = SOURCE_RADIUS_FACTOR * params.waist
     t_total = 2.0 * COINCIDENCE_START_HEIGHT / motion.v_fall
-    mean_events = coinc.rate_max * t_total
+    mean_events = rate_max * t_total
     k_max = int(mean_events + 6.0 * math.sqrt(max(mean_events, 1.0))) + 10
     bound_rate = 2.0 * (1.0 / params.waist**2 + 1.0 / excitation_waist**2)
 
@@ -266,7 +259,7 @@ def sample_selected_trajectories(
         vy = -motion.v_fall
 
         # Homogeneous candidate clicks at rate_max, then thinning.
-        times = rng.exponential(1.0 / coinc.rate_max, size=(m, k_max))
+        times = rng.exponential(1.0 / rate_max, size=(m, k_max))
         np.cumsum(times, axis=1, out=times)
         accepted = np.zeros((m, k_max), dtype=bool)
         for lo in range(0, m, COINCIDENCE_ROW_BLOCK):
@@ -290,7 +283,7 @@ def sample_selected_trajectories(
             keep = u < ratio
             accepted[row[keep], col[keep]] = True
 
-        rows, t_sel = _first_coincidences(accepted, times, coinc.window_s)
+        rows, t_sel = _first_coincidences(accepted, times, window_ns * 1e-9)
         rows, t_sel = rows[: n - selected], t_sel[: n - selected]
         velocity = np.column_stack([vx[rows], np.full(len(rows), vy), vz[rows]])
         start = np.column_stack([x0[rows], y0[rows], z0[rows]])

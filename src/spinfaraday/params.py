@@ -103,15 +103,6 @@ class DetectionChain:
             if not (0.0 < value <= 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1], got {value!r}")
 
-    @property
-    def efficiency(self) -> float:
-        """Detection efficiency for a photon already inside the cavity.
-
-        The input coupling acts before the cavity and therefore does not
-        attenuate photons emitted by the atom into the mode.
-        """
-        return self.cavity_escape * self.fiber_coupling * self.detector_qe
-
 
 DEFAULT_PARAMS = SystemParams()
 DEFAULT_GEOMETRY = CavityGeometry()

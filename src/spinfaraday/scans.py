@@ -44,6 +44,7 @@ from .params import (
 PROBE_EQUALS_CAVITY = "probe_equals_cavity"
 CAVITY_EQUALS_ATOM = "cavity_equals_atom"
 _MODES = (PROBE_EQUALS_CAVITY, CAVITY_EQUALS_ATOM)
+MAX_ROTATION_COARSE_POINTS = 241  # coarse detuning grid before the golden-section refinement
 
 
 class MaxRotation(NamedTuple):
@@ -60,12 +61,7 @@ def _abs_rotation(delta: np.ndarray, params: SystemParams, mode: str) -> np.ndar
     return np.abs(rotation_curve(delta, params.g0, params, cavity_detuning))
 
 
-def max_rotation(
-    params: SystemParams,
-    mode: str = PROBE_EQUALS_CAVITY,
-    *,
-    coarse_points: int = 241,
-) -> MaxRotation:
+def max_rotation(params: SystemParams, mode: str = PROBE_EQUALS_CAVITY) -> MaxRotation:
     """Maximize |rotation angle| over probe detuning.
 
     Scans a coarse grid on the negative-detuning half (the curve is
@@ -79,7 +75,7 @@ def max_rotation(
         return MaxRotation(0.0, 0.0, False)
 
     span = 6.0 * max(params.g0, params.kappa) + 8.0 * params.gamma
-    grid = np.linspace(-span, 0.0, coarse_points)
+    grid = np.linspace(-span, 0.0, MAX_ROTATION_COARSE_POINTS)
     values = _abs_rotation(grid, params, mode)
 
     best = int(np.argmax(values))
@@ -163,16 +159,6 @@ class ScanResult:
         return header, rows
 
 
-def default_length_grid(n: int = 25) -> np.ndarray:
-    """Cavity lengths from the working point out to the strong-coupling edge.
-
-    Geometric spacing from 150 um to 6 mm; beyond roughly 6 mm the derived
-    antinode coupling drops below the atomic linewidth and the single-atom
-    dispersive model stops being meaningful.
-    """
-    return np.geomspace(150e-6, 6e-3, n)
-
-
 # Geometry field -> (name as exported in a scan, scale to that unit).
 _GEOMETRY_AXES = {
     "length": ("length_um", 1e6),
@@ -207,18 +193,18 @@ def _scan(
 
 
 def scan_length(
-    lengths: np.ndarray | None = None,
     anchor: SystemParams = DEFAULT_PARAMS,
     anchor_geometry: CavityGeometry = DEFAULT_GEOMETRY,
 ) -> ScanResult:
     """Maximum rotation angle versus cavity length.
 
+    25 lengths, geometric from the 150 um working point to 6 mm: beyond
+    roughly 6 mm the derived antinode coupling drops below the atomic
+    linewidth and the single-atom dispersive model stops being meaningful.
     Mirror reflectivity stays at the anchor geometry's value; waist, decay
     rate, and coupling are re-derived per length.
     """
-    if lengths is None:
-        lengths = default_length_grid()
-    return _scan("length", np.asarray(lengths, dtype=float), anchor, anchor_geometry)
+    return _scan("length", np.geomspace(150e-6, 6e-3, 25), anchor, anchor_geometry)
 
 
 class LosslessPoint(NamedTuple):
@@ -271,16 +257,14 @@ def lossless_rotation_point(
 def default_reflectivity_grid(
     anchor: SystemParams = DEFAULT_PARAMS,
     anchor_geometry: CavityGeometry = DEFAULT_GEOMETRY,
-    n: int = 41,
 ) -> np.ndarray:
-    """Mirror reflectivities from 0.9999 to 0.99999, geometric in the loss.
+    """Mirror reflectivities from 0.9999 to 0.99999, 41 geometric in the loss.
 
     The anchor reflectivity, the 0.999990 design point, and the lossless
     45-degree point (when it falls inside the range) are inserted so the
     scan resolves them exactly.
     """
-    losses = np.geomspace(1e-4, 1e-5, n)
-    grid = 1.0 - losses
+    grid = 1.0 - np.geomspace(1e-4, 1e-5, 41)
     extras = [anchor_geometry.reflectivity, 0.999990]
     try:
         extras.append(lossless_rotation_point(anchor, anchor_geometry).reflectivity)
@@ -291,7 +275,6 @@ def default_reflectivity_grid(
 
 
 def scan_reflectivity(
-    reflectivities: np.ndarray | None = None,
     anchor: SystemParams = DEFAULT_PARAMS,
     anchor_geometry: CavityGeometry = DEFAULT_GEOMETRY,
 ) -> ScanResult:
@@ -300,9 +283,9 @@ def scan_reflectivity(
     Only the cavity decay rate changes with reflectivity; the coupling and
     atomic linewidth stay fixed.
     """
-    if reflectivities is None:
-        reflectivities = default_reflectivity_grid(anchor, anchor_geometry)
-    return _scan("reflectivity", np.asarray(reflectivities, dtype=float), anchor, anchor_geometry)
+    return _scan(
+        "reflectivity", default_reflectivity_grid(anchor, anchor_geometry), anchor, anchor_geometry
+    )
 
 
 @dataclass(frozen=True)

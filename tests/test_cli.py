@@ -317,7 +317,8 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "body",
-        ["seed = abc\n", "samples = 2.5\n", '{"samples": true}'],
+        # the last names another command, whose run keys are checked, then dropped
+        ["seed = abc\n", "samples = 2.5\n", '{"samples": true}', "command = fig5\nsamples = abc\n"],
     )
     def test_non_integer_run_key_exit_2(self, tmp_path, capsys, body):
         cfg = tmp_path / "c.cfg"
@@ -325,6 +326,30 @@ class TestErrorHandling:
         rc = main(["fig4", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_with_null_run_keys_loads(self, tmp_path, capsys):
+        # fig6 records seed, samples and grid as null; fig5 reads all three.
+        assert main(["fig6", "--out", str(tmp_path / "fig6")]) == 0
+        manifest = tmp_path / "fig6" / "fig6.manifest.json"
+        assert main(["fig5", "--config", str(manifest), "--out", str(tmp_path / "fig5")]) == 0
+        assert json.loads(read(tmp_path / "fig5" / "fig5.manifest.json"))["seed"] == 12345
+
+    def test_unknown_command_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("command = fig9\n")
+        rc = main(["fig5", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "command must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["seed", "samples", "grid"])
+    def test_null_run_key_the_command_reads_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: None}))
+        rc = main(["fig5", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{key} is read by fig5 and cannot be null" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -359,14 +384,26 @@ class TestErrorHandling:
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["fig6", "validate"])
+    @pytest.mark.parametrize("command", ["fig5", "fig6", "validate"])
     def test_sibling_manifest_loads(self, tmp_path, capsys, command):
         first = tmp_path / "fig4"
         assert main(["fig4", "--samples", "20", "--grid=-1:1:3", "--out", str(first)]) == 0
         manifest = first / "fig4.manifest.json"
+        # fig4's run keys stay behind; a changed physics key carries over.
+        data = json.loads(read(manifest))
+        data["g0_mhz"] = 2.5
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
         out = tmp_path / command
         assert main([command, "--config", str(manifest), "--out", str(out)]) == 0
-        assert (out / f"{command}.manifest.json").exists()
+        recorded = json.loads(read(out / f"{command}.manifest.json"))
+        assert recorded["g0_mhz"] == 2.5
+        if command == "validate":
+            assert "over 300 draws" in capsys.readouterr().out
+        if command == "fig5":
+            assert (recorded["samples"], recorded["grid"], recorded["window_us"]) == (
+                2000, "-3:3:121", 4.0
+            )
 
     @pytest.mark.parametrize(
         "command, body, argv",

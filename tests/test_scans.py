@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spinfaraday import scans
 from spinfaraday.optics import rotation_curve, t_minus_value
 from spinfaraday.params import (
     DEFAULT_GEOMETRY,
@@ -19,7 +20,6 @@ from spinfaraday.scans import (
     PROBE_EQUALS_CAVITY,
     CnotReport,
     cnot_feasibility,
-    default_length_grid,
     default_reflectivity_grid,
     lossless_rotation_point,
     max_rotation,
@@ -62,9 +62,10 @@ class TestMaxRotation:
             nearby = abs(rotation_curve(result.delta_star + bump, P.g0, P)[0])
             assert nearby <= result.angle + 1e-12
 
-    def test_coarse_grid_insensitive(self):
+    def test_coarse_grid_insensitive(self, monkeypatch):
         a = max_rotation(P, PROBE_EQUALS_CAVITY)
-        b = max_rotation(P, PROBE_EQUALS_CAVITY, coarse_points=501)
+        monkeypatch.setattr(scans, "MAX_ROTATION_COARSE_POINTS", 501)
+        b = max_rotation(P, PROBE_EQUALS_CAVITY)
         assert abs(math.degrees(a.angle) - math.degrees(b.angle)) < 1e-6
 
     def test_zero_coupling(self):
@@ -111,7 +112,7 @@ class TestLosslessPoint:
 
 class TestScanLength:
     def test_default_grid(self):
-        grid = default_length_grid()
+        grid = scan_length().axis * 1e-6
         assert grid.size == 25
         assert grid[0] == pytest.approx(150e-6)
         assert grid[-1] == pytest.approx(6e-3)
