@@ -45,6 +45,7 @@ from .montecarlo import (
     average_transmittance,
     coupling_matrix,
     sample_selected_trajectories,
+    step_count,
     threshold_trajectories,
 )
 from .optics import (
@@ -145,6 +146,14 @@ def _resolve(args: argparse.Namespace):
         if value is None and defaults[key] is not None:
             raise ConfigError(f"{key} is read by {args.command} and cannot be null")
         _check_run_key(key, value)
+    if "time_step_us" in run:
+        try:
+            step_count(float(run["window_us"]) * 1e-6, float(run["time_step_us"]) * 1e-6)
+        except ValueError as exc:
+            raise ConfigError(
+                "time_step_us must be window_us / n for a whole n >= 1, "
+                f"got {run['window_us']!r} / {run['time_step_us']!r}"
+            ) from exc
 
     params, geometry, detection = build_settings(file_cfg)
     # Run keys the command does not read are checked above, then dropped:

@@ -201,17 +201,17 @@ def _to_real(liou: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve_real(
     liou_r: np.ndarray, cutoff: int, ok: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Checked steady states of a stack of real-basis generators (n, d^2, d^2).
 
     Row 0 of every generator is overwritten in place by the trace row, and
     the stack is solved in one call; if that call meets a singular system,
-    the points are solved one by one and the singular ones marked failed. A
-    point also fails when it is false in ok (updated in place), or when its
-    solution misses unit trace by more than 1e-10 or has an eigenvalue below
-    -1e-8. Returns (rho, top_fock, ok): the density matrices (n, d, d), their
-    top Fock populations (n,) and the mask of points that passed; failed
-    points are NaN in rho and top_fock.
+    the points are solved one by one. A point fails when it is false in ok
+    on entry, when its system is singular, or when its solution misses unit
+    trace by more than 1e-10 or has an eigenvalue below -1e-8. Failures are
+    reported one way only: the point is cleared in ok, in place. Returns
+    (rho, top_fock): the density matrices (n, d, d) and their top Fock
+    populations (n,), NaN at the failed points.
     """
     n, size = liou_r.shape[:2]
     dim = 2 * (cutoff + 1)
@@ -236,7 +236,7 @@ def _solve_real(
         min_eig = np.linalg.eigvalsh(rho[ok]).min(axis=1)
         ok[ok] = min_eig >= EIGENVALUE_FLOOR
     rho[~ok] = np.nan
-    return rho, _top_fock_population(rho, cutoff), ok
+    return rho, _top_fock_population(rho, cutoff)
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
@@ -247,7 +247,7 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     CutoffError if the top Fock level holds more than 1e-6 population.
     """
     liou_r, ok = _to_real(liouvillian(model)[None])
-    rho, top_fock, ok = _solve_real(liou_r, model.fock_cutoff, ok)
+    rho, top_fock = _solve_real(liou_r, model.fock_cutoff, ok)
     if not ok[0]:
         raise np.linalg.LinAlgError(
             "steady-state solve is singular or failed the trace, hermiticity "
@@ -266,7 +266,7 @@ def transmittance_steady(
     delta: float,
     g: float,
     params: SystemParams,
-    cavity_detuning: float | None = None,
+    cavity_detuning: float = 0.0,
 ) -> complex:
     """Probe transmittance from the master equation in the weak-drive limit.
 
@@ -275,7 +275,6 @@ def transmittance_steady(
     the same drive and cavity detuning. Serves as the independent oracle for
     the analytic transmittance.
     """
-    delta_c = 0.0 if cavity_detuning is None else float(cavity_detuning)
     drive = PROBE_DRIVE_RATIO * params.kappa
     common = dict(
         fock_cutoff=PROBE_FOCK_CUTOFF,
@@ -284,7 +283,7 @@ def transmittance_steady(
         drive_amplitude=drive,
         drive_target="cavity",
         detuning_atom=float(delta),
-        detuning_cavity=delta_c,
+        detuning_cavity=float(cavity_detuning),
     )
     a = _operators(PROBE_FOCK_CUTOFF).a
     coupled = complex(np.trace(steady_state(LindbladModel(g=float(g), **common)) @ a))
@@ -375,9 +374,11 @@ def fluorescence_lineshape(
     Jiang, arXiv:1310.1523). Grid points whose |delta| agree within
     MIRROR_TOLERANCE (1e-12) of the largest |detuning| share one solve at the
     largest signed value among them, found by one sort over |delta|; the
-    solves run in stacks of at most LINESHAPE_BLOCK detunings. failed_points
-    counts grid points over all atom positions of the final cutoff, so a
-    failed solve counts once for each grid point it feeds.
+    solves run in stacks of at most LINESHAPE_BLOCK detunings. Rates and
+    pass marks are kept per atom position and solved detuning, and fed to
+    the grid once, after the position average. failed_points counts grid
+    points over all atom positions of the final cutoff, so a failed solve
+    counts once for each grid point it feeds.
 
     The Fock cutoff starts at LINESHAPE_START_CUTOFF and adapts upward (in
     steps of 2, up to MAX_LINESHAPE_CUTOFF) until the top level holds less
@@ -403,8 +404,7 @@ def fluorescence_lineshape(
         omega_local = np.array([omega])
 
     solved, feeds = _mirror_map(detunings)
-    cutoff = LINESHAPE_START_CUTOFF
-    while True:
+    for cutoff in range(LINESHAPE_START_CUTOFF, MAX_LINESHAPE_CUTOFF + 1, 2):
         ops = _operators(cutoff)
         # H(delta) = H(0) - delta * N with N = a^dag a + sp sm, so the
         # real-basis generator is L0 + delta * Ld with Ld fixed per cutoff.
@@ -417,11 +417,10 @@ def fluorescence_lineshape(
             2.0 * params.kappa * np.diagonal(ops.number) + params.gamma * np.diagonal(ops.excited)
         )
 
-        rates = np.empty((g_local.size, detunings.size), dtype=float)
-        solved_rates = np.empty(solved.size)
-        solved_ok = np.empty(solved.size, dtype=bool)
+        # Rates and pass mask per (position, solved detuning).
+        rates = np.empty((g_local.size, solved.size))
+        ok = np.empty((g_local.size, solved.size), dtype=bool)
         worst_top = 0.0
-        failed = 0
         for s in range(g_local.size):
             model = LindbladModel(
                 fock_cutoff=cutoff,
@@ -432,31 +431,24 @@ def fluorescence_lineshape(
                 drive_target="atom",
             )
             liou0, ok0 = _to_real(liouvillian(model)[None])
+            ok[s] = ok0[0] and detuning_ok[0]
             for start in range(0, solved.size, LINESHAPE_BLOCK):
-                block = solved[start:start + LINESHAPE_BLOCK]
+                cols = slice(start, start + LINESHAPE_BLOCK)
+                block = solved[cols]
                 # The stack is refilled in place here and overwritten by the solver.
                 view = stack[:block.size]
                 np.multiply(block[:, None, None], liou_detuning[0], out=view)
                 view += liou0[0]
-                rho, top_pop, ok = _solve_real(
-                    view, cutoff, np.full(block.size, ok0[0] and detuning_ok[0])
-                )
-                solved_rates[start:start + block.size] = (
-                    np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
-                )
-                solved_ok[start:start + block.size] = ok
-                if ok.any():
+                rho, top_pop = _solve_real(view, cutoff, ok[s, cols])
+                rates[s, cols] = np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
+                if ok[s, cols].any():
                     worst_top = max(worst_top, float(np.nanmax(top_pop)))
-            rates[s] = solved_rates[feeds]
-            failed += int(np.count_nonzero(~solved_ok[feeds]))
-
         if worst_top < TOP_FOCK_TOLERANCE:
             break
-        if cutoff + 2 > MAX_LINESHAPE_CUTOFF:
-            raise CutoffError(f"top Fock population {worst_top:.2e} at cutoff {cutoff}")
-        cutoff += 2
+    else:
+        raise CutoffError(f"top Fock population {worst_top:.2e} at cutoff {cutoff}")
 
-    mean_rate = np.nanmean(rates, axis=0)
+    mean_rate = np.nanmean(rates, axis=0)[feeds]
     peak = np.nanmax(mean_rate)
     if not np.isfinite(peak) or peak <= 0.0:
         raise np.linalg.LinAlgError("lineshape solve produced no finite points")
@@ -465,7 +457,7 @@ def fluorescence_lineshape(
         normalized=mean_rate / peak,
         rate=mean_rate,
         fock_cutoff=cutoff,
-        failed_points=failed,
+        failed_points=int(np.count_nonzero(~ok[:, feeds])),
     )
 
 

@@ -111,8 +111,12 @@ def _bayes_posterior(p_up_click, p_down_click, prior):
 
     Returns (P(down | click), P(click)), with
     P(click) = P(click|up) (1 - prior) + P(click|down) prior; the posterior
-    is NaN where P(click) is zero.
+    is NaN where P(click) is zero. Raises ValueError unless every prior lies
+    in [0, 1] (NaN does not).
     """
+    prior = np.asarray(prior, dtype=float)
+    if not np.all((prior >= 0.0) & (prior <= 1.0)):
+        raise ValueError("prior must lie in [0, 1]")
     click = np.asarray(p_up_click * (1.0 - prior) + p_down_click * prior)
     with np.errstate(invalid="ignore", divide="ignore"):
         posterior = np.where(click > 0.0, p_down_click * prior / click, np.nan)
@@ -130,8 +134,6 @@ def conditional_population(
     P(down | click) = P(click|down) P(down) /
                       (P(click|up) P(up) + P(click|down) P(down)).
     """
-    if not (0.0 <= p_down_prior <= 1.0):
-        raise ValueError("prior must lie in [0, 1]")
     angle = _port_angle(phi, port)
     posterior, click = _bayes_posterior(
         detection_prob_up(angle), detection_prob_down(angle, t_minus), p_down_prior
@@ -175,10 +177,8 @@ def _averaged_posterior(
     return _bayes_posterior(detection_prob_up(angle), p_down_click, prior)
 
 
-def _checked_samples(prior: float, params: SystemParams, couplings) -> np.ndarray:
-    """The 1-D coupling samples (the pinned atom's g0 if none), prior checked."""
-    if not (0.0 <= prior <= 1.0):
-        raise ValueError("prior must lie in [0, 1]")
+def _coupling_samples(params: SystemParams, couplings) -> np.ndarray:
+    """The 1-D coupling samples (the pinned atom's g0 if none)."""
     g = np.array([params.g0]) if couplings is None else np.asarray(couplings, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise ValueError(f"couplings must be a non-empty 1-D array, got shape {g.shape}")
@@ -209,7 +209,7 @@ def conditional_curves(
     averaged over ``couplings`` (1-D, rad/s); omitted, the atom sits at the
     mode antinode.
     """
-    g = _checked_samples(prior, params, couplings)
+    g = _coupling_samples(params, couplings)
     phi_deg = np.linspace(0.0, 180.0, 181)
     phi = np.radians(phi_deg)
 
@@ -242,5 +242,5 @@ def population_vs_detuning(
     prior: the atom decouples, both spin hypotheses give the same click
     probability, and the photon carries no information.
     """
-    g = _checked_samples(prior, params, couplings)
+    g = _coupling_samples(params, couplings)
     return _averaged_posterior(prior, _port_angle(phi, port), delta_grid, g, params)[0]

@@ -53,6 +53,14 @@ class SelectionError(RuntimeError):
     """Raised when the selection acceptance rate is implausibly low."""
 
 
+def step_count(window: float, time_step: float) -> int:
+    """Time steps in the window; ValueError unless a whole number (>= 1), within 1e-9 relative."""
+    steps = window / time_step
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"window must hold a whole number (>= 1) of time steps, got {steps:.10g}")
+    return round(steps)
+
+
 @dataclass(frozen=True)
 class MotionModel:
     """Kinematics of the atom drop and the probe window."""
@@ -90,6 +98,7 @@ class Ensemble:
                 "window and time_step must be finite and positive, "
                 f"got {self.window} and {self.time_step}"
             )
+        step_count(self.window, self.time_step)
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "velocity", velocity)
 
@@ -97,8 +106,7 @@ class Ensemble:
         return self.r0.shape[0]
 
     def times(self) -> np.ndarray:
-        n_steps = max(1, int(round(self.window / self.time_step)))
-        return np.linspace(0.0, self.window, n_steps + 1)
+        return np.linspace(0.0, self.window, step_count(self.window, self.time_step) + 1)
 
 
 def coupling_matrix(ensemble: Ensemble, params: SystemParams) -> np.ndarray:
@@ -163,15 +171,14 @@ def threshold_trajectories(
 
 
 def _first_coincidences(
-    accepted: np.ndarray, times: np.ndarray, window_s: float
+    row: np.ndarray, clicks: np.ndarray, window_s: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows holding a coincidence, and the second-click time of each row's first.
 
-    ``accepted`` masks the clicks of each row of ``times`` (sorted along the
-    row); a coincidence is two consecutive clicks of one row within the window.
+    ``row`` and ``clicks`` list the accepted clicks in row order, with click
+    times growing within a row; a coincidence is two consecutive clicks of
+    one row within the window.
     """
-    row, col = np.nonzero(accepted)
-    clicks = times[row, col]
     hits = np.flatnonzero((row[1:] == row[:-1]) & (np.diff(clicks) <= window_s)) + 1
     rows, first = np.unique(row[hits], return_index=True)
     return rows, clicks[hits[first]]
@@ -208,7 +215,9 @@ def sample_selected_trajectories(
     The uniforms are drawn ``COINCIDENCE_ROW_BLOCK`` rows at a time, which
     consumes the generator exactly as one whole block would, and each row
     slice is thinned over only the columns up to its last click in
-    ``[0, t_total]`` (click times grow along a row).
+    ``[0, t_total]`` (click times grow along a row). A slice's accepted
+    clicks are paired into coincidences right after thinning, so no
+    batch-wide click mask is held.
 
     The ratio is evaluated only on candidate clicks that pass an exact
     prefilter. The height y depends on t alone, and x^2, z^2 >= 0 and
@@ -261,7 +270,6 @@ def sample_selected_trajectories(
         # Homogeneous candidate clicks at rate_max, then thinning.
         times = rng.exponential(1.0 / rate_max, size=(m, k_max))
         np.cumsum(times, axis=1, out=times)
-        accepted = np.zeros((m, k_max), dtype=bool)
         for lo in range(0, m, COINCIDENCE_ROW_BLOCK):
             t = times[lo : lo + COINCIDENCE_ROW_BLOCK]
             u = rng.uniform(size=t.shape)
@@ -281,15 +289,13 @@ def sample_selected_trajectories(
                 * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
             )
             keep = u < ratio
-            accepted[row[keep], col[keep]] = True
-
-        rows, t_sel = _first_coincidences(accepted, times, window_ns * 1e-9)
-        rows, t_sel = rows[: n - selected], t_sel[: n - selected]
-        velocity = np.column_stack([vx[rows], np.full(len(rows), vy), vz[rows]])
-        start = np.column_stack([x0[rows], y0[rows], z0[rows]])
-        r0_parts.append(start + velocity * t_sel[:, None])
-        v_parts.append(velocity)
-        selected += len(rows)
+            rows, t_sel = _first_coincidences(row[keep], t[keep], window_ns * 1e-9)
+            rows, t_sel = rows[: n - selected], t_sel[: n - selected]
+            velocity = np.column_stack([vx[rows], np.full(rows.size, vy), vz[rows]])
+            start = np.column_stack([x0[rows], y0[rows], z0[rows]])
+            r0_parts.append(start + velocity * t_sel[:, None])
+            v_parts.append(velocity)
+            selected += rows.size
 
         if candidates >= 50_000 and selected < COINCIDENCE_MIN_ACCEPTANCE * candidates:
             raise SelectionError(

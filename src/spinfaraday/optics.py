@@ -46,27 +46,20 @@ def t_minus_value(
     delta: np.ndarray | float,
     g: np.ndarray | float,
     params: SystemParams,
-    cavity_detuning: np.ndarray | float | None = None,
+    cavity_detuning: np.ndarray | float = 0.0,
 ) -> np.ndarray | complex:
     """Complex sigma- transmittance, vectorized over broadcastable inputs.
 
-    ``delta`` is the probe detuning from the atom. With ``cavity_detuning``
-    omitted the probe is resonant with the cavity and
-
-        t = kappa (gamma/2 - i delta) / (kappa (gamma/2 - i delta) + g^2).
-
-    With a cavity detuning delta_c the same steady-state response, normalized
-    by the empty cavity, generalizes to
+    ``delta`` is the probe detuning from the atom and ``cavity_detuning``
+    (delta_c) from the cavity, resonant by default. The steady-state
+    response, normalized by the empty cavity, is
 
         t = (kappa - i delta_c)(gamma/2 - i delta)
             / ((kappa - i delta_c)(gamma/2 - i delta) + g^2).
     """
     delta = np.asarray(delta, dtype=float)
     g = np.asarray(g, dtype=float)
-    if cavity_detuning is None:
-        cavity_factor = params.kappa + 0.0j
-    else:
-        cavity_factor = params.kappa - 1j * np.asarray(cavity_detuning, dtype=float)
+    cavity_factor = params.kappa - 1j * np.asarray(cavity_detuning, dtype=float)
     atom_factor = 0.5 * params.gamma - 1j * delta
     numerator = cavity_factor * atom_factor
     result = numerator / (numerator + g**2)
@@ -117,7 +110,7 @@ def rotation_curve(
     delta_grid: np.ndarray,
     g: float,
     params: SystemParams,
-    cavity_detuning: np.ndarray | float | None = None,
+    cavity_detuning: np.ndarray | float = 0.0,
 ) -> np.ndarray:
     """Rotation angle read by the balanced-analyzer procedure. Radians, an array.
 
@@ -125,6 +118,5 @@ def rotation_curve(
     and |t_minus - i|^2 / 4 go into the count estimator; the common factor
     cancels and the empty cavity reads zero.
     """
-    delta_grid = np.asarray(delta_grid, dtype=float)
     t = np.atleast_1d(t_minus_value(delta_grid, g, params, cavity_detuning))
     return angle_from_counts(np.abs(t + 1j) ** 2, np.abs(t - 1j) ** 2)

@@ -57,7 +57,7 @@ class MaxRotation(NamedTuple):
 
 def _abs_rotation(delta: np.ndarray, params: SystemParams, mode: str) -> np.ndarray:
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    cavity_detuning = delta if mode == CAVITY_EQUALS_ATOM else None
+    cavity_detuning = delta if mode == CAVITY_EQUALS_ATOM else 0.0
     return np.abs(rotation_curve(delta, params.g0, params, cavity_detuning))
 
 

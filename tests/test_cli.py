@@ -185,13 +185,13 @@ class TestFig2:
         calls = []
 
         def fail_last_point_once(liou_r, cutoff, ok):
-            rho, top_fock, ok = solve_real(liou_r, cutoff, ok)
+            rho, top_fock = solve_real(liou_r, cutoff, ok)
             if not calls:
                 ok[-1] = False
                 rho[-1] = np.nan
                 top_fock[-1] = np.nan
             calls.append(liou_r.shape[0])
-            return rho, top_fock, ok
+            return rho, top_fock
 
         monkeypatch.setattr(lindblad, "_solve_real", fail_last_point_once)
         argv = ["fig2", "--out", str(tmp_path), "--samples", "2", "--grid=-2:2:5"]
@@ -356,6 +356,11 @@ class TestErrorHandling:
         "command, key, value",
         [
             ("fig4", "time_step_us", "0"),
+            # 34 / 0.7 and 4 / 0.7 are not whole; 100 us exceeds either window.
+            ("fig4", "time_step_us", "0.7"),
+            ("fig4", "time_step_us", "100"),
+            ("fig5", "time_step_us", "0.7"),
+            ("fig5", "time_step_us", "100"),
             ("fig4", "window_us", "0"),
             ("fig5", "window_us", "0"),
             ("fig4", "v_fall_mps", "-1"),

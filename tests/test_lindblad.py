@@ -36,9 +36,11 @@ def expect(rho, operator, cutoff):
 
 
 def solve_stack(liou, cutoff):
-    """(rho, top_fock, ok) of a stack of Liouvillians, solved as steady_state solves them."""
+    """(rho, top_fock, ok) of a stack of Liouvillians, solved as steady_state
+    solves them; ok is the mask _solve_real clears at each failed point."""
     liou_r, ok = _to_real(liou)
-    return _solve_real(liou_r, cutoff, ok)
+    rho, top_fock = _solve_real(liou_r, cutoff, ok)
+    return rho, top_fock, ok
 
 
 class TestModelValidation:

@@ -244,6 +244,11 @@ class TestPureRotationCurves:
         curves = pure_rotation_curves(0.1, (0.5, 0.25), self.PHI)
         assert curves.shape == (2, self.PHI.size)
 
+    @pytest.mark.parametrize("priors", [(1.5,), (-0.1,), (math.nan,), (0.5, 2.0)])
+    def test_prior_outside_unit_interval_rejected(self, priors):
+        with pytest.raises(ValueError, match=r"prior must lie in \[0, 1\]"):
+            pure_rotation_curves(0.1, priors, self.PHI)
+
 
 class TestConditionalCurves:
     def test_pinned_transmitted_port_certain_at_ninety(self):

@@ -78,7 +78,8 @@ def whole_block_selection(
             * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
         )
         accepted = (times <= t_total) & (rng.uniform(size=(m, k_max)) < ratio)
-        rows, t_sel = _first_coincidences(accepted, times, window_ns * 1e-9)
+        row, col = np.nonzero(accepted)
+        rows, t_sel = _first_coincidences(row, times[row, col], window_ns * 1e-9)
         rows, t_sel = rows[: n - selected], t_sel[: n - selected]
         velocity = np.column_stack([vx[rows], np.full(len(rows), vy), vz[rows]])
         start = np.column_stack([x0[rows], y0[rows], z0[rows]])
@@ -144,6 +145,18 @@ class TestTrajectories:
     def test_time_grid_must_be_finite_and_positive(self, window, time_step):
         with pytest.raises(ValueError, match="finite and positive"):
             Ensemble(np.zeros((1, 3)), np.zeros((1, 3)), window, time_step)
+
+    @pytest.mark.parametrize(
+        "window, time_step", [(34e-6, 0.7e-6), (34e-6, 100e-6), (34e-6, 68.5e-6)]
+    )
+    def test_window_must_hold_whole_time_steps(self, window, time_step):
+        with pytest.raises(ValueError, match="whole number"):
+            Ensemble(np.zeros((1, 3)), np.zeros((1, 3)), window, time_step)
+
+    def test_whole_steps_within_rounding(self):
+        # (0.1 + 0.2) us misses 3 steps of 0.1 us by one ulp, inside the 1e-9 slack.
+        ensemble = Ensemble(np.zeros((1, 3)), np.zeros((1, 3)), (0.1 + 0.2) * 1e-6, 0.1e-6)
+        np.testing.assert_allclose(ensemble.times(), [0.0, 0.1e-6, 0.2e-6, 0.3e-6])
 
     def test_len_is_sample_count(self):
         assert len(threshold_trajectories(MotionModel(seed=3), P, 37)) == 37
@@ -227,7 +240,8 @@ class TestCoincidenceSelection:
         times = np.full((len(cases), 3), np.nan)
         for i, row in enumerate(cases):
             times[i, : len(row)] = row
-        rows, t_sel = _first_coincidences(~np.isnan(times), times, w)
+        row, col = np.nonzero(~np.isnan(times))
+        rows, t_sel = _first_coincidences(row, times[row, col], w)
         np.testing.assert_array_equal(rows, [0, 1, 5])
         np.testing.assert_array_equal(t_sel, [1.5e-6, 0.4e-6, w])
 
