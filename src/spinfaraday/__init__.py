@@ -25,7 +25,6 @@ from .lindblad import (
     curve_fwhm,
     fluorescence_lineshape,
     fluorescence_rate,
-    hamiltonian,
     liouvillian,
     purcell_rate_formula,
     steady_state,

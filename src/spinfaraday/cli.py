@@ -27,9 +27,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .lindblad import CutoffError, fluorescence_lineshape, transmittance_steady
+from .lindblad import fluorescence_lineshape, transmittance_steady
 from .measurement import (
-    MeasurementError,
     TRANSMITTED,
     conditional_curves,
     conditional_population,
@@ -40,19 +39,13 @@ from .measurement import (
 )
 from .montecarlo import (
     MotionModel,
-    SelectionError,
     average_rotation,
     average_transmittance,
     coupling_matrix,
     sample_selected_trajectories,
-    step_count,
     threshold_trajectories,
 )
-from .optics import (
-    InsufficientCountsError,
-    rotation_curve,
-    t_minus_value,
-)
+from .optics import rotation_curve, t_minus_value
 from .params import (
     ConfigError,
     GeometryError,
@@ -147,8 +140,10 @@ def _resolve(args: argparse.Namespace):
             raise ConfigError(f"{key} is read by {args.command} and cannot be null")
         _check_run_key(key, value)
     if "time_step_us" in run:
+        # MotionModel owns the window rule; build one now so a bad window
+        # stops the run before any work.
         try:
-            step_count(float(run["window_us"]) * 1e-6, float(run["time_step_us"]) * 1e-6)
+            _motion_from_run(run)
         except ValueError as exc:
             raise ConfigError(
                 "time_step_us must be window_us / n for a whole n >= 1, "
@@ -510,15 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (
-        CutoffError,
-        SelectionError,
-        MeasurementError,
-        InsufficientCountsError,
-        np.linalg.LinAlgError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

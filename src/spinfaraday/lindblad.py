@@ -108,21 +108,6 @@ def _operators(cutoff: int) -> _Operators:
     return ops
 
 
-def hamiltonian(model: LindbladModel) -> np.ndarray:
-    ops = _operators(model.fock_cutoff)
-    h = (
-        -model.detuning_cavity * ops.number
-        - model.detuning_atom * ops.excited
-        + model.g * (ops.a.conj().T @ ops.sm + ops.a @ ops.sp)
-    )
-    amp = complex(model.drive_amplitude)
-    if model.drive_target == "cavity":
-        h = h + amp * ops.a.conj().T + np.conj(amp) * ops.a
-    else:
-        h = h + amp * ops.sp + np.conj(amp) * ops.sm
-    return h
-
-
 def _dissipator(c: np.ndarray) -> np.ndarray:
     """Unit-rate D[c] = c x c* - (c^dag c x 1 + 1 x (c^dag c)^T)/2."""
     dim = c.shape[0]
@@ -140,7 +125,17 @@ def _commutator_superoperator(h: np.ndarray) -> np.ndarray:
 def liouvillian(model: LindbladModel) -> np.ndarray:
     """Vectorized generator (row-major vec) of the master equation."""
     ops = _operators(model.fock_cutoff)
-    liou = _commutator_superoperator(hamiltonian(model))
+    h = (
+        -model.detuning_cavity * ops.number
+        - model.detuning_atom * ops.excited
+        + model.g * (ops.a.conj().T @ ops.sm + ops.a @ ops.sp)
+    )
+    amp = complex(model.drive_amplitude)
+    if model.drive_target == "cavity":
+        h = h + amp * ops.a.conj().T + np.conj(amp) * ops.a
+    else:
+        h = h + amp * ops.sp + np.conj(amp) * ops.sm
+    liou = _commutator_superoperator(h)
     liou += 2.0 * model.kappa * ops.loss  # photon loss, HWHM kappa
     liou += model.gamma * ops.decay       # atomic decay
     return liou

@@ -23,8 +23,9 @@ models are provided:
   coupling at selection" and is insensitive to brightness assumptions.
 
 Both return an ``Ensemble``: start positions and velocities as two (n, 3)
-arrays on one shared probe window and time step, which the averages read
-directly.
+arrays plus the ``MotionModel`` that drew them. The motion model checks its
+probe window at construction and owns the window's time grid, which the
+averages read directly.
 
 Averages are taken over intensities (expected photon counts), not field
 amplitudes, since counts accumulate over many atoms.
@@ -53,17 +54,14 @@ class SelectionError(RuntimeError):
     """Raised when the selection acceptance rate is implausibly low."""
 
 
-def step_count(window: float, time_step: float) -> int:
-    """Time steps in the window; ValueError unless a whole number (>= 1), within 1e-9 relative."""
-    steps = window / time_step
-    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
-        raise ValueError(f"window must hold a whole number (>= 1) of time steps, got {steps:.10g}")
-    return round(steps)
-
-
 @dataclass(frozen=True)
 class MotionModel:
-    """Kinematics of the atom drop and the probe window."""
+    """Kinematics of the atom drop and the probe window.
+
+    Raises ValueError unless ``window`` and ``time_step`` are finite and
+    positive and the window holds a whole number (>= 1) of steps, within
+    1e-9 relative, so a sampler never draws for a window it cannot probe.
+    """
 
     v_fall: float = 0.3             # m/s, along -y
     v_transverse_rms: float = 0.04  # m/s, rms of the combined (vx, vz) speed
@@ -71,19 +69,35 @@ class MotionModel:
     seed: int = 12345
     time_step: float = 0.5e-6       # s, trajectory discretization
 
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.window, self.time_step)):
+            raise ValueError(
+                "window and time_step must be finite and positive, "
+                f"got {self.window} and {self.time_step}"
+            )
+        steps = self.window / self.time_step
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"window must hold a whole number (>= 1) of time steps, got {steps:.10g}"
+            )
+
+    def times(self) -> np.ndarray:
+        """The probe window's time grid, from 0 to ``window`` in whole steps."""
+        return np.linspace(0.0, self.window, round(self.window / self.time_step) + 1)
+
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Straight-line atom trajectories sharing one probe window and time grid.
+    """Straight-line atom trajectories sharing one motion model's time grid.
 
     Row i starts at ``r0[i]`` (m, relative to the mode center; z runs along
-    the cavity axis) and moves at ``velocity[i]`` (m/s).
+    the cavity axis) and moves at ``velocity[i]`` (m/s); ``motion.times()``
+    is the probe window every row is averaged over.
     """
 
     r0: np.ndarray
     velocity: np.ndarray
-    window: float
-    time_step: float = 0.5e-6
+    motion: MotionModel
 
     def __post_init__(self) -> None:
         r0 = np.asarray(self.r0, dtype=float)
@@ -93,25 +107,16 @@ class Ensemble:
                 "an ensemble needs r0 and velocity of one shape (n, 3) with n >= 1, "
                 f"got {r0.shape} and {velocity.shape}"
             )
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.window, self.time_step)):
-            raise ValueError(
-                "window and time_step must be finite and positive, "
-                f"got {self.window} and {self.time_step}"
-            )
-        step_count(self.window, self.time_step)
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "velocity", velocity)
 
     def __len__(self) -> int:
         return self.r0.shape[0]
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.window, step_count(self.window, self.time_step) + 1)
-
 
 def coupling_matrix(ensemble: Ensemble, params: SystemParams) -> np.ndarray:
-    """g(r(t)) over the ensemble's time grid, shape (n_traj, n_times)."""
-    r = ensemble.r0[:, :, None] + ensemble.velocity[:, :, None] * ensemble.times()
+    """g(r(t)) over the ensemble motion's time grid, shape (n_traj, n_times)."""
+    r = ensemble.r0[:, :, None] + ensemble.velocity[:, :, None] * ensemble.motion.times()
     return coupling_grid(r[:, 0], r[:, 1], r[:, 2], params)
 
 
@@ -167,7 +172,7 @@ def threshold_trajectories(
         v_parts.append(np.column_stack([vx, np.full(vx.size, -motion.v_fall), vz]))
         kept += vx.size
     r0, velocity = np.concatenate(r0_parts)[:n], np.concatenate(v_parts)[:n]
-    return Ensemble(r0, velocity, motion.window, motion.time_step)
+    return Ensemble(r0, velocity, motion)
 
 
 def _first_coincidences(
@@ -303,7 +308,7 @@ def sample_selected_trajectories(
                 f"{selected} of {candidates} candidates"
             )
     r0, velocity = np.concatenate(r0_parts), np.concatenate(v_parts)
-    return Ensemble(r0, velocity, motion.window, motion.time_step)
+    return Ensemble(r0, velocity, motion)
 
 
 def average_transmittance(

@@ -112,15 +112,12 @@ DEFAULT_DETECTION = DetectionChain()
 def derive_waist(geom: CavityGeometry, wavelength: float = DEFAULT_PARAMS.wavelength) -> float:
     """Gaussian mode waist of a symmetric two-mirror cavity.
 
-    w0**2 = (L*lambda / 2*pi) * sqrt(2R/L - 1). Valid for 0 < L < 2R.
+    w0**2 = (L*lambda / 2*pi) * sqrt(2R/L - 1). ``CavityGeometry`` already
+    enforces 0 < L < 2R.
     """
     if wavelength <= 0.0:
         raise ValueError("wavelength must be strictly positive")
     ratio = 2.0 * geom.mirror_roc / geom.length - 1.0
-    if ratio <= 0.0:
-        # CavityGeometry validation normally prevents this; guard anyway for
-        # callers constructing geometries through other paths.
-        raise GeometryError("unstable cavity: need 0 < length < 2*mirror_roc")
     w0_sq = (geom.length * wavelength / TWO_PI) * math.sqrt(ratio)
     return math.sqrt(w0_sq)
 
@@ -275,7 +272,7 @@ def build_settings(
         params = replace(DEFAULT_PARAMS, **fields["params"])
         geometry = replace(DEFAULT_GEOMETRY, **fields["geometry"])
         detection = replace(DEFAULT_DETECTION, **fields["detection"])
-    except (ValueError, GeometryError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return params, geometry, detection
 

@@ -25,7 +25,7 @@ the lossless reflectivity, clipped to the allowed range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -136,27 +136,10 @@ class ScanResult:
         return float(self.max_angle_deg[self.argmax_index])
 
     def rows(self) -> tuple[list[str], list[list[float]]]:
-        """Header and rows for CSV export."""
-        header = [
-            self.axis_name,
-            "max_angle_deg",
-            "delta_star_mhz",
-            "g0_mhz",
-            "kappa_mhz",
-            "gamma_khz",
-        ]
-        rows = [
-            [
-                float(self.axis[i]),
-                float(self.max_angle_deg[i]),
-                float(self.delta_star_mhz[i]),
-                float(self.g0_mhz[i]),
-                float(self.kappa_mhz[i]),
-                float(self.gamma_khz[i]),
-            ]
-            for i in range(self.axis.size)
-        ]
-        return header, rows
+        """Header and rows for CSV export: the axis, then each later array field."""
+        names = [field.name for field in fields(self)[2:]]
+        columns = [self.axis, *(getattr(self, name) for name in names)]
+        return [self.axis_name, *names], np.column_stack(columns).tolist()
 
 
 # Geometry field -> (name as exported in a scan, scale to that unit).

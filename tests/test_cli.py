@@ -1,7 +1,10 @@
 """Command-line interface: outputs, manifests, reproducibility, exit codes."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import spinfaraday
-from spinfaraday import lindblad, montecarlo
+from spinfaraday import cli, lindblad, measurement, montecarlo, optics
 from spinfaraday.cli import OUTPUT_ENV_VAR, main
 
 
@@ -465,6 +468,41 @@ class TestErrorHandling:
     def test_bad_grid_writes_no_files(self, tmp_path):
         main(["fig4", "--grid=oops", "--out", str(tmp_path)])
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            lindblad.CutoffError,
+            montecarlo.SelectionError,
+            measurement.MeasurementError,
+            optics.InsufficientCountsError,
+            np.linalg.LinAlgError,
+        ],
+    )
+    def test_numerical_failure_exit_1(self, tmp_path, capsys, monkeypatch, error):
+        def fail(**_):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "scan_length", fail)
+        rc = main(["fig6", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: injected")
+        assert not (tmp_path / "out").exists()
+
+    def test_every_package_error_reaches_the_two_base_catch(self):
+        # main catches ValueError and RuntimeError alone, so an error class
+        # with any other base would escape as a traceback.
+        defined = {
+            cls
+            for info in pkgutil.iter_modules(spinfaraday.__path__, "spinfaraday.")
+            for _, cls in inspect.getmembers(importlib.import_module(info.name), inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == info.name
+        }
+        assert {cls.__name__ for cls in defined} >= {
+            "ConfigError", "CutoffError", "GeometryError", "InsufficientCountsError",
+            "MeasurementError", "SelectionError",
+        }
+        assert [c for c in defined if not issubclass(c, (ValueError, RuntimeError))] == []
 
 
 class TestOutputDirectory:

@@ -90,13 +90,14 @@ def whole_block_selection(
 
 
 def single(r0, velocity, window, time_step=0.5e-6):
-    return Ensemble(np.array([r0]), np.array([velocity]), window, time_step)
+    motion = MotionModel(window=window, time_step=time_step)
+    return Ensemble(np.array([r0]), np.array([velocity]), motion)
 
 
 class TestTrajectories:
     def test_time_grid(self):
         ensemble = single((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), window=34e-6, time_step=0.5e-6)
-        t = ensemble.times()
+        t = ensemble.motion.times()
         assert t[0] == 0.0
         assert t[-1] == pytest.approx(34e-6)
         assert t.size == 69
@@ -105,7 +106,7 @@ class TestTrajectories:
         r0, velocity = (1e-6, 2e-6, 3e-6), (1.0, -0.3, 0.5)
         ensemble = single(r0, velocity, window=10e-6)
         matrix = coupling_matrix(ensemble, P)
-        expected = pointwise_couplings(r0, velocity, ensemble.times())
+        expected = pointwise_couplings(r0, velocity, ensemble.motion.times())
         assert matrix[0, -1] == pytest.approx(
             closed_form_coupling(1e-6 + 1.0 * 10e-6, 2e-6 - 0.3 * 10e-6, 3e-6 + 0.5 * 10e-6)
         )
@@ -115,28 +116,29 @@ class TestTrajectories:
         r0, velocity = (2e-6, -1e-6, 50e-9), (0.05, -0.3, 0.01)
         ensemble = single(r0, velocity, window=34e-6)
         series = coupling_matrix(ensemble, P)[0]
-        expected = pointwise_couplings(r0, velocity, ensemble.times())
+        expected = pointwise_couplings(r0, velocity, ensemble.motion.times())
         np.testing.assert_allclose(series, expected, rtol=1e-12)
 
     def test_coupling_matrix_matches_series(self):
         ensemble = threshold_trajectories(MotionModel(seed=3), P, 20)
         matrix = coupling_matrix(ensemble, P)
-        assert matrix.shape == (20, ensemble.times().size)
+        times = ensemble.motion.times()
+        assert matrix.shape == (20, times.size)
         for i in (0, 7, 19):
-            expected = pointwise_couplings(ensemble.r0[i], ensemble.velocity[i], ensemble.times())
+            expected = pointwise_couplings(ensemble.r0[i], ensemble.velocity[i], times)
             np.testing.assert_allclose(matrix[i], expected, rtol=1e-12)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble(np.zeros((2, 3)), np.zeros((3, 3)), window=34e-6)
+            Ensemble(np.zeros((2, 3)), np.zeros((3, 3)), MotionModel())
         with pytest.raises(ValueError):
-            Ensemble(np.zeros((2, 2)), np.zeros((2, 2)), window=34e-6)
+            Ensemble(np.zeros((2, 2)), np.zeros((2, 2)), MotionModel())
         with pytest.raises(ValueError):
-            Ensemble(np.zeros(3), np.zeros(3), window=34e-6)
+            Ensemble(np.zeros(3), np.zeros(3), MotionModel())
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble(np.zeros((0, 3)), np.zeros((0, 3)), window=34e-6)
+            Ensemble(np.zeros((0, 3)), np.zeros((0, 3)), MotionModel())
 
     @pytest.mark.parametrize(
         "window, time_step",
@@ -144,31 +146,31 @@ class TestTrajectories:
     )
     def test_time_grid_must_be_finite_and_positive(self, window, time_step):
         with pytest.raises(ValueError, match="finite and positive"):
-            Ensemble(np.zeros((1, 3)), np.zeros((1, 3)), window, time_step)
+            MotionModel(window=window, time_step=time_step)
 
     @pytest.mark.parametrize(
         "window, time_step", [(34e-6, 0.7e-6), (34e-6, 100e-6), (34e-6, 68.5e-6)]
     )
     def test_window_must_hold_whole_time_steps(self, window, time_step):
         with pytest.raises(ValueError, match="whole number"):
-            Ensemble(np.zeros((1, 3)), np.zeros((1, 3)), window, time_step)
+            MotionModel(window=window, time_step=time_step)
 
     def test_whole_steps_within_rounding(self):
         # (0.1 + 0.2) us misses 3 steps of 0.1 us by one ulp, inside the 1e-9 slack.
-        ensemble = Ensemble(np.zeros((1, 3)), np.zeros((1, 3)), (0.1 + 0.2) * 1e-6, 0.1e-6)
-        np.testing.assert_allclose(ensemble.times(), [0.0, 0.1e-6, 0.2e-6, 0.3e-6])
+        motion = MotionModel(window=(0.1 + 0.2) * 1e-6, time_step=0.1e-6)
+        np.testing.assert_allclose(motion.times(), [0.0, 0.1e-6, 0.2e-6, 0.3e-6])
 
     def test_len_is_sample_count(self):
         assert len(threshold_trajectories(MotionModel(seed=3), P, 37)) == 37
         selected = sample_selected_trajectories(MotionModel(seed=3), P, 23)
         assert len(selected) == 23
-        assert len(Ensemble(np.zeros((5, 3)), np.zeros((5, 3)), window=34e-6)) == 5
+        assert len(Ensemble(np.zeros((5, 3)), np.zeros((5, 3)), MotionModel())) == 5
 
 
 class TestPinnedEnsemble:
     def test_degenerate_averages_match_single_atom(self):
         # atoms at rest at a mode antinode
-        trajs = Ensemble(np.zeros((5, 3)), np.zeros((5, 3)), window=34e-6)
+        trajs = Ensemble(np.zeros((5, 3)), np.zeros((5, 3)), MotionModel())
         averaged_t = average_transmittance(trajs, GRID, P)
         pinned_t = np.abs(t_minus_value(GRID, P.g0, P))
         np.testing.assert_allclose(averaged_t, pinned_t, rtol=1e-12)
