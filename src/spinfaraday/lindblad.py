@@ -383,6 +383,8 @@ def fluorescence_lineshape(
         raise ValueError(f"power_scale must be finite and non-negative, got {power_scale}")
     if average_positions and n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 to average positions, got {n_samples}")
+    if average_positions and not (math.isfinite(excitation_waist) and excitation_waist > 0.0):
+        raise ValueError(f"excitation_waist must be finite and positive, got {excitation_waist}")
     detunings = np.asarray(detuning_grid, dtype=float)
     if detunings.size == 0:
         raise ValueError("detuning_grid must not be empty")

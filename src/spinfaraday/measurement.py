@@ -73,21 +73,19 @@ def detection_prob_down(
     """Per-photon detection probability at analyzer angle phi, spin down.
 
     |exp(-i phi) t_minus + exp(+i phi)|^2 / 4. Vectorized over phi and,
-    broadcast against it, over a complex array t_minus.
+    broadcast against it, over a complex array t_minus; scalar inputs
+    return a numpy scalar (``np.float64``, a ``float``).
     """
-    phi_arr = np.asarray(phi, dtype=float)
-    value = np.abs(np.exp(-1j * phi_arr) * t_minus + np.exp(1j * phi_arr)) ** 2 / 4.0
-    if value.ndim == 0:
-        return float(value)
-    return value
+    phi = np.asarray(phi, dtype=float)
+    return np.abs(np.exp(-1j * phi) * t_minus + np.exp(1j * phi)) ** 2 / 4.0
 
 
 def detection_prob_up(phi: np.ndarray | float) -> np.ndarray | float:
-    """Per-photon detection probability at angle phi for spin up: cos(phi)^2."""
-    value = np.cos(np.asarray(phi, dtype=float)) ** 2
-    if value.ndim == 0:
-        return float(value)
-    return value
+    """Per-photon detection probability at angle phi for spin up: cos(phi)^2.
+
+    A scalar phi returns a numpy scalar (``np.float64``, a ``float``).
+    """
+    return np.cos(np.asarray(phi, dtype=float)) ** 2
 
 
 @dataclass(frozen=True)
@@ -213,18 +211,9 @@ def conditional_curves(
     phi_deg = np.linspace(0.0, 180.0, 181)
     phi = np.radians(phi_deg)
 
-    results = {
-        port: _averaged_posterior(prior, _port_angle(phi, port), delta, g, params)
-        for port in (TRANSMITTED, REFLECTED)
-    }
-
-    return ConditionalCurves(
-        phi_deg=phi_deg,
-        p_down_transmitted=results[TRANSMITTED][0],
-        p_down_reflected=results[REFLECTED][0],
-        click_prob_transmitted=results[TRANSMITTED][1],
-        click_prob_reflected=results[REFLECTED][1],
-    )
+    p_t, click_t = _averaged_posterior(prior, phi, delta, g, params)
+    p_r, click_r = _averaged_posterior(prior, phi + math.pi / 2.0, delta, g, params)
+    return ConditionalCurves(phi_deg, p_t, p_r, click_t, click_r)
 
 
 def population_vs_detuning(

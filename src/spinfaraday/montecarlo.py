@@ -24,8 +24,8 @@ models are provided:
 
 Both return an ``Ensemble``: start positions and velocities as two (n, 3)
 arrays plus the ``MotionModel`` that drew them. The motion model checks its
-probe window at construction and owns the window's time grid, which the
-averages read directly.
+kinematics and probe window at construction and owns the window's time
+grid, which the averages read directly.
 
 Averages are taken over intensities (expected photon counts), not field
 amplitudes, since counts accumulate over many atoms.
@@ -58,9 +58,10 @@ class SelectionError(RuntimeError):
 class MotionModel:
     """Kinematics of the atom drop and the probe window.
 
-    Raises ValueError unless ``window`` and ``time_step`` are finite and
-    positive and the window holds a whole number (>= 1) of steps, within
-    1e-9 relative, so a sampler never draws for a window it cannot probe.
+    Raises ValueError unless ``v_fall``, ``window`` and ``time_step`` are
+    finite and positive, ``v_transverse_rms`` is finite and non-negative, and
+    the window holds a whole number (>= 1) of steps, within 1e-9 relative,
+    so a sampler never draws for motion it cannot probe.
     """
 
     v_fall: float = 0.3             # m/s, along -y
@@ -70,11 +71,12 @@ class MotionModel:
     time_step: float = 0.5e-6       # s, trajectory discretization
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.window, self.time_step)):
-            raise ValueError(
-                "window and time_step must be finite and positive, "
-                f"got {self.window} and {self.time_step}"
-            )
+        for name in ("v_fall", "window", "time_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.v_transverse_rms) and self.v_transverse_rms >= 0.0):
+            raise ValueError(f"v_transverse_rms must be finite and >= 0, got {self.v_transverse_rms}")
         steps = self.window / self.time_step
         if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(

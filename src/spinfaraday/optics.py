@@ -50,6 +50,8 @@ def t_minus_value(
 ) -> np.ndarray | complex:
     """Complex sigma- transmittance, vectorized over broadcastable inputs.
 
+    Scalar inputs return a numpy scalar (``np.complex128``, a ``complex``).
+
     ``delta`` is the probe detuning from the atom and ``cavity_detuning``
     (delta_c) from the cavity, resonant by default. The steady-state
     response, normalized by the empty cavity, is
@@ -62,10 +64,7 @@ def t_minus_value(
     cavity_factor = params.kappa - 1j * np.asarray(cavity_detuning, dtype=float)
     atom_factor = 0.5 * params.gamma - 1j * delta
     numerator = cavity_factor * atom_factor
-    result = numerator / (numerator + g**2)
-    if result.ndim == 0:
-        return complex(result)
-    return result
+    return numerator / (numerator + g**2)
 
 
 def t_moments(
@@ -89,10 +88,11 @@ def angle_from_counts(n_t: np.ndarray | float, n_r: np.ndarray | float) -> np.nd
     """Polarization angle estimate from photon counts at the two ports.
 
     phi = arccos(sqrt(n_t / (n_t + n_r))) - pi/4, in radians, elementwise
-    over broadcastable counts (a float for scalar counts). Balanced counts
-    give zero; all counts in the reflected port give +pi/4 and all in the
-    transmitted port give -pi/4. Raises ValueError if any count is negative
-    and InsufficientCountsError if any total is not positive.
+    over broadcastable counts (a numpy scalar, ``np.float64``, for scalar
+    counts). Balanced counts give zero; all counts in the reflected port
+    give +pi/4 and all in the transmitted port give -pi/4. Raises ValueError
+    if any count is negative and InsufficientCountsError if any total is
+    not positive.
     """
     n_t = np.asarray(n_t, dtype=float)
     n_r = np.asarray(n_r, dtype=float)
@@ -102,8 +102,7 @@ def angle_from_counts(n_t: np.ndarray | float, n_r: np.ndarray | float) -> np.nd
     if (total <= 0.0).any():
         raise InsufficientCountsError("no photons detected at either port")
     # Rounding keeps n_t <= n_t + n_r, so the ratio needs no clipping to [0, 1].
-    angle = np.arccos(np.sqrt(n_t / total)) - math.pi / 4.0
-    return float(angle) if angle.ndim == 0 else angle
+    return np.arccos(np.sqrt(n_t / total)) - math.pi / 4.0
 
 
 def rotation_curve(

@@ -56,6 +56,8 @@ class MaxRotation(NamedTuple):
 
 
 def _abs_rotation(delta: np.ndarray, params: SystemParams, mode: str) -> np.ndarray:
+    # Kept 1-D even for one point: numpy's scalar complex division rounds
+    # differently from its array loop, and fig6 pins the array rounding.
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     cavity_detuning = delta if mode == CAVITY_EQUALS_ATOM else 0.0
     return np.abs(rotation_curve(delta, params.g0, params, cavity_detuning))

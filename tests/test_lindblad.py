@@ -277,6 +277,10 @@ class TestLineshape:
             ({"power_scale": math.inf}, "power_scale"),
             ({"n_samples": 0}, "n_samples"),
             ({"n_samples": -3}, "n_samples"),
+            ({"excitation_waist": 0.0}, "excitation_waist"),
+            ({"excitation_waist": -24e-6}, "excitation_waist"),
+            ({"excitation_waist": math.nan}, "excitation_waist"),
+            ({"excitation_waist": math.inf}, "excitation_waist"),
         ],
     )
     def test_bad_input_rejected_before_any_solve(self, monkeypatch, kwargs, match):
@@ -286,7 +290,7 @@ class TestLineshape:
         monkeypatch.setattr(lindblad, "_solve_real", no_solve)
         args = {"power_scale": 0.5, "n_samples": 10} | kwargs
         with pytest.raises(ValueError, match=match):
-            fluorescence_lineshape(P, args["power_scale"], GRID, n_samples=args["n_samples"])
+            fluorescence_lineshape(P, args.pop("power_scale"), GRID, **args)
 
     def test_pinned_atom_ignores_sample_count(self):
         pinned = fluorescence_lineshape(P, 0.5, GRID[:5], average_positions=False, n_samples=0)

@@ -142,7 +142,11 @@ class TestDetectionProbabilities:
         phis = np.linspace(0.0, math.pi, 19)
         vec = detection_prob_down(phis, t)
         scalar = [detection_prob_down(float(x), t) for x in phis]
+        assert all(isinstance(p, float) for p in scalar)
         np.testing.assert_allclose(vec, scalar, rtol=1e-14)
+        up = [detection_prob_up(float(x)) for x in phis]
+        assert all(isinstance(p, float) for p in up)
+        np.testing.assert_allclose(detection_prob_up(phis), up, rtol=1e-14)
 
 
 class TestConditionalPopulation:

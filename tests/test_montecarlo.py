@@ -149,6 +149,26 @@ class TestTrajectories:
             MotionModel(window=window, time_step=time_step)
 
     @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"v_fall": 0.0}, "v_fall"),
+            ({"v_fall": -0.3}, "v_fall"),
+            ({"v_fall": math.nan}, "v_fall"),
+            ({"v_fall": math.inf}, "v_fall"),
+            ({"v_transverse_rms": -0.04}, "v_transverse_rms"),
+            ({"v_transverse_rms": math.nan}, "v_transverse_rms"),
+            ({"v_transverse_rms": math.inf}, "v_transverse_rms"),
+        ],
+    )
+    def test_kinematics_checked_at_construction(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            MotionModel(**kwargs)
+
+    def test_zero_transverse_speed_builds(self):
+        ensemble = threshold_trajectories(MotionModel(v_transverse_rms=0.0), P, 5)
+        assert not ensemble.velocity[:, [0, 2]].any()
+
+    @pytest.mark.parametrize(
         "window, time_step", [(34e-6, 0.7e-6), (34e-6, 100e-6), (34e-6, 68.5e-6)]
     )
     def test_window_must_hold_whole_time_steps(self, window, time_step):
