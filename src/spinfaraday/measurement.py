@@ -176,11 +176,8 @@ def _averaged_posterior(
 
 
 def _coupling_samples(params: SystemParams, couplings) -> np.ndarray:
-    """The 1-D coupling samples (the pinned atom's g0 if none)."""
-    g = np.array([params.g0]) if couplings is None else np.asarray(couplings, dtype=float)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError(f"couplings must be a non-empty 1-D array, got shape {g.shape}")
-    return g
+    """The coupling samples, or the pinned atom's [g0] if none (``t_moments`` checks them)."""
+    return np.array([params.g0]) if couplings is None else couplings
 
 
 @dataclass(frozen=True)

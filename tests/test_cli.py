@@ -29,6 +29,16 @@ def csv_rows(path):
     return header, rows
 
 
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace a package function at every module attribute that holds it, so
+    a call goes through the replacement whichever module looks it up."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "spinfaraday":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.optimize is imported inside the few scans that call it, so
     # commands that never optimize do not pay for it at start-up.
@@ -125,6 +135,23 @@ class TestFig4:
         assert rc == 0
         manifest = json.loads(read(tmp_path / "fig4.manifest.json"))
         assert manifest["ensemble"] == "coincidence"
+
+    def test_transmittance_elements_evaluated_once(self, tmp_path, monkeypatch):
+        # The benchmark pins the t_minus_value element count, wrapping every
+        # binding as done here. fig4 makes two moment sweeps over 5 detunings
+        # x 50 trajectories x 69 window times, plus the pinned atom's t and
+        # rotation curve over the 5 detunings.
+        original = optics.t_minus_value
+        elements = []
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            elements.append(np.size(result))
+            return result
+
+        patch_everywhere(monkeypatch, original, counted)
+        assert main(["fig4", "--out", str(tmp_path), "--samples", "50", "--grid=-1:1:5"]) == 0
+        assert sum(elements) == 2 * 5 * 50 * 69 + 5 + 5
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -242,8 +269,6 @@ class TestFig5:
 
 
     def test_draws_one_ensemble(self, tmp_path, monkeypatch):
-        # Wrap the sampler at every module attribute that holds it, so a call
-        # is counted whichever module looks it up.
         original = montecarlo.threshold_trajectories
         calls = []
 
@@ -251,11 +276,7 @@ class TestFig5:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if module is not None and name.split(".")[0] == "spinfaraday":
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+        patch_everywhere(monkeypatch, original, counted)
         assert main(["fig5", "--out", str(tmp_path), "--samples", "20", "--grid=-1:1:3"]) == 0
         assert len(calls) == 1
 

@@ -2,13 +2,19 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinfaraday import optics
 from spinfaraday.optics import (
+    MOMENT_BLOCK,
     InsufficientCountsError,
     angle_from_counts,
     coupling_grid,
@@ -121,6 +127,71 @@ class TestMoments:
         assert m2.shape == m1.shape == (1,)
         assert m2[0] == pytest.approx(abs(t) ** 2, rel=1e-14)
         assert m1[0] == pytest.approx(t, rel=1e-14)
+
+    @pytest.mark.parametrize("g", [np.array([]), np.full((3, 2), P.g0)], ids=["empty", "2-D"])
+    def test_coupling_samples_must_be_1d_and_non_empty(self, g):
+        with pytest.raises(ValueError, match="1-D"):
+            t_moments(MHZ * np.array([-1.1, 0.0]), g, P)
+
+    @pytest.mark.parametrize("n", [1, 14, 50])
+    def test_block_boundaries_match_per_sample_means(self, monkeypatch, n):
+        # With blocks of 7: one partial block, two whole blocks, and seven
+        # whole blocks with a tail of one.
+        monkeypatch.setattr(optics, "MOMENT_BLOCK", 7)
+        g = P.g0 * np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+        deltas = MHZ * np.linspace(-3.0, 3.0, 7)
+        m2, m1 = t_moments(deltas, g, P)
+        t = t_minus_value(deltas[:, None], g, P)
+        np.testing.assert_allclose(m2, np.mean(np.abs(t) ** 2, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(m1, np.mean(t, axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [7, MOMENT_BLOCK])
+    def test_each_sample_evaluated_once_per_detuning(self, monkeypatch, block):
+        elements = []
+
+        def counted(*args, **kwargs):
+            result = t_minus_value(*args, **kwargs)
+            elements.append(np.size(result))
+            return result
+
+        monkeypatch.setattr(optics, "MOMENT_BLOCK", block)
+        monkeypatch.setattr(optics, "t_minus_value", counted)
+        g = P.g0 * np.linspace(-1.0, 1.0, 50)
+        deltas = MHZ * np.linspace(-2.0, 2.0, 5)
+        t_moments(deltas, g, P)
+        assert sum(elements) == deltas.size * g.size
+
+    def test_peak_memory_independent_of_the_sample_count(self):
+        # Below four complex blocks however many samples; a whole-array
+        # kernel holds about 48 bytes per sample.
+        g = P.g0 * np.linspace(-1.0, 1.0, 400_000)
+        deltas = MHZ * np.linspace(-3.0, 3.0, 121)
+        tracemalloc.start()
+        try:
+            t_moments(deltas, g, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * MOMENT_BLOCK * 16
+
+    def test_result_independent_of_the_blas_thread_count(self):
+        src = os.path.dirname(os.path.dirname(optics.__file__))
+        code = (
+            "import numpy as np\n"
+            "from spinfaraday.optics import t_moments\n"
+            "from spinfaraday.params import DEFAULT_PARAMS as P, TWO_PI\n"
+            "g = P.g0 * np.random.default_rng(3).uniform(-1.0, 1.0, size=200_000)\n"
+            "m2, m1 = t_moments(TWO_PI * 1e6 * np.linspace(-3.0, 3.0, 13), g, P)\n"
+            "print(m2.tobytes().hex() + m1.tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(out.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestAngleFromCounts:
