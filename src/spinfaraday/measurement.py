@@ -24,7 +24,8 @@ hypotheses equally and cancels in the conditional.
 
 The curve functions average P(phi | down) over 1-D coupling samples (g0 for
 the pinned atom, or an ensemble's flattened ``montecarlo.coupling_matrix``)
-as (E|t|^2 + 1 + 2 Re(E[t] exp(-2 i phi))) / 4, from ``optics.t_moments``.
+as (E|t|^2 + 1 + 2 Re(E[t] exp(-2 i phi))) / 4, from ``optics.t_moments``
+over the samples' ``optics.sample_blocks``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import t_moments
+from .optics import sample_blocks, t_moments
 from .params import SystemParams
 
 TRANSMITTED = "transmitted"
@@ -170,13 +171,13 @@ def _averaged_posterior(
     P(click | down) is averaged (an intensity) over the coupling samples g in
     its moment form, mirroring how counts accumulate over many atoms.
     """
-    m2, m1 = t_moments(delta, g, params)
+    m2, m1 = t_moments(delta, sample_blocks(g), params)
     p_down_click = (m2 + 1.0 + 2.0 * np.real(m1 * np.exp(-2j * angle))) / 4.0
     return _bayes_posterior(detection_prob_up(angle), p_down_click, prior)
 
 
 def _coupling_samples(params: SystemParams, couplings) -> np.ndarray:
-    """The coupling samples, or the pinned atom's [g0] if none (``t_moments`` checks them)."""
+    """The coupling samples, or the pinned atom's [g0] if none (checked as they are swept)."""
     return np.array([params.g0]) if couplings is None else couplings
 
 

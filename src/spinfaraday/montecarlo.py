@@ -28,30 +28,46 @@ kinematics and probe window at construction and owns the window's time
 grid, which the averages read directly.
 
 Averages are taken over intensities (expected photon counts), not field
-amplitudes, since counts accumulate over many atoms.
+amplitudes, since counts accumulate over many atoms. They stream the
+couplings to the moment sweep one block at a time (``coupling_blocks``),
+so their memory does not grow with the trajectory count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from . import optics
 from .optics import angle_from_counts, coupling_grid, t_moments
 from .params import SystemParams
 
 SOURCE_RADIUS_FACTOR = 2.0              # source disc radius, in mode waists
-THRESHOLD_MAX_CANDIDATES = 4_000_000    # candidates the threshold sampler may draw
+MIN_ACCEPTANCE = 1e-4                   # both samplers' acceptance floor, once judged
+THRESHOLD_JUDGED_FROM = 4_000_000       # candidates drawn before threshold acceptance is judged
 COINCIDENCE_START_HEIGHT = 50e-6        # m, candidate entry height above the mode center
 COINCIDENCE_BATCH_SIZE = 5_000          # candidates simulated per batch
 COINCIDENCE_ROW_BLOCK = 500             # batch rows thinned at a time
-COINCIDENCE_MAX_CANDIDATES = 2_000_000  # candidates the coincidence sampler may draw
-COINCIDENCE_MIN_ACCEPTANCE = 1e-4       # acceptance floor, checked from 50,000 candidates on
+COINCIDENCE_JUDGED_FROM = 50_000        # candidates drawn before coincidence acceptance is judged
 
 
 class SelectionError(RuntimeError):
     """Raised when the selection acceptance rate is implausibly low."""
+
+
+def _check_acceptance(kept: int, drawn: int, judged_from: int) -> None:
+    """The samplers' one stopping rule, checked before each batch.
+
+    Once ``judged_from`` candidates are drawn, sampling goes on only while
+    at least ``MIN_ACCEPTANCE`` of them were kept; otherwise SelectionError.
+    """
+    if drawn >= judged_from and kept < MIN_ACCEPTANCE * drawn:
+        raise SelectionError(
+            f"selection acceptance below {MIN_ACCEPTANCE:g}: {kept} kept from {drawn} candidates"
+        )
 
 
 @dataclass(frozen=True)
@@ -116,10 +132,36 @@ class Ensemble:
         return self.r0.shape[0]
 
 
+def _coupling_rows(
+    ensemble: Ensemble, times: np.ndarray, lo: int, hi: int, params: SystemParams
+) -> np.ndarray:
+    """g(r(t)) of trajectory rows lo..hi-1 over the time grid, shape (hi - lo, n_times)."""
+    r = ensemble.r0[lo:hi, :, None] + ensemble.velocity[lo:hi, :, None] * times
+    return coupling_grid(r[:, 0], r[:, 1], r[:, 2], params)
+
+
 def coupling_matrix(ensemble: Ensemble, params: SystemParams) -> np.ndarray:
     """g(r(t)) over the ensemble motion's time grid, shape (n_traj, n_times)."""
-    r = ensemble.r0[:, :, None] + ensemble.velocity[:, :, None] * ensemble.motion.times()
-    return coupling_grid(r[:, 0], r[:, 1], r[:, 2], params)
+    return _coupling_rows(ensemble, ensemble.motion.times(), 0, len(ensemble), params)
+
+
+def coupling_blocks(ensemble: Ensemble, params: SystemParams) -> Iterator[np.ndarray]:
+    """The flattened ``coupling_matrix`` as consecutive ``optics.MOMENT_BLOCK`` slices.
+
+    Each block is built when it is reached, from the trajectory rows that
+    cover it, and cut to the flat boundaries of slicing
+    ``coupling_matrix(...).reshape(-1)``: the same samples in the same
+    blocks, bit for bit, while only one block's rows are ever held.
+    """
+    times = ensemble.motion.times()
+    steps = times.size
+    total = len(ensemble) * steps
+    block = optics.MOMENT_BLOCK  # read per call: optics owns the block size
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        lo = start // steps
+        rows = _coupling_rows(ensemble, times, lo, -(-stop // steps), params).reshape(-1)
+        yield rows[start - lo * steps : stop - lo * steps]
 
 
 def _sample_disc(
@@ -148,6 +190,9 @@ def threshold_trajectories(
     Initial positions are uniform over the source disc (x-z plane through
     the mode center); the standing-wave phase varies across the disc, so the
     threshold induces both a transverse and an antinode bias.
+
+    Raises SelectionError when, from ``THRESHOLD_JUDGED_FROM`` candidates
+    on, fewer than ``MIN_ACCEPTANCE`` of them pass the threshold.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -161,12 +206,9 @@ def threshold_trajectories(
     v_parts: list[np.ndarray] = []
     kept = drawn = 0
     while kept < n:
+        _check_acceptance(kept, drawn, THRESHOLD_JUDGED_FROM)
         batch = max(4 * (n - kept), 1024)
         drawn += batch
-        if drawn > THRESHOLD_MAX_CANDIDATES:
-            raise SelectionError(
-                f"threshold acceptance too low: {kept} kept from {drawn} candidates"
-            )
         x0, z0 = _sample_disc(rng, batch, radius)
         keep = np.abs(coupling_grid(x0, 0.0, z0, params)) >= cut
         vx, vz = _sample_velocities(rng, np.count_nonzero(keep), motion)
@@ -238,8 +280,9 @@ def sample_selected_trajectories(
 
     Raises ValueError for a non-finite ``rate_max`` or a window or
     excitation waist that is not finite and positive, and SelectionError
-    when ``rate_max`` is not positive or the acceptance rate falls below
-    ``COINCIDENCE_MIN_ACCEPTANCE`` (or no candidate can ever click).
+    when ``rate_max`` is not positive or, from ``COINCIDENCE_JUDGED_FROM``
+    candidates on, the acceptance rate is below ``MIN_ACCEPTANCE`` (as when
+    no candidate can ever click).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -262,11 +305,8 @@ def sample_selected_trajectories(
     v_parts: list[np.ndarray] = []
     selected = candidates = 0
     while selected < n:
-        if candidates >= COINCIDENCE_MAX_CANDIDATES:
-            raise SelectionError(
-                f"selection acceptance too low: {selected} of {candidates} candidates"
-            )
-        m = min(COINCIDENCE_BATCH_SIZE, COINCIDENCE_MAX_CANDIDATES - candidates)
+        _check_acceptance(selected, candidates, COINCIDENCE_JUDGED_FROM)
+        m = COINCIDENCE_BATCH_SIZE
         candidates += m
 
         x0, z0 = _sample_disc(rng, m, radius)
@@ -303,12 +343,6 @@ def sample_selected_trajectories(
             r0_parts.append(start + velocity * t_sel[:, None])
             v_parts.append(velocity)
             selected += rows.size
-
-        if candidates >= 50_000 and selected < COINCIDENCE_MIN_ACCEPTANCE * candidates:
-            raise SelectionError(
-                f"selection acceptance below {COINCIDENCE_MIN_ACCEPTANCE:g}: "
-                f"{selected} of {candidates} candidates"
-            )
     r0, velocity = np.concatenate(r0_parts), np.concatenate(v_parts)
     return Ensemble(r0, velocity, motion)
 
@@ -324,7 +358,7 @@ def average_transmittance(
     window times, then takes the square root, matching intensity-based
     photon counting.
     """
-    m2, _ = t_moments(delta, coupling_matrix(ensemble, params).reshape(-1), params)
+    m2, _ = t_moments(delta, coupling_blocks(ensemble, params), params)
     return np.sqrt(m2)
 
 
@@ -339,5 +373,5 @@ def average_rotation(
     averaged over trajectories and window times, then passed through the
     count estimator, exactly as accumulated photon counts would be.
     """
-    m2, m1 = t_moments(delta_grid, coupling_matrix(ensemble, params).reshape(-1), params)
+    m2, m1 = t_moments(delta_grid, coupling_blocks(ensemble, params), params)
     return angle_from_counts(m2 + 1.0 + 2.0 * m1.imag, m2 + 1.0 - 2.0 * m1.imag)

@@ -21,6 +21,7 @@ with-atom reading is reported directly as the rotation angle.
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -69,35 +70,53 @@ def t_minus_value(
 
 # Coupling samples per block of the moment sweep: one block's complex t is
 # 512 KiB, so it stays in a 2 MiB L2 cache together with its temporaries.
+# An ensemble's block also carries the positions of the trajectory rows
+# that cover it (about 0.8 MiB), built just before the block is swept.
 MOMENT_BLOCK = 1 << 15
 
 
-def t_moments(
-    delta: np.ndarray | float, g: np.ndarray, params: SystemParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(E|t|^2, E[t]) of t_minus over 1-D coupling samples g, one pair per detuning.
+def sample_blocks(g: np.ndarray) -> Iterator[np.ndarray]:
+    """1-D coupling samples g as the consecutive ``MOMENT_BLOCK`` slices ``t_moments`` sweeps.
 
-    The samples are swept in blocks of ``MOMENT_BLOCK``; within a block one
-    ``t_minus_value`` call per detuning adds to that detuning's two sums, so
-    memory is O(block) however many samples there are. |t|^2 is summed by
-    ``einsum`` over the real view, not by a BLAS dot product, whose rounding
-    would follow the BLAS thread count. Raises ValueError unless g is 1-D
-    and non-empty.
+    Raises ValueError (when iterated) unless g is 1-D.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 1 or g.size < 1:
+    if g.ndim != 1:
         raise ValueError(f"couplings must be a non-empty 1-D array, got shape {g.shape}")
+    for start in range(0, g.size, MOMENT_BLOCK):
+        yield g[start : start + MOMENT_BLOCK]
+
+
+def t_moments(
+    delta: np.ndarray | float, blocks: Iterable[np.ndarray], params: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E|t|^2, E[t]) of t_minus over coupling samples, one pair per detuning.
+
+    The samples arrive as consecutive 1-D blocks of at most ``MOMENT_BLOCK``
+    (``sample_blocks`` of an array, or ``montecarlo.coupling_blocks`` of an
+    ensemble, which builds each block only when it is reached). Within a
+    block one ``t_minus_value`` call per detuning adds to that detuning's
+    two sums, so memory is O(block) however many samples there are. |t|^2
+    is summed by ``einsum`` over the real view, not by a BLAS dot product,
+    whose rounding would follow the BLAS thread count. Raises ValueError
+    unless every block is 1-D and there is at least one sample.
+    """
     delta = np.ravel(np.asarray(delta, dtype=float))
     s2 = np.zeros(delta.size, dtype=float)
     s1 = np.zeros(delta.size, dtype=complex)
-    for start in range(0, g.size, MOMENT_BLOCK):
-        block = g[start : start + MOMENT_BLOCK]
+    count = 0
+    for block in blocks:
+        if block.ndim != 1:
+            raise ValueError(f"coupling blocks must be 1-D, got shape {block.shape}")
         for i, d in enumerate(delta):
             t = t_minus_value(d, block, params)
             tv = t.view(float)
             s2[i] += np.einsum("i,i->", tv, tv)
             s1[i] += t.sum()
-    return s2 / g.size, s1 / g.size
+        count += block.size
+    if count < 1:
+        raise ValueError("couplings must be a non-empty 1-D array, got no samples")
+    return s2 / count, s1 / count
 
 
 def angle_from_counts(n_t: np.ndarray | float, n_r: np.ndarray | float) -> np.ndarray | float:

@@ -153,6 +153,30 @@ class TestFig4:
         assert main(["fig4", "--out", str(tmp_path), "--samples", "50", "--grid=-1:1:5"]) == 0
         assert sum(elements) == 2 * 5 * 50 * 69 + 5 + 5
 
+    def test_peak_rss_flat_in_the_trajectory_count(self, tmp_path):
+        # Each run is the one child of its own wrapper process, whose
+        # RUSAGE_CHILDREN is then that run's peak RSS alone. Averages over a
+        # whole coupling matrix grew it about 3.7x from 2,500 to 40,000.
+        src = os.path.dirname(os.path.dirname(spinfaraday.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        peaks = []
+        for n in (2500, 40_000):
+            fig4 = [
+                sys.executable, "-m", "spinfaraday.cli", "fig4", "--out", str(tmp_path / str(n)),
+                "--samples", str(n), "--grid=-3:3:5",
+            ]
+            out = subprocess.run(
+                [sys.executable, "-c", wrapper, *fig4],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            peaks.append(int(out.stdout))
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["fig4", "--out", str(a), "--samples", "30", "--grid=-1:1:3", "--seed", "1"])

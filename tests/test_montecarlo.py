@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spinfaraday import optics
 from spinfaraday.montecarlo import (
     COINCIDENCE_BATCH_SIZE,
     COINCIDENCE_START_HEIGHT,
@@ -18,11 +19,13 @@ from spinfaraday.montecarlo import (
     _sample_velocities,
     average_rotation,
     average_transmittance,
+    coupling_blocks,
     coupling_matrix,
     sample_selected_trajectories,
     threshold_trajectories,
 )
 from spinfaraday.optics import (
+    MOMENT_BLOCK,
     angle_from_counts,
     coupling_grid,
     rotation_curve,
@@ -219,6 +222,34 @@ class TestMomentAverages:
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("n", [1, 5, 1000])
+    @pytest.mark.parametrize(
+        "block", [7, 69, 100, MOMENT_BLOCK], ids=["7", "row-aligned", "straddling", "default"]
+    )
+    def test_streamed_blocks_are_the_flattened_matrix(self, monkeypatch, block, n):
+        monkeypatch.setattr(optics, "MOMENT_BLOCK", block)
+        trajs = threshold_trajectories(MotionModel(seed=22), P, n)
+        blocks = list(coupling_blocks(trajs, P))
+        assert all(b.size == block for b in blocks[:-1]) and 1 <= blocks[-1].size <= block
+        assert np.concatenate(blocks).tobytes() == coupling_matrix(trajs, P).reshape(-1).tobytes()
+
+    def test_peak_memory_independent_of_the_trajectory_count(self):
+        # A few blocks of temporaries at 10^4 and 4 x 10^4 trajectories alike;
+        # a whole coupling matrix holds about 3.3 KB per trajectory.
+        deltas = MHZ * np.linspace(-3.0, 3.0, 5)
+        ensembles = [threshold_trajectories(MotionModel(seed=23), P, n) for n in (10_000, 40_000)]
+        for average in (average_rotation, average_transmittance):
+            peaks = []
+            for trajs in ensembles:
+                tracemalloc.start()
+                try:
+                    average(trajs, deltas, P)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.2 * peaks[0]
+            assert max(peaks) < 8 * MOMENT_BLOCK * 16
+
 
 class TestThresholdEnsemble:
     def test_selection_criterion_enforced(self):
@@ -245,6 +276,18 @@ class TestThresholdEnsemble:
             threshold_trajectories(MotionModel(), P, 0)
         with pytest.raises(ValueError):
             threshold_trajectories(MotionModel(), P, 10, threshold=1.0)
+
+    def test_healthy_acceptance_draws_past_the_judging_count(self):
+        # About 4.7% pass at the default threshold, so 200,000 atoms take
+        # more than THRESHOLD_JUDGED_FROM (4 million) candidates.
+        trajs = threshold_trajectories(MotionModel(), P, 200_000)
+        assert len(trajs) == 200_000
+        assert np.all(np.abs(coupling_grid(*trajs.r0[-50:].T, P)) >= 0.9 * P.g0)
+
+    def test_acceptance_below_the_floor_raises(self):
+        # About 4.4e-5 of the disc reaches 0.9999 g0, below the 1e-4 floor.
+        with pytest.raises(SelectionError, match="acceptance below"):
+            threshold_trajectories(MotionModel(), P, 1000, threshold=0.9999)
 
 
 class TestCoincidenceSelection:

@@ -19,6 +19,7 @@ from spinfaraday.optics import (
     angle_from_counts,
     coupling_grid,
     rotation_curve,
+    sample_blocks,
     t_minus_value,
     t_moments,
 )
@@ -116,13 +117,13 @@ class TestMoments:
     def test_match_direct_sample_means(self):
         g = P.g0 * np.random.default_rng(4).uniform(-1.0, 1.0, size=500)
         deltas = MHZ * np.linspace(-4.0, 4.0, 9)
-        m2, m1 = t_moments(deltas, g, P)
+        m2, m1 = t_moments(deltas, sample_blocks(g), P)
         t = t_minus_value(deltas[:, None], g, P)
         np.testing.assert_allclose(m2, np.mean(np.abs(t) ** 2, axis=1), rtol=1e-12)
         np.testing.assert_allclose(m1, np.mean(t, axis=1), rtol=1e-12)
 
     def test_scalar_detuning_gives_one_pair(self):
-        m2, m1 = t_moments(MHZ, np.array([P.g0]), P)
+        m2, m1 = t_moments(MHZ, sample_blocks(np.array([P.g0])), P)
         t = complex(t_minus_value(MHZ, P.g0, P))
         assert m2.shape == m1.shape == (1,)
         assert m2[0] == pytest.approx(abs(t) ** 2, rel=1e-14)
@@ -131,7 +132,12 @@ class TestMoments:
     @pytest.mark.parametrize("g", [np.array([]), np.full((3, 2), P.g0)], ids=["empty", "2-D"])
     def test_coupling_samples_must_be_1d_and_non_empty(self, g):
         with pytest.raises(ValueError, match="1-D"):
-            t_moments(MHZ * np.array([-1.1, 0.0]), g, P)
+            t_moments(MHZ * np.array([-1.1, 0.0]), sample_blocks(g), P)
+
+    def test_an_array_is_not_a_block_sequence(self):
+        # Iterating a bare 1-D array yields 0-D samples, which are rejected.
+        with pytest.raises(ValueError, match="1-D"):
+            t_moments(MHZ, np.full(3, P.g0), P)
 
     @pytest.mark.parametrize("n", [1, 14, 50])
     def test_block_boundaries_match_per_sample_means(self, monkeypatch, n):
@@ -140,7 +146,7 @@ class TestMoments:
         monkeypatch.setattr(optics, "MOMENT_BLOCK", 7)
         g = P.g0 * np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
         deltas = MHZ * np.linspace(-3.0, 3.0, 7)
-        m2, m1 = t_moments(deltas, g, P)
+        m2, m1 = t_moments(deltas, sample_blocks(g), P)
         t = t_minus_value(deltas[:, None], g, P)
         np.testing.assert_allclose(m2, np.mean(np.abs(t) ** 2, axis=1), rtol=1e-12)
         np.testing.assert_allclose(m1, np.mean(t, axis=1), rtol=1e-12)
@@ -158,7 +164,7 @@ class TestMoments:
         monkeypatch.setattr(optics, "t_minus_value", counted)
         g = P.g0 * np.linspace(-1.0, 1.0, 50)
         deltas = MHZ * np.linspace(-2.0, 2.0, 5)
-        t_moments(deltas, g, P)
+        t_moments(deltas, sample_blocks(g), P)
         assert sum(elements) == deltas.size * g.size
 
     def test_peak_memory_independent_of_the_sample_count(self):
@@ -168,7 +174,7 @@ class TestMoments:
         deltas = MHZ * np.linspace(-3.0, 3.0, 121)
         tracemalloc.start()
         try:
-            t_moments(deltas, g, P)
+            t_moments(deltas, sample_blocks(g), P)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -178,10 +184,10 @@ class TestMoments:
         src = os.path.dirname(os.path.dirname(optics.__file__))
         code = (
             "import numpy as np\n"
-            "from spinfaraday.optics import t_moments\n"
+            "from spinfaraday.optics import sample_blocks, t_moments\n"
             "from spinfaraday.params import DEFAULT_PARAMS as P, TWO_PI\n"
             "g = P.g0 * np.random.default_rng(3).uniform(-1.0, 1.0, size=200_000)\n"
-            "m2, m1 = t_moments(TWO_PI * 1e6 * np.linspace(-3.0, 3.0, 13), g, P)\n"
+            "m2, m1 = t_moments(TWO_PI * 1e6 * np.linspace(-3.0, 3.0, 13), sample_blocks(g), P)\n"
             "print(m2.tobytes().hex() + m1.tobytes().hex())\n"
         )
         outputs = []
