@@ -266,7 +266,7 @@ def sample_selected_trajectories(
     slice is thinned over only the columns up to its last click in
     ``[0, t_total]`` (click times grow along a row). A slice's accepted
     clicks are paired into coincidences right after thinning, so no
-    batch-wide click mask is held.
+    batch-wide click mask is held; thinning stops at the n-th atom.
 
     The ratio is evaluated only on candidate clicks that pass an exact
     prefilter. The height y depends on t alone, and x^2, z^2 >= 0 and
@@ -343,6 +343,8 @@ def sample_selected_trajectories(
             r0_parts.append(start + velocity * t_sel[:, None])
             v_parts.append(velocity)
             selected += rows.size
+            if selected == n:
+                break
     r0, velocity = np.concatenate(r0_parts), np.concatenate(v_parts)
     return Ensemble(r0, velocity, motion)
 

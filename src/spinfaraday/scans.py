@@ -17,13 +17,14 @@ The count-based rotation estimator is bounded by +-45 degrees (all counts in
 one port). In the cavity-locked configuration there is an exact lossless
 point where the coupled transmittance equals i times the uncoupled one; the
 estimator reaches the full 45 degrees there. ``lossless_rotation_point``
-solves for it in closed form up to a one-dimensional root find, and the
-feasibility report reads its best mirror off that point without a search:
-the lossless reflectivity, clipped to the allowed range.
+solves for it in closed form, and the feasibility report reads its best
+mirror off that point without a search: the lossless reflectivity, clipped
+to the allowed range.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -34,10 +35,10 @@ from .optics import rotation_curve
 from .params import (
     DEFAULT_GEOMETRY,
     DEFAULT_PARAMS,
+    SPEED_OF_LIGHT,
     CavityGeometry,
     SystemParams,
     TWO_PI,
-    derive_kappa,
     params_for_geometry,
 )
 
@@ -52,7 +53,6 @@ class MaxRotation(NamedTuple):
 
     angle: float        # rad
     delta_star: float   # rad/s, detuning of the maximum (negative branch)
-    non_unimodal: bool  # True when the coarse grid shows multiple local maxima
 
 
 def _abs_rotation(delta: np.ndarray, params: SystemParams, mode: str) -> np.ndarray:
@@ -63,18 +63,23 @@ def _abs_rotation(delta: np.ndarray, params: SystemParams, mode: str) -> np.ndar
     return np.abs(rotation_curve(delta, params.g0, params, cavity_detuning))
 
 
+# scipy's ``golden`` ratio, rounded to 8 digits: fig6 pins that method's iterates.
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+
+
 def max_rotation(params: SystemParams, mode: str = PROBE_EQUALS_CAVITY) -> MaxRotation:
     """Maximize |rotation angle| over probe detuning.
 
     Scans a coarse grid on the negative-detuning half (the curve is
-    antisymmetric) and refines the best bracket by golden-section search.
-    A non-unimodal coarse profile is flagged and the refined global grid
-    maximum is returned anyway.
+    antisymmetric). A grid maximum strictly above both neighbours is refined
+    by scipy's ``golden`` iterates (xtol 1e-12, at most 5000 steps), and the
+    refined point replaces it unless lower.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if params.g0 == 0.0:
-        return MaxRotation(0.0, 0.0, False)
+        return MaxRotation(0.0, 0.0)
 
     span = 6.0 * max(params.g0, params.kappa) + 8.0 * params.gamma
     grid = np.linspace(-span, 0.0, MAX_ROTATION_COARSE_POINTS)
@@ -82,35 +87,34 @@ def max_rotation(params: SystemParams, mode: str = PROBE_EQUALS_CAVITY) -> MaxRo
 
     best = int(np.argmax(values))
     if values[best] <= 0.0:
-        return MaxRotation(0.0, 0.0, False)
-
-    interior = values[1:-1]
-    local_max = (interior >= values[:-2]) & (interior >= values[2:]) & (interior > 0.0)
-    non_unimodal = int(np.count_nonzero(local_max)) > 1
-
+        return MaxRotation(0.0, 0.0)
+    grid_max = MaxRotation(float(values[best]), float(grid[best]))
     if best == 0 or best == grid.size - 1:
-        return MaxRotation(float(values[best]), float(grid[best]), non_unimodal)
+        return grid_max
 
-    # scipy is imported where it is used, so commands that never optimize
-    # do not pay its import at start-up.
-    from scipy.optimize import minimize_scalar
+    def f(delta: float) -> float:
+        return float(_abs_rotation(np.array([delta]), params, mode)[0])
 
-    def negative_objective(delta: float) -> float:
-        return -float(_abs_rotation(np.array([delta]), params, mode)[0])
-
-    angle, delta_star = float(values[best]), float(grid[best])
-    try:
-        result = minimize_scalar(
-            negative_objective,
-            bracket=(grid[best - 1], grid[best], grid[best + 1]),
-            method="golden",
-            options={"xtol": 1e-12},
-        )
-        if -float(result.fun) >= angle:
-            angle, delta_star = -float(result.fun), float(result.x)
-    except ValueError:
-        pass
-    return MaxRotation(angle, delta_star, non_unimodal)
+    x0, xb, x3 = (float(x) for x in grid[best - 1 : best + 2])
+    fb = f(xb)
+    if not (fb > f(x0) and fb > f(x3)):
+        return grid_max
+    if abs(x3 - xb) > abs(xb - x0):
+        x1, x2 = xb, xb + _GOLDEN_C * (x3 - xb)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - x0), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1, x2 = x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN_R * x1 + _GOLDEN_C * x0
+            f2, f1 = f1, f(x1)
+    refined = MaxRotation(f1, x1) if f1 > f2 else MaxRotation(f2, x2)
+    return refined if refined.angle >= grid_max.angle else grid_max
 
 
 @dataclass(frozen=True)
@@ -211,31 +215,24 @@ def lossless_rotation_point(
     full range) when
 
         delta = -g^2 / (2 (kappa + gamma/2))   and
-        kappa*gamma/2 - delta^2 + g^2/2 = 0.
+        kappa*gamma/2 - delta^2 + g^2/2 = 0,
 
-    The second equation is solved for kappa by bisection, then the mirror
-    reflectivity giving that kappa at the anchor length is found the same
-    way. Raises ValueError when the coupling is zero (no such point).
+    that is, (2 kappa gamma + 2 g^2)(kappa + gamma/2)^2 = g^4: in
+    u = g/(kappa + gamma/2) and c = gamma/g, u^3 - (2 - c^2) u - 2c = 0,
+    whose largest root is Cardano's in complex arithmetic. The mirror inverts
+    derive_kappa at the anchor length: sqrt(R) = 2/(a + sqrt(a^2 + 4)), with
+    a = 2 L kappa / c. Raises ValueError unless g0 > gamma/sqrt(2) (kappa > 0).
     """
-    from scipy.optimize import brentq
-
-    g_sq = anchor.g0**2
-    if g_sq <= 0.0:
-        raise ValueError("lossless rotation point requires nonzero coupling")
-    gamma = anchor.gamma
-
-    def residual(kappa: float) -> float:
-        delta = -g_sq / (2.0 * (kappa + 0.5 * gamma))
-        return kappa * gamma / 2.0 - delta**2 + g_sq / 2.0
-
-    kappa_lo, kappa_hi = TWO_PI * 1.0, TWO_PI * 1e9
-    kappa_star = float(brentq(residual, kappa_lo, kappa_hi, xtol=1e-6, rtol=1e-15))
-    delta_star = -g_sq / (2.0 * (kappa_star + 0.5 * gamma))
-
-    def kappa_gap(rho: float) -> float:
-        return derive_kappa(replace(anchor_geometry, reflectivity=rho)) - kappa_star
-
-    rho_star = float(brentq(kappa_gap, 0.9, 1.0 - 1e-12, xtol=1e-15, rtol=1e-15))
+    g, gamma = anchor.g0, anchor.gamma
+    if not g * g > 0.5 * gamma * gamma:
+        raise ValueError("lossless rotation point requires g0 > gamma/sqrt(2)")
+    c = gamma / g
+    p = 2.0 - c * c
+    w = (c + cmath.sqrt(c * c - p**3 / 27.0)) ** (1.0 / 3.0)
+    kappa_star = g / (w + p / (3.0 * w)).real - 0.5 * gamma
+    delta_star = -g * g / (2.0 * (kappa_star + 0.5 * gamma))
+    a = 2.0 * anchor_geometry.length * kappa_star / SPEED_OF_LIGHT
+    rho_star = (2.0 / (a + math.sqrt(a * a + 4.0))) ** 2
     return LosslessPoint(kappa=kappa_star, delta=delta_star, reflectivity=rho_star)
 
 

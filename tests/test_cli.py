@@ -39,16 +39,32 @@ def patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize is imported inside the few scans that call it, so
-    # commands that never optimize do not pay for it at start-up.
+def test_every_command_runs_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every import of scipy fail, so a
+    # command that still reached for it would exit non-zero or raise.
+    config = tmp_path / "coincidence.json"
+    config.write_text(json.dumps({"ensemble": "coincidence"}))
+    argvs = [
+        ["fig2", "--samples", "1", "--grid=-1:1:3"],
+        ["fig4", "--samples", "20"],
+        ["fig4", "--samples", "20", "--config", str(config)],
+        ["fig5", "--samples", "20"],
+        ["fig6"],
+        ["validate", "--samples", "5"],
+    ]
+    for i, argv in enumerate(argvs):
+        argv += ["--out", str(tmp_path / str(i))]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from spinfaraday.cli import main\n"
+        f"print([main(argv) for argv in {argvs!r}], sys.modules['scipy'])"
+    )
     src = os.path.dirname(os.path.dirname(spinfaraday.__file__))
-    code = "import sys, spinfaraday.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == f"{[0] * len(argvs)} None"
 
 
 class TestValidate:

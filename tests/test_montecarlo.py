@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinfaraday import optics
+from spinfaraday import montecarlo, optics
 from spinfaraday.montecarlo import (
     COINCIDENCE_BATCH_SIZE,
     COINCIDENCE_START_HEIGHT,
@@ -341,6 +341,18 @@ class TestCoincidenceSelection:
         a = sample_selected_trajectories(MotionModel(seed=4), P, 50)
         b = sample_selected_trajectories(MotionModel(seed=4), P, 50)
         assert np.array_equal(a.r0, b.r0) and np.array_equal(a.velocity, b.velocity)
+
+    def test_stops_thinning_once_n_are_selected(self, monkeypatch):
+        # the first row slice of the first batch already holds 50 coincidences
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _first_coincidences(*args)
+
+        monkeypatch.setattr(montecarlo, "_first_coincidences", counted)
+        assert len(sample_selected_trajectories(MotionModel(), P, 50)) == 50
+        assert len(calls) == 1
 
     def test_hopeless_rate_raises(self):
         with pytest.raises(SelectionError):
