@@ -12,14 +12,21 @@ cavity line, so the photon-number collapse rate is 2*kappa; atomic decay has
 rate gamma. For an atom drive the Hamiltonian term is amp*sp + conj(amp)*sm,
 so a resonant Rabi frequency Omega corresponds to amplitude Omega/2.
 
-Every steady state, single point or detuning grid, comes from one batched
-direct trace-row solve (Nation, "Steady-state solution methods for open
-quantum optical systems", arXiv:1504.06768) in a real Hermitian operator
-basis, where a Hermitian-preserving generator is a real matrix and the trace
-row is ones on the diagonal components. Hermiticity is checked on the
-generator as it enters that basis (rho = T r is Hermitian by construction),
-unit trace and positivity on each solved point; the callers check the top
-Fock population.
+Every steady state is a direct trace-row solve (Nation, "Steady-state
+solution methods for open quantum optical systems", arXiv:1504.06768) in a
+real Hermitian operator basis, where a Hermitian-preserving generator is a
+real matrix and the trace row is ones on the diagonal components. A single
+point (steady_state) solves the whole d^2 x d^2 generator. A lineshape grid
+solves a smaller system per detuning: its drive and jump operators are real,
+so the dissipator keeps the symmetric components (diagonal and symmetric
+off-diagonal, s = d(d+1)/2) and the antisymmetric ones (a = d(d-1)/2) apart,
+and the Hamiltonian and detuning terms only couple the two; a Schur
+complement over the constant symmetric block leaves one a x a system per
+detuning (28 x 28 at cutoff 3, against 64 x 64). Hermiticity is checked on
+the generator as it enters the basis (rho = T r is Hermitian by
+construction), the block structure on each lineshape position, and unit
+trace and positivity on each solved point, by one helper for both solves;
+the callers check the top Fock population.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,44 +202,62 @@ def _to_real(liou: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(full.real), ok
 
 
-def _solve_real(
-    liou_r: np.ndarray, cutoff: int, ok: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Checked steady states of a stack of real-basis generators (n, d^2, d^2).
+def _solve_points(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Solutions of a stack of systems a x = b (n, m, m) by (n, m, k).
 
-    Row 0 of every generator is overwritten in place by the trace row, and
-    the stack is solved in one call; if that call meets a singular system,
-    the points are solved one by one. A point fails when it is false in ok
-    on entry, when its system is singular, or when its solution misses unit
-    trace by more than 1e-10 or has an eigenvalue below -1e-8. Failures are
-    reported one way only: the point is cleared in ok, in place. Returns
-    (rho, top_fock): the density matrices (n, d, d) and their top Fock
-    populations (n,), NaN at the failed points.
+    The stack is solved in one call; if that call meets a singular system,
+    the points are solved one by one, and a singular point is left NaN and
+    cleared in ok, in place.
     """
-    n, size = liou_r.shape[:2]
-    dim = 2 * (cutoff + 1)
-    liou_r[:, 0, :] = 0.0
-    liou_r[:, 0, :dim] = 1.0
-    rhs = np.zeros((n, size, 1))
-    rhs[:, 0] = 1.0
-
     try:
-        r = np.linalg.solve(liou_r, rhs)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        r = np.full_like(rhs, np.nan)
-        for k in range(n):
+        x = np.full(b.shape, np.nan)
+        for k in range(a.shape[0]):
             try:
-                r[k] = np.linalg.solve(liou_r[k], rhs[k])
+                x[k] = np.linalg.solve(a[k], b[k])
             except np.linalg.LinAlgError:
                 ok[k] = False
+        return x
 
-    ok &= np.abs(r[:, :dim, 0].sum(axis=1) - 1.0) <= TRACE_TOLERANCE
-    rho = (_hermitian_basis(dim) @ r).reshape(n, dim, dim)
+
+def _checked_states(
+    r: np.ndarray, cutoff: int, ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked density matrices of real-basis solutions r (n, d^2).
+
+    A point fails when it is false in ok on entry, or when its solution
+    misses unit trace by more than 1e-10 or has an eigenvalue below -1e-8.
+    Failures are reported one way only: the point is cleared in ok, in
+    place. Returns (rho, top_fock): the density matrices (n, d, d) and their
+    top Fock populations (n,), NaN at the failed points.
+    """
+    dim = 2 * (cutoff + 1)
+    ok &= np.abs(r[:, :dim].sum(axis=1) - 1.0) <= TRACE_TOLERANCE
+    rho = (r @ _hermitian_basis(dim).T).reshape(r.shape[0], dim, dim)
     if ok.any():
         min_eig = np.linalg.eigvalsh(rho[ok]).min(axis=1)
         ok[ok] = min_eig >= EIGENVALUE_FLOOR
     rho[~ok] = np.nan
     return rho, _top_fock_population(rho, cutoff)
+
+
+def _solve_real(
+    liou_r: np.ndarray, cutoff: int, ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked steady states of a stack of real-basis generators (n, d^2, d^2).
+
+    Row 0 of every generator is overwritten in place by the trace row, the
+    stack is solved by _solve_points and the solutions are checked by
+    _checked_states, which clear the failed points in ok. Returns (rho,
+    top_fock), NaN at the failed points.
+    """
+    n, size = liou_r.shape[:2]
+    liou_r[:, 0, :] = 0.0
+    liou_r[:, 0, :2 * (cutoff + 1)] = 1.0
+    rhs = np.zeros((n, size, 1))
+    rhs[:, 0] = 1.0
+    return _checked_states(_solve_points(liou_r, rhs, ok)[:, :, 0], cutoff, ok)
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
@@ -336,6 +362,38 @@ def _mirror_map(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum.reduceat(detunings[order], np.flatnonzero(new)), feeds
 
 
+class _Schur(NamedTuple):
+    """One atom position's trace-row lineshape system, reduced to its
+    antisymmetric components by a Schur complement: T(delta) x_A =
+    -(h_w + delta n_w) with T(delta) = t[0] + delta t[1] + delta^2 t[2], and
+    then x_S = w - (wh + delta wn) x_A for the diagonal and symmetric ones."""
+
+    t: np.ndarray    # (3, a, a)
+    h_w: np.ndarray  # (a, 1)
+    n_w: np.ndarray  # (a, 1)
+    w: np.ndarray    # (s,)
+    wh: np.ndarray   # (s, a)
+    wn: np.ndarray   # (s, a)
+
+
+def _solve_schur(
+    stack: np.ndarray, detunings: np.ndarray, schur: _Schur, cutoff: int, ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked steady states of one position at detunings (n,).
+
+    stack (n, a, a) is filled in place with T(delta) and solved by
+    _solve_points; the lifted solutions (x_S, x_A) go through
+    _checked_states, so a singular or failed point is cleared in ok.
+    Returns (rho, top_fock), NaN at the failed points.
+    """
+    powers = np.vander(detunings, 3, increasing=True)
+    np.matmul(powers, schur.t.reshape(3, -1), out=stack.reshape(detunings.size, -1))
+    rhs = -(schur.h_w + detunings[:, None, None] * schur.n_w)
+    x_a = _solve_points(stack, rhs, ok)[:, :, 0]
+    x_s = schur.w - x_a @ schur.wh.T - detunings[:, None] * (x_a @ schur.wn.T)
+    return _checked_states(np.concatenate((x_s, x_a), axis=1), cutoff, ok)
+
+
 def fluorescence_lineshape(
     params: SystemParams,
     power_scale: float,
@@ -375,9 +433,26 @@ def fluorescence_lineshape(
     points over all atom positions of the final cutoff, so a failed solve
     counts once for each grid point it feeds.
 
+    Each solved detuning is one a x a system, not the d^2 x d^2 generator
+    that steady_state solves. In the real basis the generator at one
+    position is [[D_SS, H_SA + delta N_SA], [H_AS + delta N_AS, D_AA]],
+    with D the dissipator 2 kappa D[a] + gamma D[sm], H the position's
+    Hamiltonian part (read from its one liouvillian at delta = 0) and N the
+    detuning generator; the trace row replaces row 0 of D_SS (giving D') and
+    of H_SA and N_SA. With W = D'^-1 and w = W e_0 (once per cutoff), the
+    antisymmetric part solves (T0 + delta T1 + delta^2 T2) x_A =
+    -(H_AS + delta N_AS) w with T0 = D_AA - H_AS W H_SA, T1 = -(H_AS W N_SA
+    + N_AS W H_SA) (once per position) and T2 = -N_AS W N_SA (once per
+    cutoff), and x_S = w - W (H_SA + delta N_SA) x_A. A position fails
+    whole when its S-S or A-A block differs from the dissipator's by more
+    than 1e-10 times its largest entry, as a complex drive would make it; a
+    singular D' or T(delta) fails its points alone. The lifted solutions go
+    through the same trace and positivity checks as steady_state's.
+
     The Fock cutoff starts at LINESHAPE_START_CUTOFF and adapts upward (in
     steps of 2, up to MAX_LINESHAPE_CUTOFF) until the top level holds less
-    than 1e-6 population; CutoffError if that never happens.
+    than 1e-6 population; a pass stops at its first position over that
+    limit, and CutoffError if that never happens.
     """
     if not (math.isfinite(power_scale) and power_scale >= 0.0):
         raise ValueError(f"power_scale must be finite and non-negative, got {power_scale}")
@@ -403,12 +478,30 @@ def fluorescence_lineshape(
     solved, feeds = _mirror_map(detunings)
     for cutoff in range(LINESHAPE_START_CUTOFF, MAX_LINESHAPE_CUTOFF + 1, 2):
         ops = _operators(cutoff)
+        dim = 2 * (cutoff + 1)
+        sym = dim * (dim + 1) // 2  # diagonal and symmetric components
         # H(delta) = H(0) - delta * N with N = a^dag a + sp sm, so the
         # real-basis generator is L0 + delta * Ld with Ld fixed per cutoff.
-        liou_detuning, detuning_ok = _to_real(
-            _commutator_superoperator(-(ops.number + ops.excited))[None]
+        (dissipator, liou_detuning), built_ok = _to_real(
+            np.stack((
+                2.0 * params.kappa * ops.loss + params.gamma * ops.decay,
+                _commutator_superoperator(-(ops.number + ops.excited)),
+            ))
         )
-        stack = np.empty((min(solved.size, LINESHAPE_BLOCK),) + liou_detuning.shape[1:])
+        cutoff_ok = np.array([built_ok.all()])
+        # D' = the dissipator's S-S block with the trace row; W = D'^-1.
+        trace_block = dissipator[:sym, :sym].copy()
+        trace_block[0] = 0.0
+        trace_block[0, :dim] = 1.0
+        w_inv = _solve_points(trace_block[None], np.eye(sym)[None], cutoff_ok)[0]
+        n_sa = liou_detuning[:sym, sym:].copy()
+        n_sa[0] = 0.0
+        n_as = liou_detuning[sym:, :sym]
+        w = w_inv[:, 0]
+        wn = w_inv @ n_sa
+        t2 = -(n_as @ wn)
+        n_w = (n_as @ w)[:, None]
+        stack = np.empty((min(solved.size, LINESHAPE_BLOCK), dim * dim - sym, dim * dim - sym))
         # Photons scattered per unit time by each product-basis population.
         emission = np.real(
             2.0 * params.kappa * np.diagonal(ops.number) + params.gamma * np.diagonal(ops.excited)
@@ -428,18 +521,33 @@ def fluorescence_lineshape(
                 drive_target="atom",
             )
             liou0, ok0 = _to_real(liouvillian(model)[None])
-            ok[s] = ok0[0] and detuning_ok[0]
+            h = liou0[0]
+            gap = np.abs(h - dissipator)
+            blocks_ok = max(gap[:sym, :sym].max(), gap[sym:, sym:].max()) <= (
+                HERMITICITY_TOLERANCE * np.abs(h).max()
+            )
+            ok[s] = ok0[0] and cutoff_ok[0] and blocks_ok
+            h_sa = h[:sym, sym:].copy()
+            h_sa[0] = 0.0
+            h_as = h[sym:, :sym]
+            wh = w_inv @ h_sa
+            schur = _Schur(
+                t=np.stack((dissipator[sym:, sym:] - h_as @ wh, -(h_as @ wn + n_as @ wh), t2)),
+                h_w=(h_as @ w)[:, None],
+                n_w=n_w,
+                w=w,
+                wh=wh,
+                wn=wn,
+            )
             for start in range(0, solved.size, LINESHAPE_BLOCK):
                 cols = slice(start, start + LINESHAPE_BLOCK)
                 block = solved[cols]
-                # The stack is refilled in place here and overwritten by the solver.
-                view = stack[:block.size]
-                np.multiply(block[:, None, None], liou_detuning[0], out=view)
-                view += liou0[0]
-                rho, top_pop = _solve_real(view, cutoff, ok[s, cols])
+                rho, top_pop = _solve_schur(stack[:block.size], block, schur, cutoff, ok[s, cols])
                 rates[s, cols] = np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
                 if ok[s, cols].any():
                     worst_top = max(worst_top, float(np.nanmax(top_pop)))
+            if worst_top >= TOP_FOCK_TOLERANCE:
+                break  # this cutoff is rejected; the remaining positions need not be solved
         if worst_top < TOP_FOCK_TOLERANCE:
             break
     else:

@@ -305,8 +305,10 @@ def cnot_feasibility(
     mirror is the lossless reflectivity clipped to the bounds (``rho_limit``
     is a technology limit: better coatings can always be specified down).
     The lossless point itself reads 45 degrees exactly; a clipped point goes
-    through the cavity-locked design-point evaluation. Raises ValueError
-    when ``lossless_rotation_point`` finds no lossless point.
+    through the cavity-locked design-point evaluation. Without a lossless
+    point (g0 <= gamma/sqrt(2), g0 = 0 included) the angle rises with the
+    reflectivity over the whole range, so the report is infeasible at
+    ``rho_limit``.
     """
     if not (0.0 < rho_floor < rho_limit < 1.0):
         raise ValueError("need 0 < rho_floor < rho_limit < 1")
@@ -315,20 +317,13 @@ def cnot_feasibility(
         _, result = _design_point(params, anchor_geometry, reflectivity=rho)
         return math.degrees(result.angle), result.delta_star / (TWO_PI * 1e6)
 
-    if params.g0 == 0.0:
-        return CnotReport(
-            feasible=False,
-            best_angle_deg=0.0,
-            best_reflectivity=rho_limit,
-            best_delta_mhz=0.0,
-            angle_at_limit_deg=0.0,
-            spin_split_deg=0.0,
-            rotation_up_deg=0.0,
-        )
-
-    lossless = lossless_rotation_point(params, anchor_geometry)
-    best_rho = min(max(lossless.reflectivity, rho_floor), rho_limit)
-    if best_rho == lossless.reflectivity:
+    if params.g0 * params.g0 > 0.5 * params.gamma * params.gamma:
+        lossless = lossless_rotation_point(params, anchor_geometry)
+        best_rho = min(max(lossless.reflectivity, rho_floor), rho_limit)
+        at_lossless = best_rho == lossless.reflectivity
+    else:
+        best_rho, at_lossless = rho_limit, False
+    if at_lossless:
         best_angle, best_delta = 45.0, lossless.delta / (TWO_PI * 1e6)
     else:
         best_angle, best_delta = angle_at(best_rho)

@@ -251,19 +251,19 @@ class TestFig2:
     def test_failed_point_warning_counts_grid_points_over_positions(
         self, tmp_path, capsys, monkeypatch
     ):
-        solve_real = lindblad._solve_real
+        solve_schur = lindblad._solve_schur
         calls = []
 
-        def fail_last_point_once(liou_r, cutoff, ok):
-            rho, top_fock = solve_real(liou_r, cutoff, ok)
+        def fail_last_point_once(stack, detunings, schur, cutoff, ok):
+            rho, top_fock = solve_schur(stack, detunings, schur, cutoff, ok)
             if not calls:
                 ok[-1] = False
                 rho[-1] = np.nan
                 top_fock[-1] = np.nan
-            calls.append(liou_r.shape[0])
+            calls.append(stack.shape[0])
             return rho, top_fock
 
-        monkeypatch.setattr(lindblad, "_solve_real", fail_last_point_once)
+        monkeypatch.setattr(lindblad, "_solve_schur", fail_last_point_once)
         argv = ["fig2", "--out", str(tmp_path), "--samples", "2", "--grid=-2:2:5"]
         assert main(argv) == 0
         # The first solve of 1 nW covers 0, 1, 2 MHz; its failed +2 MHz point

@@ -14,6 +14,7 @@ from spinfaraday.lindblad import (
     LindbladModel,
     _hermitian_basis,
     _solve_real,
+    _solve_schur,
     _to_real,
     curve_fwhm,
     fluorescence_lineshape,
@@ -287,7 +288,7 @@ class TestLineshape:
         def no_solve(*args, **kw):
             raise AssertionError("solved before the input was checked")
 
-        monkeypatch.setattr(lindblad, "_solve_real", no_solve)
+        monkeypatch.setattr(lindblad, "_solve_points", no_solve)
         args = {"power_scale": 0.5, "n_samples": 10} | kwargs
         with pytest.raises(ValueError, match=match):
             fluorescence_lineshape(P, args.pop("power_scale"), GRID, **args)
@@ -295,6 +296,14 @@ class TestLineshape:
     def test_pinned_atom_ignores_sample_count(self):
         pinned = fluorescence_lineshape(P, 0.5, GRID[:5], average_positions=False, n_samples=0)
         assert pinned.failed_points == 0
+
+
+def scattered_rate(rho, cutoff):
+    """2 kappa <n> + gamma <sigma_ee> of a density matrix (P's rates)."""
+    return (
+        2.0 * P.kappa * expect(rho, "number", cutoff).real
+        + P.gamma * expect(rho, "excited", cutoff).real
+    )
 
 
 def atom_driven_rate(g, omega, delta, cutoff):
@@ -307,11 +316,7 @@ def atom_driven_rate(g, omega, delta, cutoff):
         drive_amplitude=0.5 * omega, drive_target="atom",
         detuning_atom=float(delta), detuning_cavity=float(delta),
     )
-    rho = solve_stack(liouvillian(model)[None], cutoff)[0][0]
-    return (
-        2.0 * P.kappa * expect(rho, "number", cutoff).real
-        + P.gamma * expect(rho, "excited", cutoff).real
-    )
+    return scattered_rate(solve_stack(liouvillian(model)[None], cutoff)[0][0], cutoff)
 
 
 class TestBatchedSolver:
@@ -349,15 +354,14 @@ class TestBatchedSolver:
 class TestMirror:
     @pytest.fixture
     def stack_sizes(self, monkeypatch):
-        """Rows of every stack the lineshape hands to _solve_real."""
+        """Rows of every stack the lineshape hands to _solve_schur."""
         sizes = []
-        solve_real = lindblad._solve_real
 
-        def counted(liou_r, cutoff, ok):
-            sizes.append(liou_r.shape[0])
-            return solve_real(liou_r, cutoff, ok)
+        def counted(stack, *args):
+            sizes.append(stack.shape[0])
+            return _solve_schur(stack, *args)
 
-        monkeypatch.setattr(lindblad, "_solve_real", counted)
+        monkeypatch.setattr(lindblad, "_solve_schur", counted)
         return sizes
 
     def test_solves_each_distinct_magnitude_once(self, stack_sizes):
@@ -510,6 +514,115 @@ class TestRealBasis:
         shape = fluorescence_lineshape(P, 1.0 / 300.0, grid, n_samples=3)
         assert shape.fock_cutoff == 3
         assert len(calls) == 3
+
+        # At power 30 cutoff 3 is rejected: its pass stops at the first
+        # position whose top Fock level is over the limit.
+        calls.clear()
+        shape = fluorescence_lineshape(P, 30.0, grid, n_samples=8)
+        cutoffs = [model.fock_cutoff for model in calls]
+        assert shape.fock_cutoff == 5
+        assert 0 < cutoffs.count(3) < 8
+        assert cutoffs.count(5) == 8
+
+
+class TestSchurSolve:
+    """The lineshape's reduced solve against the dense real-basis solve."""
+
+    @given(
+        g_ratio=st.floats(0.0, 2.0),
+        omega_ratio=st.floats(0.01, 3.0),
+        delta_mhz=st.floats(-20.0, 20.0),
+        cutoff=st.sampled_from([3, 5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_solve(self, g_ratio, omega_ratio, delta_mhz, cutoff):
+        solved = []
+
+        def captured(stack, detunings, schur, at_cutoff, ok):
+            rho, top_fock = _solve_schur(stack, detunings, schur, at_cutoff, ok)
+            solved.append((at_cutoff, detunings.copy(), rho.copy(), ok.copy()))
+            return rho, top_fock
+
+        params = replace(P, g0=g_ratio * P.g0, rabi=omega_ratio * P.rabi)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lindblad, "_solve_schur", captured)
+            patch.setattr(lindblad, "LINESHAPE_START_CUTOFF", cutoff)
+            shape = fluorescence_lineshape(
+                params, 1.0, np.array([delta_mhz * MHZ]), average_positions=False
+            )
+        assert solved[0][0] == cutoff
+        for at_cutoff, detunings, rho, ok in solved:
+            model = LindbladModel(
+                fock_cutoff=at_cutoff, g=params.g0, kappa=P.kappa, gamma=P.gamma,
+                drive_amplitude=0.5 * params.rabi, drive_target="atom",
+                detuning_atom=float(detunings[0]), detuning_cavity=float(detunings[0]),
+            )
+            dense, _, dense_ok = solve_stack(liouvillian(model)[None], at_cutoff)
+            np.testing.assert_array_equal(ok, dense_ok)
+            if ok[0]:
+                assert np.max(np.abs(rho - dense)) <= 1e-12 * np.max(np.abs(dense))
+                rate, expected = (scattered_rate(r[0], at_cutoff) for r in (rho, dense))
+                assert abs(rate - expected) <= 1e-12 * abs(expected)
+        at_cutoff, _, rho, ok = solved[-1]
+        assert shape.fock_cutoff == at_cutoff
+        if ok[0]:
+            assert shape.rate[0] == pytest.approx(scattered_rate(rho[0], at_cutoff), rel=1e-12)
+
+    def test_stacks_are_the_antisymmetric_block(self, monkeypatch):
+        shapes = []
+
+        def counted(stack, *args):
+            shapes.append(stack.shape)
+            return _solve_schur(stack, *args)
+
+        monkeypatch.setattr(lindblad, "_solve_schur", counted)
+        grid = MHZ * np.linspace(-6.0, 6.0, 31)
+        shape = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3)
+        assert shape.fock_cutoff == 3
+        # d = 8: 64 real components, 36 diagonal and symmetric, 28 antisymmetric.
+        assert shapes == [(16, 28, 28)] * 3
+
+    def test_singular_reduced_system_fails_alone(self):
+        # T(delta) = (1 - delta) * identity is singular at delta = 1 only.
+        size = 28
+        eye = np.eye(size)
+        schur = lindblad._Schur(
+            t=np.stack((eye, -eye, 0.0 * eye)),
+            h_w=np.ones((size, 1)),
+            n_w=np.zeros((size, 1)),
+            w=np.eye(36)[0],
+            wh=np.zeros((36, size)),
+            wn=np.zeros((36, size)),
+        )
+        ok = np.ones(3, dtype=bool)
+        stack = np.empty((3, size, size))
+        rho, top_fock = _solve_schur(stack, np.array([0.0, 1.0, 2.0]), schur, 3, ok)
+        assert not ok[1]
+        assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
+
+    def test_broken_block_structure_fails_its_position(self, monkeypatch):
+        models = []
+
+        def complex_drive(model):
+            models.append(model)
+            if len(models) == 2:
+                model = replace(model, drive_amplitude=model.drive_amplitude * (1.0 + 1e-6j))
+            return liouvillian(model)
+
+        monkeypatch.setattr(lindblad, "liouvillian", complex_drive)
+        grid = MHZ * np.linspace(-4.0, 4.0, 9)
+        shape = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=4)
+        assert shape.fock_cutoff == 3 and len(models) == 4
+        # The drive stays Hermitian, so only the block-structure check fails it.
+        broken = replace(models[1], drive_amplitude=models[1].drive_amplitude * (1.0 + 1e-6j))
+        assert _to_real(liouvillian(broken)[None])[1].all()
+        assert shape.failed_points == grid.size
+        kept = models[:1] + models[2:]
+        for delta, rate in zip(grid, shape.rate):
+            expected = np.mean(
+                [atom_driven_rate(m.g, 2.0 * m.drive_amplitude, delta, 3) for m in kept]
+            )
+            assert rate == pytest.approx(expected, rel=1e-12)
 
 
 class TestCurveFwhm:

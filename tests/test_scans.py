@@ -386,6 +386,19 @@ class TestCnotFeasibility:
         assert not report.feasible
         assert report.best_angle_deg == 0.0
 
+    def test_weak_coupling_infeasible_at_the_limit(self):
+        # g0 = gamma/2 < gamma/sqrt(2): no lossless point, and the angle
+        # rises with the reflectivity up to rho_limit.
+        weak = replace(P, g0=0.5 * P.gamma)
+        report = cnot_feasibility(weak)
+        assert not report.feasible
+        assert report.best_reflectivity == 0.99999
+        assert report.angle_at_limit_deg == report.best_angle_deg > 0.0
+        for rho in 1.0 - np.geomspace(1e-3, 1e-5, 200):
+            point = params_for_geometry(replace(DEFAULT_GEOMETRY, reflectivity=rho), weak)
+            angle = math.degrees(max_rotation(point, CAVITY_EQUALS_ATOM).angle)
+            assert angle <= report.best_angle_deg
+
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             cnot_feasibility(rho_limit=0.999, rho_floor=0.9999)
