@@ -1,9 +1,8 @@
-"""Dense Lindblad master-equation engine for one two-level atom coupled to
+"""Lindblad master-equation engine for one two-level atom coupled to
 one cavity mode.
 
 The Hilbert space is atom (ground, excited) tensor Fock(0..cutoff), so the
-density matrix has dimension 2*(cutoff+1) <= 26 and the vectorized
-Liouvillian stays small enough for direct dense solves.
+density matrix has dimension d = 2*(cutoff+1) <= 26.
 
 Conventions: the frame rotates at the drive frequency, so
 H = -delta_c a^dag a - delta_a sp sm + g (a^dag sm + a sp) + drive,
@@ -12,28 +11,17 @@ cavity line, so the photon-number collapse rate is 2*kappa; atomic decay has
 rate gamma. For an atom drive the Hamiltonian term is amp*sp + conj(amp)*sm,
 so a resonant Rabi frequency Omega corresponds to amplitude Omega/2.
 
-Every steady state is a direct trace-row solve (Nation, "Steady-state
-solution methods for open quantum optical systems", arXiv:1504.06768) in a
-real Hermitian operator basis, where a Hermitian-preserving generator is a
-real matrix and the trace row is ones on the diagonal components. A single
-point (steady_state) solves the whole d^2 x d^2 generator. A lineshape grid
-solves a smaller system per detuning: its drive and jump operators are real,
-so the dissipator keeps the symmetric components (diagonal and symmetric
-off-diagonal, s = d(d+1)/2) and the antisymmetric ones (a = d(d-1)/2) apart,
-and the Hamiltonian and detuning terms only couple the two; a Schur
-complement over the constant symmetric block leaves one a x a system per
-detuning (28 x 28 at cutoff 3, against 64 x 64). Hermiticity is checked on
-the generator as it enters the basis (rho = T r is Hermitian by
-construction), the block structure on each lineshape position, and unit
-trace and positivity on each solved point, by one helper for both solves;
-the callers check the top Fock population.
+Every steady state, a single point or a lineshape grid, comes from one
+reduced trace-row solve, _steady_states, whose docstring gives the
+derivation.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +59,10 @@ class LindbladModel:
     detuning_cavity: float = 0.0  # rad/s, drive minus cavity
 
     def __post_init__(self) -> None:
+        values = (self.g, self.kappa, self.gamma, self.drive_amplitude,
+                  self.detuning_atom, self.detuning_cavity)
+        if not all(cmath.isfinite(value) for value in values):
+            raise ValueError("g, kappa, gamma, drive_amplitude and the detunings must be finite")
         if not isinstance(self.fock_cutoff, int) or not (2 <= self.fock_cutoff <= 12):
             raise ValueError("fock_cutoff must be an integer in [2, 12]")
         if self.kappa <= 0.0 or self.gamma <= 0.0:
@@ -92,6 +84,9 @@ class _Operators:
     excited: np.ndarray
     loss: np.ndarray   # unit-rate dissipator of a
     decay: np.ndarray  # unit-rate dissipator of sm
+    # (3, d^2, d^2): loss, decay and the generator N of a detuning step,
+    # H(delta) = H(0) - delta (a^dag a + sp sm), in the basis of _to_real.
+    real: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,9 +102,13 @@ def _operators(cutoff: int) -> _Operators:
     a = np.kron(id_atom, destroy)
     sm = np.kron(sm_atom, id_fock)
     sp = sm.conj().T
+    number, excited = a.conj().T @ a, sp @ sm
+    loss, decay = _dissipator(a), _dissipator(sm)
+    detuning = _commutator_superoperator(-(number + excited))
     ops = _Operators(
-        a=a, sp=sp, sm=sm, number=a.conj().T @ a, excited=sp @ sm,
-        loss=_dissipator(a), decay=_dissipator(sm),
+        a=a, sp=sp, sm=sm, number=number, excited=excited, loss=loss, decay=decay,
+        # One generator at a time keeps the basis change's memory at one d^2 x d^2.
+        real=np.concatenate([_to_real(x[None])[0] for x in (loss, decay, detuning)]),
     )
     for array in vars(ops).values():
         array.flags.writeable = False
@@ -242,33 +241,122 @@ def _checked_states(
     return rho, _top_fock_population(rho, cutoff)
 
 
-def _solve_real(
-    liou_r: np.ndarray, cutoff: int, ok: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Checked steady states of a stack of real-basis generators (n, d^2, d^2).
+class _Parts(NamedTuple):
+    """The pieces of _steady_states fixed by the Fock cutoff, kappa and gamma."""
 
-    Row 0 of every generator is overwritten in place by the trace row, the
-    stack is solved by _solve_points and the solutions are checked by
-    _checked_states, which clear the failed points in ok. Returns (rho,
-    top_fock), NaN at the failed points.
+    dissipator: np.ndarray  # (d^2, d^2) real-basis D = 2 kappa D[a] + gamma D[sm]
+    w_inv: np.ndarray       # (s, s) W = D'^-1
+    n_as: np.ndarray        # (a, s) N_AS
+    wn: np.ndarray          # (s, a) W N_SA
+    t2: np.ndarray          # (a, a) T2 = -N_AS W N_SA
+    n_w: np.ndarray         # (a, 1) N_AS w
+    ok: bool                # false if D' is singular
+
+
+def _parts(cutoff: int, kappa: float, gamma: float) -> _Parts:
+    ops = _operators(cutoff)
+    dim = 2 * (cutoff + 1)
+    sym = dim * (dim + 1) // 2
+    dissipator = 2.0 * kappa * ops.real[0] + gamma * ops.real[1]
+    ok = np.ones(1, dtype=bool)
+    trace_block = dissipator[:sym, :sym].copy()
+    trace_block[0] = 0.0
+    trace_block[0, :dim] = 1.0
+    w_inv = _solve_points(trace_block[None], np.eye(sym)[None], ok)[0]
+    n_sa = ops.real[2, :sym, sym:].copy()
+    n_sa[0] = 0.0
+    n_as = ops.real[2, sym:, :sym]
+    wn = w_inv @ n_sa
+    return _Parts(
+        dissipator, w_inv, n_as, wn, -(n_as @ wn), (n_as @ w_inv[:, 0])[:, None], bool(ok[0])
+    )
+
+
+def _steady_states(
+    part: _Parts, model: LindbladModel, detunings: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked steady states of model with each of detunings (n,) added to
+    both its atom and its cavity detuning. part must be _parts of the
+    model's cutoff, kappa and gamma. Returns (rho, top_fock, ok): the
+    density matrices (n, d, d), their top Fock populations (n,) and the
+    pass mask (n,), with rho and top_fock NaN at the failed points.
+
+    Each point is a trace-row solve (Nation, arXiv:1504.06768) in a real
+    Hermitian operator basis, where a Hermitian-preserving generator is a
+    real matrix and the trace row is ones on the diagonal components. With
+    a real drive amplitude every drive and jump operator is real, so in the
+    basis the dissipator D keeps the symmetric components S (diagonal and
+    symmetric off-diagonal, s = d(d+1)/2) apart from the antisymmetric ones
+    A (a = d(d-1)/2), and the Hamiltonian and detuning terms only couple
+    the two. The generator at detuning delta is
+    [[D_SS, H_SA + delta N_SA], [H_AS + delta N_AS, D_AA]], with H read
+    from the model's one liouvillian and N the detuning generator. The
+    trace row replaces row 0 of D_SS (giving D') and of H_SA and N_SA. With
+    W = D'^-1 and w = W e_0, a Schur complement leaves one a x a system per
+    detuning (28 x 28 at cutoff 3, against 64 x 64):
+    (T0 + delta T1 + delta^2 T2) x_A = -(H_AS + delta N_AS) w, with
+    T0 = D_AA - H_AS W H_SA, T1 = -(H_AS W N_SA + N_AS W H_SA) and
+    T2 = -N_AS W N_SA, and then x_S = w - W (H_SA + delta N_SA) x_A.
+
+    The systems are solved by _solve_points in stacks of at most
+    LINESHAPE_BLOCK detunings and checked by _checked_states. Every point
+    fails when part failed, when the model's generator is not
+    Hermitian-preserving, or when its S-S or A-A block differs from D's by
+    more than 1e-10 times its largest entry, as a complex drive makes it
+    (steady_state rotates one away); a singular T(delta) or a failed trace
+    or positivity check fails its point alone.
     """
-    n, size = liou_r.shape[:2]
-    liou_r[:, 0, :] = 0.0
-    liou_r[:, 0, :2 * (cutoff + 1)] = 1.0
-    rhs = np.zeros((n, size, 1))
-    rhs[:, 0] = 1.0
-    return _checked_states(_solve_points(liou_r, rhs, ok)[:, :, 0], cutoff, ok)
+    cutoff = model.fock_cutoff
+    dim = 2 * (cutoff + 1)
+    sym = dim * (dim + 1) // 2
+    (h,), built_ok = _to_real(liouvillian(model)[None])
+    gap = np.abs(h - part.dissipator)
+    blocks_ok = max(gap[:sym, :sym].max(), gap[sym:, sym:].max()) <= (
+        HERMITICITY_TOLERANCE * np.abs(h).max()
+    )
+    h_sa = h[:sym, sym:].copy()
+    h_sa[0] = 0.0
+    h_as = h[sym:, :sym]
+    w = part.w_inv[:, 0]
+    wh = part.w_inv @ h_sa
+    t = np.stack((
+        part.dissipator[sym:, sym:] - h_as @ wh,
+        -(h_as @ part.wn + part.n_as @ wh),
+        part.t2,
+    ))
+    h_w = (h_as @ w)[:, None]
+
+    n = detunings.size
+    ok = np.full(n, part.ok and built_ok[0] and blocks_ok)
+    rho = np.empty((n, dim, dim), dtype=complex)
+    top_fock = np.empty(n)
+    for start in range(0, n, LINESHAPE_BLOCK):
+        cols = slice(start, start + LINESHAPE_BLOCK)
+        block = detunings[cols]
+        stack = np.vander(block, 3, increasing=True) @ t.reshape(3, -1)
+        rhs = -(h_w + block[:, None, None] * part.n_w)
+        x_a = _solve_points(stack.reshape(-1, *t.shape[1:]), rhs, ok[cols])[:, :, 0]
+        x_s = w - x_a @ wh.T - block[:, None] * (x_a @ part.wn.T)
+        rho[cols], top_fock[cols] = _checked_states(
+            np.concatenate((x_s, x_a), axis=1), cutoff, ok[cols]
+        )
+    return rho, top_fock, ok
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
-    """Steady-state density matrix of the master equation (dense trace-row solve).
+    """Steady-state density matrix of the master equation (see _steady_states).
+
+    The drive phase is a gauge, rho(amp) = U rho(|amp|) U^dag with
+    U = exp(i arg(amp) (a^dag a + sp sm)), so the model is solved at |amp|.
 
     Raises numpy.linalg.LinAlgError if the system is singular or the
     solution fails the trace, hermiticity or positivity check, and
     CutoffError if the top Fock level holds more than 1e-6 population.
     """
-    liou_r, ok = _to_real(liouvillian(model)[None])
-    rho, top_fock = _solve_real(liou_r, model.fock_cutoff, ok)
+    amp = complex(model.drive_amplitude)
+    part = _parts(model.fock_cutoff, model.kappa, model.gamma)
+    real_drive = replace(model, drive_amplitude=abs(amp))
+    rho, top_fock, ok = _steady_states(part, real_drive, np.zeros(1))
     if not ok[0]:
         raise np.linalg.LinAlgError(
             "steady-state solve is singular or failed the trace, hermiticity "
@@ -280,7 +368,9 @@ def steady_state(model: LindbladModel) -> np.ndarray:
             f"{top_fock[0]:.2e} >= {TOP_FOCK_TOLERANCE:.0e}; "
             "increase fock_cutoff"
         )
-    return rho[0]
+    ops = _operators(model.fock_cutoff)
+    phase = np.exp(1j * cmath.phase(amp) * np.real(np.diagonal(ops.number + ops.excited)))
+    return rho[0] * np.outer(phase, phase.conj())
 
 
 def transmittance_steady(
@@ -362,38 +452,6 @@ def _mirror_map(detunings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum.reduceat(detunings[order], np.flatnonzero(new)), feeds
 
 
-class _Schur(NamedTuple):
-    """One atom position's trace-row lineshape system, reduced to its
-    antisymmetric components by a Schur complement: T(delta) x_A =
-    -(h_w + delta n_w) with T(delta) = t[0] + delta t[1] + delta^2 t[2], and
-    then x_S = w - (wh + delta wn) x_A for the diagonal and symmetric ones."""
-
-    t: np.ndarray    # (3, a, a)
-    h_w: np.ndarray  # (a, 1)
-    n_w: np.ndarray  # (a, 1)
-    w: np.ndarray    # (s,)
-    wh: np.ndarray   # (s, a)
-    wn: np.ndarray   # (s, a)
-
-
-def _solve_schur(
-    stack: np.ndarray, detunings: np.ndarray, schur: _Schur, cutoff: int, ok: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Checked steady states of one position at detunings (n,).
-
-    stack (n, a, a) is filled in place with T(delta) and solved by
-    _solve_points; the lifted solutions (x_S, x_A) go through
-    _checked_states, so a singular or failed point is cleared in ok.
-    Returns (rho, top_fock), NaN at the failed points.
-    """
-    powers = np.vander(detunings, 3, increasing=True)
-    np.matmul(powers, schur.t.reshape(3, -1), out=stack.reshape(detunings.size, -1))
-    rhs = -(schur.h_w + detunings[:, None, None] * schur.n_w)
-    x_a = _solve_points(stack, rhs, ok)[:, :, 0]
-    x_s = schur.w - x_a @ schur.wh.T - detunings[:, None] * (x_a @ schur.wn.T)
-    return _checked_states(np.concatenate((x_s, x_a), axis=1), cutoff, ok)
-
-
 def fluorescence_lineshape(
     params: SystemParams,
     power_scale: float,
@@ -407,8 +465,8 @@ def fluorescence_lineshape(
     """Fluorescence spectrum versus excitation-beam detuning.
 
     The excitation Rabi frequency scales as the square root of power:
-    Omega = params.rabi * sqrt(power_scale), with power_scale = 1 at the
-    calibration power. The cavity is held resonant with the atom, so both
+    Omega = params.rabi * sqrt(power_scale), with power_scale > 0 and = 1 at
+    the calibration power. The cavity is held resonant with the atom, so both
     detunings equal the grid value. The reported rate counts all scattered
     photons, 2*kappa*<n> + gamma*<sigma_ee>; the cavity channel dominates by
     the Purcell factor when g^2 >> kappa*gamma, and the curve is normalized
@@ -426,43 +484,28 @@ def fluorescence_lineshape(
     rate is even in delta (a Lindbladian symmetry in the sense of Albert and
     Jiang, arXiv:1310.1523). Grid points whose |delta| agree within
     MIRROR_TOLERANCE (1e-12) of the largest |detuning| share one solve at the
-    largest signed value among them, found by one sort over |delta|; the
-    solves run in stacks of at most LINESHAPE_BLOCK detunings. Rates and
-    pass marks are kept per atom position and solved detuning, and fed to
-    the grid once, after the position average. failed_points counts grid
-    points over all atom positions of the final cutoff, so a failed solve
-    counts once for each grid point it feeds.
-
-    Each solved detuning is one a x a system, not the d^2 x d^2 generator
-    that steady_state solves. In the real basis the generator at one
-    position is [[D_SS, H_SA + delta N_SA], [H_AS + delta N_AS, D_AA]],
-    with D the dissipator 2 kappa D[a] + gamma D[sm], H the position's
-    Hamiltonian part (read from its one liouvillian at delta = 0) and N the
-    detuning generator; the trace row replaces row 0 of D_SS (giving D') and
-    of H_SA and N_SA. With W = D'^-1 and w = W e_0 (once per cutoff), the
-    antisymmetric part solves (T0 + delta T1 + delta^2 T2) x_A =
-    -(H_AS + delta N_AS) w with T0 = D_AA - H_AS W H_SA, T1 = -(H_AS W N_SA
-    + N_AS W H_SA) (once per position) and T2 = -N_AS W N_SA (once per
-    cutoff), and x_S = w - W (H_SA + delta N_SA) x_A. A position fails
-    whole when its S-S or A-A block differs from the dissipator's by more
-    than 1e-10 times its largest entry, as a complex drive would make it; a
-    singular D' or T(delta) fails its points alone. The lifted solutions go
-    through the same trace and positivity checks as steady_state's.
+    largest signed value among them, found by one sort over |delta|. Each
+    atom position is one _steady_states call over the solved detunings,
+    with the pieces fixed by the cutoff (_parts) built once per cutoff.
+    Rates and pass marks are kept per atom position and solved detuning,
+    and fed to the grid once, after the position average. failed_points
+    counts grid points over all atom positions of the final cutoff, so a
+    failed solve counts once for each grid point it feeds.
 
     The Fock cutoff starts at LINESHAPE_START_CUTOFF and adapts upward (in
     steps of 2, up to MAX_LINESHAPE_CUTOFF) until the top level holds less
     than 1e-6 population; a pass stops at its first position over that
     limit, and CutoffError if that never happens.
     """
-    if not (math.isfinite(power_scale) and power_scale >= 0.0):
-        raise ValueError(f"power_scale must be finite and non-negative, got {power_scale}")
+    if not (math.isfinite(power_scale) and power_scale > 0.0):
+        raise ValueError(f"power_scale must be finite and positive, got {power_scale}")
     if average_positions and n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 to average positions, got {n_samples}")
     if average_positions and not (math.isfinite(excitation_waist) and excitation_waist > 0.0):
         raise ValueError(f"excitation_waist must be finite and positive, got {excitation_waist}")
     detunings = np.asarray(detuning_grid, dtype=float)
-    if detunings.size == 0:
-        raise ValueError("detuning_grid must not be empty")
+    if detunings.ndim != 1 or detunings.size == 0 or not np.isfinite(detunings).all():
+        raise ValueError("detuning_grid must be a non-empty 1-D array of finite values")
 
     omega = params.rabi * math.sqrt(power_scale)
     if average_positions:
@@ -478,30 +521,7 @@ def fluorescence_lineshape(
     solved, feeds = _mirror_map(detunings)
     for cutoff in range(LINESHAPE_START_CUTOFF, MAX_LINESHAPE_CUTOFF + 1, 2):
         ops = _operators(cutoff)
-        dim = 2 * (cutoff + 1)
-        sym = dim * (dim + 1) // 2  # diagonal and symmetric components
-        # H(delta) = H(0) - delta * N with N = a^dag a + sp sm, so the
-        # real-basis generator is L0 + delta * Ld with Ld fixed per cutoff.
-        (dissipator, liou_detuning), built_ok = _to_real(
-            np.stack((
-                2.0 * params.kappa * ops.loss + params.gamma * ops.decay,
-                _commutator_superoperator(-(ops.number + ops.excited)),
-            ))
-        )
-        cutoff_ok = np.array([built_ok.all()])
-        # D' = the dissipator's S-S block with the trace row; W = D'^-1.
-        trace_block = dissipator[:sym, :sym].copy()
-        trace_block[0] = 0.0
-        trace_block[0, :dim] = 1.0
-        w_inv = _solve_points(trace_block[None], np.eye(sym)[None], cutoff_ok)[0]
-        n_sa = liou_detuning[:sym, sym:].copy()
-        n_sa[0] = 0.0
-        n_as = liou_detuning[sym:, :sym]
-        w = w_inv[:, 0]
-        wn = w_inv @ n_sa
-        t2 = -(n_as @ wn)
-        n_w = (n_as @ w)[:, None]
-        stack = np.empty((min(solved.size, LINESHAPE_BLOCK), dim * dim - sym, dim * dim - sym))
+        part = _parts(cutoff, params.kappa, params.gamma)
         # Photons scattered per unit time by each product-basis population.
         emission = np.real(
             2.0 * params.kappa * np.diagonal(ops.number) + params.gamma * np.diagonal(ops.excited)
@@ -520,32 +540,10 @@ def fluorescence_lineshape(
                 drive_amplitude=0.5 * omega_local[s],
                 drive_target="atom",
             )
-            liou0, ok0 = _to_real(liouvillian(model)[None])
-            h = liou0[0]
-            gap = np.abs(h - dissipator)
-            blocks_ok = max(gap[:sym, :sym].max(), gap[sym:, sym:].max()) <= (
-                HERMITICITY_TOLERANCE * np.abs(h).max()
-            )
-            ok[s] = ok0[0] and cutoff_ok[0] and blocks_ok
-            h_sa = h[:sym, sym:].copy()
-            h_sa[0] = 0.0
-            h_as = h[sym:, :sym]
-            wh = w_inv @ h_sa
-            schur = _Schur(
-                t=np.stack((dissipator[sym:, sym:] - h_as @ wh, -(h_as @ wn + n_as @ wh), t2)),
-                h_w=(h_as @ w)[:, None],
-                n_w=n_w,
-                w=w,
-                wh=wh,
-                wn=wn,
-            )
-            for start in range(0, solved.size, LINESHAPE_BLOCK):
-                cols = slice(start, start + LINESHAPE_BLOCK)
-                block = solved[cols]
-                rho, top_pop = _solve_schur(stack[:block.size], block, schur, cutoff, ok[s, cols])
-                rates[s, cols] = np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
-                if ok[s, cols].any():
-                    worst_top = max(worst_top, float(np.nanmax(top_pop)))
+            rho, top_fock, ok[s] = _steady_states(part, model, solved)
+            rates[s] = np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
+            if ok[s].any():
+                worst_top = max(worst_top, float(np.nanmax(top_fock)))
             if worst_top >= TOP_FOCK_TOLERANCE:
                 break  # this cutoff is rejected; the remaining positions need not be solved
         if worst_top < TOP_FOCK_TOLERANCE:

@@ -4,8 +4,10 @@
 skips, without a word, a binding it cannot find; a renamed function would
 then read zero in its per-layer metrics, or move a count that
 ``bench/workloads.py`` pins, and only a traced benchmark run would show it.
-The bench modules are compiled from source here, so this test reads
-``bench/`` and writes nothing.
+The pinned workloads are also replayed here, traced, so that a drift of
+an exact count shows in the test suite and not only in a traced benchmark
+run. The bench modules are compiled from source, so these tests read
+``bench/`` and write only into pytest's temporary directory.
 """
 
 import importlib
@@ -44,3 +46,27 @@ def test_pinned_counts_are_layer_metrics():
     for name, workload in workloads.WORKLOADS.items():
         unknown = set(workload.exact_counts) - set(tracing.LAYER_METRICS)
         assert not unknown, f"{name} pins counts that are not layer metrics: {sorted(unknown)}"
+
+
+PINNED = [name for name, workload in workloads.WORKLOADS.items() if workload.exact_counts]
+
+
+def test_pinned_workloads_are_the_expected_three():
+    assert PINNED == ["lineshape", "ensemble", "design"]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_traced_workload_reproduces_its_pinned_counts(name, tmp_path):
+    # Imported first, as the benchmark does: installed() wraps the traced
+    # functions in the package modules already loaded.
+    import spinfaraday.cli as cli
+
+    workload = workloads.WORKLOADS[name]
+    tracer = tracing.Tracer()
+    tracer.run = name
+    with tracing.installed(tracer):
+        for argv in workload.invocations(workloads.REFERENCE_SEED, str(tmp_path), None):
+            assert cli.main(argv) == 0, argv
+    measured = tracing.iteration_metrics(tracer.spans, tracer.counters[name])
+    for metric, expected in workload.exact_counts.items():
+        assert measured[metric] == expected, metric

@@ -13,8 +13,9 @@ from spinfaraday.lindblad import (
     CutoffError,
     LindbladModel,
     _hermitian_basis,
-    _solve_real,
-    _solve_schur,
+    _parts,
+    _solve_points,
+    _steady_states,
     _to_real,
     curve_fwhm,
     fluorescence_lineshape,
@@ -36,12 +37,34 @@ def expect(rho, operator, cutoff):
     return complex(np.trace(rho @ getattr(lindblad._operators(cutoff), operator)))
 
 
-def solve_stack(liou, cutoff):
-    """(rho, top_fock, ok) of a stack of Liouvillians, solved as steady_state
-    solves them; ok is the mask _solve_real clears at each failed point."""
-    liou_r, ok = _to_real(liou)
-    rho, top_fock = _solve_real(liou_r, cutoff, ok)
-    return rho, top_fock, ok
+def trace_row_solve(model):
+    """rho of the complex trace-row solve of the whole d^2 x d^2 generator:
+    the test-side oracle, with no basis change, reduction or check."""
+    dim = 2 * (model.fock_cutoff + 1)
+    a = liouvillian(model)
+    a[0, :] = 0.0
+    a[0, :: dim + 1] = 1.0
+    b = np.zeros(dim * dim, dtype=complex)
+    b[0] = 1.0
+    return np.linalg.solve(a, b).reshape(dim, dim)
+
+
+def at_detuning(model, delta):
+    """model with delta as both its atom and its cavity detuning."""
+    return replace(model, detuning_atom=float(delta), detuning_cavity=float(delta))
+
+
+@pytest.fixture
+def solve_shapes(monkeypatch):
+    """Shapes of every stack of systems handed to _solve_points."""
+    shapes = []
+
+    def counted(a, b, ok):
+        shapes.append(a.shape)
+        return _solve_points(a, b, ok)
+
+    monkeypatch.setattr(lindblad, "_solve_points", counted)
+    return shapes
 
 
 class TestModelValidation:
@@ -67,6 +90,17 @@ class TestModelValidation:
                 fock_cutoff=3, g=0.0, kappa=P.kappa, gamma=P.gamma,
                 drive_amplitude=1.0, drive_target="mirror",
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize(
+        "field",
+        ["g", "kappa", "gamma", "drive_amplitude", "detuning_atom", "detuning_cavity"],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        kwargs = dict(fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
+                      drive_amplitude=0.1 * P.kappa, drive_target="cavity")
+        with pytest.raises(ValueError, match="finite"):
+            LindbladModel(**(kwargs | {field: value}))
 
 
 class TestSteadyState:
@@ -122,9 +156,9 @@ class TestSteadyState:
         )
         with pytest.raises(CutoffError):
             steady_state(model)
-        # the unchecked batched solve still returns the state for diagnostics
-        top_fock = solve_stack(liouvillian(model)[None], 2)[1]
-        assert top_fock[0] >= 1e-6
+        # the solver under steady_state still returns the state for diagnostics
+        _, top_fock, ok = _steady_states(_parts(2, P.kappa, P.gamma), model, np.zeros(1))
+        assert ok[0] and top_fock[0] >= 1e-6
 
 
 class TestOracleEquivalence:
@@ -282,6 +316,7 @@ class TestLineshape:
             ({"excitation_waist": -24e-6}, "excitation_waist"),
             ({"excitation_waist": math.nan}, "excitation_waist"),
             ({"excitation_waist": math.inf}, "excitation_waist"),
+            ({"power_scale": 0.0}, "power_scale"),
         ],
     )
     def test_bad_input_rejected_before_any_solve(self, monkeypatch, kwargs, match):
@@ -292,6 +327,24 @@ class TestLineshape:
         args = {"power_scale": 0.5, "n_samples": 10} | kwargs
         with pytest.raises(ValueError, match=match):
             fluorescence_lineshape(P, args.pop("power_scale"), GRID, **args)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.array([-1.0, math.nan, 1.0]) * MHZ,
+            np.array([0.0, math.inf]) * MHZ,
+            np.array([[-1.0, 0.0], [0.0, 1.0]]) * MHZ,
+            np.array(2.0 * MHZ),
+        ],
+        ids=["nan", "inf", "2-D", "0-D"],
+    )
+    def test_bad_grid_rejected_before_any_solve(self, monkeypatch, grid):
+        def no_solve(*args, **kw):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(lindblad, "_solve_points", no_solve)
+        with pytest.raises(ValueError, match="detuning_grid"):
+            fluorescence_lineshape(P, 0.5, grid, n_samples=10)
 
     def test_pinned_atom_ignores_sample_count(self):
         pinned = fluorescence_lineshape(P, 0.5, GRID[:5], average_positions=False, n_samples=0)
@@ -307,16 +360,14 @@ def scattered_rate(rho, cutoff):
 
 
 def atom_driven_rate(g, omega, delta, cutoff):
-    """Scattered-photon rate of one atom-driven point, cavity on the atom.
-
-    The top Fock population goes unchecked; a failed solve gives NaN.
-    """
+    """Scattered-photon rate of one atom-driven point, cavity on the atom,
+    from the test-side oracle; the top Fock population goes unchecked."""
     model = LindbladModel(
         fock_cutoff=cutoff, g=g, kappa=P.kappa, gamma=P.gamma,
         drive_amplitude=0.5 * omega, drive_target="atom",
         detuning_atom=float(delta), detuning_cavity=float(delta),
     )
-    return scattered_rate(solve_stack(liouvillian(model)[None], cutoff)[0][0], cutoff)
+    return scattered_rate(trace_row_solve(model), cutoff)
 
 
 class TestBatchedSolver:
@@ -330,15 +381,18 @@ class TestBatchedSolver:
 
     def test_singular_point_fails_alone(self):
         models = [self.cavity_model(-1.3 * MHZ), self.cavity_model(0.8 * MHZ)]
-        first, last = (liouvillian(m) for m in models)
-        stack = np.stack([first, np.zeros_like(first), last])
-        rho, top_fock, ok = solve_stack(stack, 4)
+        first, last = (_to_real(liouvillian(m)[None])[0][0] for m in models)
+        a = np.stack([first, np.zeros_like(first), last])
+        a[:, 0, :] = 0.0
+        a[:, 0, :10] = 1.0  # the trace row at cutoff 4 (d = 10)
+        b = np.zeros((3, 100, 1))
+        b[:, 0] = 1.0
+        ok = np.ones(3, dtype=bool)
+        x = _solve_points(a.copy(), b, ok)
         np.testing.assert_array_equal(ok, [True, False, True])
-        assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
-        for k, model in zip((0, 2), models):
-            expected = steady_state(model)
-            np.testing.assert_allclose(rho[k], expected, rtol=0.0, atol=1e-12)
-            assert np.isfinite(top_fock[k])
+        assert np.all(np.isnan(x[1]))
+        for k in (0, 2):
+            np.testing.assert_array_equal(x[k], np.linalg.solve(a[k], b[k]))
 
     def test_lineshape_matches_single_point_solves(self):
         power = 0.3
@@ -354,14 +408,14 @@ class TestBatchedSolver:
 class TestMirror:
     @pytest.fixture
     def stack_sizes(self, monkeypatch):
-        """Rows of every stack the lineshape hands to _solve_schur."""
+        """Detunings of every _steady_states call the lineshape makes."""
         sizes = []
 
-        def counted(stack, *args):
-            sizes.append(stack.shape[0])
-            return _solve_schur(stack, *args)
+        def counted(part, model, detunings):
+            sizes.append(detunings.size)
+            return _steady_states(part, model, detunings)
 
-        monkeypatch.setattr(lindblad, "_solve_schur", counted)
+        monkeypatch.setattr(lindblad, "_steady_states", counted)
         return sizes
 
     def test_solves_each_distinct_magnitude_once(self, stack_sizes):
@@ -372,14 +426,15 @@ class TestMirror:
         assert stack_sizes == [61, 61, 61]
         assert shape.failed_points == 0
 
-    def test_blocked_solve_is_byte_identical(self, stack_sizes, monkeypatch):
+    def test_blocked_solve_is_byte_identical(self, solve_shapes, monkeypatch):
         grid = MHZ * np.linspace(-6.0, 6.0, 31)
         whole = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3, seed=5)
-        assert stack_sizes[0] == 16
-        stack_sizes.clear()
+        # The first solve is the cutoff's D' inverse, then one stack per position.
+        assert solve_shapes[1][0] == 16
+        solve_shapes.clear()
         monkeypatch.setattr(lindblad, "LINESHAPE_BLOCK", 7)
         blocked = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3, seed=5)
-        assert stack_sizes[:3] == [7, 7, 2]
+        assert [shape[0] for shape in solve_shapes[1:4]] == [7, 7, 2]
         np.testing.assert_array_equal(blocked.rate, whole.rate)
         np.testing.assert_array_equal(blocked.normalized, whole.normalized)
         assert blocked.fock_cutoff == whole.fock_cutoff
@@ -447,13 +502,16 @@ class TestMirror:
 
 class TestRealBasis:
     @staticmethod
-    def random_model(rng, cutoff, target):
+    def random_model(rng, cutoff, target, drive=1.0):
+        """A model with a random complex drive of up to drive MHz."""
         return LindbladModel(
             fock_cutoff=cutoff,
             g=float(rng.uniform(0.0, 3.0)) * MHZ,
             kappa=float(rng.uniform(0.5, 5.0)) * MHZ,
             gamma=float(rng.uniform(0.5, 5.0)) * MHZ,
-            drive_amplitude=MHZ * rng.uniform(0.01, 1.0) * np.exp(2j * np.pi * rng.uniform()),
+            drive_amplitude=(
+                drive * MHZ * rng.uniform(0.01, 1.0) * np.exp(2j * np.pi * rng.uniform())
+            ),
             drive_target=target,
             detuning_atom=float(rng.uniform(-5.0, 5.0)) * MHZ,
             detuning_cavity=float(rng.uniform(-5.0, 5.0)) * MHZ,
@@ -474,33 +532,54 @@ class TestRealBasis:
         assert ok.all()
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(real - dense)) <= 1e-13 * scale
+        # The per-cutoff real-basis loss, decay and detuning generators.
+        ops = lindblad._operators(cutoff)
+        detuning = lindblad._commutator_superoperator(-(ops.number + ops.excited))
+        generators = np.stack((ops.loss, ops.decay, detuning))
+        assert _to_real(generators)[1].all()
+        np.testing.assert_allclose(ops.real, basis.conj().T @ generators @ basis, atol=1e-13)
 
     @pytest.mark.parametrize("target", ["atom", "cavity"])
     @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
     def test_matches_complex_trace_row_solve(self, cutoff, target):
+        # Drives of up to 0.1 MHz keep every top Fock level under the limit.
         rng = np.random.default_rng(10 * cutoff + len(target))
-        models = [self.random_model(rng, cutoff, target) for _ in range(4)]
-        rho, _, ok = solve_stack(np.stack([liouvillian(m) for m in models]), cutoff)
-        assert ok.all()
-        dim = 2 * (cutoff + 1)
-        for k, model in enumerate(models):
-            a = liouvillian(model)
-            a[0, :] = 0.0
-            a[0, :: dim + 1] = 1.0
-            b = np.zeros(dim * dim, dtype=complex)
-            b[0] = 1.0
-            expected = np.linalg.solve(a, b).reshape(dim, dim)
-            np.testing.assert_allclose(rho[k], expected, rtol=0.0, atol=1e-12)
+        for _ in range(4):
+            model = self.random_model(rng, cutoff, target, drive=0.1)
+            assert model.drive_amplitude.imag != 0.0
+            np.testing.assert_allclose(
+                steady_state(model), trace_row_solve(model), rtol=0.0, atol=1e-12
+            )
 
-    def test_non_hermiticity_preserving_generator_fails_alone(self):
+    @pytest.mark.parametrize("target", ["atom", "cavity"])
+    @pytest.mark.parametrize("cutoff", [2, 4])
+    def test_drive_phase_is_a_gauge(self, cutoff, target):
+        # rho(|amp| e^{i theta}) = U rho(|amp|) U^dag with U = exp(i theta N),
+        # N = a^dag a + sp sm: for the oracle, and for steady_state.
+        ops = lindblad._operators(cutoff)
+        rng = np.random.default_rng(cutoff + len(target))
+        for _ in range(3):
+            model = self.random_model(rng, cutoff, target, drive=0.1)
+            theta = np.angle(model.drive_amplitude)
+            real = replace(model, drive_amplitude=abs(model.drive_amplitude))
+            u = np.diag(np.exp(1j * theta * np.real(np.diagonal(ops.number + ops.excited))))
+            for solve in (trace_row_solve, steady_state):
+                np.testing.assert_allclose(
+                    solve(model), u @ solve(real) @ u.conj().T, rtol=0.0, atol=1e-12
+                )
+
+    def test_non_hermiticity_preserving_generator_fails_alone(self, monkeypatch):
         models = [TestBatchedSolver.cavity_model(d * MHZ) for d in (-1.3, 0.2, 0.8)]
-        liou = [liouvillian(m) for m in models]
-        rho, top_fock, ok = solve_stack(np.stack([liou[0], 1j * liou[1], liou[2]]), 4)
+        liou = np.stack([liouvillian(m) for m in models])
+        real, ok = _to_real(np.stack([liou[0], 1j * liou[1], liou[2]]))
         np.testing.assert_array_equal(ok, [True, False, True])
-        assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
-        for k in (0, 2):
-            expected = steady_state(models[k])
-            np.testing.assert_allclose(rho[k], expected, rtol=0.0, atol=1e-12)
+        expected, expected_ok = _to_real(liou)
+        assert expected_ok.all()
+        np.testing.assert_array_equal(real[[0, 2]], expected[[0, 2]])
+        # Through the solver, such a generator fails every point of its model.
+        monkeypatch.setattr(lindblad, "liouvillian", lambda model: 1j * liouvillian(model))
+        with pytest.raises(np.linalg.LinAlgError):
+            steady_state(models[1])
 
     def test_lineshape_calls_liouvillian_once_per_position(self, monkeypatch):
         calls = []
@@ -526,7 +605,7 @@ class TestRealBasis:
 
 
 class TestSchurSolve:
-    """The lineshape's reduced solve against the dense real-basis solve."""
+    """The reduced solve against the test-side complex oracle."""
 
     @given(
         g_ratio=st.floats(0.0, 2.0),
@@ -538,67 +617,56 @@ class TestSchurSolve:
     def test_matches_dense_solve(self, g_ratio, omega_ratio, delta_mhz, cutoff):
         solved = []
 
-        def captured(stack, detunings, schur, at_cutoff, ok):
-            rho, top_fock = _solve_schur(stack, detunings, schur, at_cutoff, ok)
-            solved.append((at_cutoff, detunings.copy(), rho.copy(), ok.copy()))
-            return rho, top_fock
+        def captured(part, model, detunings):
+            rho, top_fock, ok = _steady_states(part, model, detunings)
+            solved.append((model, detunings.copy(), rho.copy(), ok.copy()))
+            return rho, top_fock, ok
 
         params = replace(P, g0=g_ratio * P.g0, rabi=omega_ratio * P.rabi)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lindblad, "_solve_schur", captured)
+            patch.setattr(lindblad, "_steady_states", captured)
             patch.setattr(lindblad, "LINESHAPE_START_CUTOFF", cutoff)
             shape = fluorescence_lineshape(
                 params, 1.0, np.array([delta_mhz * MHZ]), average_positions=False
             )
-        assert solved[0][0] == cutoff
-        for at_cutoff, detunings, rho, ok in solved:
-            model = LindbladModel(
-                fock_cutoff=at_cutoff, g=params.g0, kappa=P.kappa, gamma=P.gamma,
-                drive_amplitude=0.5 * params.rabi, drive_target="atom",
-                detuning_atom=float(detunings[0]), detuning_cavity=float(detunings[0]),
-            )
-            dense, _, dense_ok = solve_stack(liouvillian(model)[None], at_cutoff)
-            np.testing.assert_array_equal(ok, dense_ok)
-            if ok[0]:
-                assert np.max(np.abs(rho - dense)) <= 1e-12 * np.max(np.abs(dense))
-                rate, expected = (scattered_rate(r[0], at_cutoff) for r in (rho, dense))
-                assert abs(rate - expected) <= 1e-12 * abs(expected)
-        at_cutoff, _, rho, ok = solved[-1]
-        assert shape.fock_cutoff == at_cutoff
-        if ok[0]:
-            assert shape.rate[0] == pytest.approx(scattered_rate(rho[0], at_cutoff), rel=1e-12)
+        assert solved[0][0].fock_cutoff == cutoff
+        for model, detunings, rho, ok in solved:
+            assert ok.all()
+            dense = trace_row_solve(at_detuning(model, detunings[0]))
+            assert np.max(np.abs(rho[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
+            at_cutoff = model.fock_cutoff
+            rate, expected = (scattered_rate(r, at_cutoff) for r in (rho[0], dense))
+            assert abs(rate - expected) <= 1e-12 * abs(expected)
+        model, _, rho, _ = solved[-1]
+        assert shape.fock_cutoff == model.fock_cutoff
+        assert shape.rate[0] == pytest.approx(scattered_rate(rho[0], model.fock_cutoff), rel=1e-12)
 
-    def test_stacks_are_the_antisymmetric_block(self, monkeypatch):
-        shapes = []
-
-        def counted(stack, *args):
-            shapes.append(stack.shape)
-            return _solve_schur(stack, *args)
-
-        monkeypatch.setattr(lindblad, "_solve_schur", counted)
+    def test_stacks_are_the_antisymmetric_block(self, solve_shapes):
         grid = MHZ * np.linspace(-6.0, 6.0, 31)
         shape = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3)
         assert shape.fock_cutoff == 3
         # d = 8: 64 real components, 36 diagonal and symmetric, 28 antisymmetric.
-        assert shapes == [(16, 28, 28)] * 3
+        # One D' inverse per cutoff, then one stack of 16 detunings per position.
+        assert solve_shapes == [(1, 36, 36)] + [(16, 28, 28)] * 3
 
-    def test_singular_reduced_system_fails_alone(self):
-        # T(delta) = (1 - delta) * identity is singular at delta = 1 only.
-        size = 28
-        eye = np.eye(size)
-        schur = lindblad._Schur(
-            t=np.stack((eye, -eye, 0.0 * eye)),
-            h_w=np.ones((size, 1)),
-            n_w=np.zeros((size, 1)),
-            w=np.eye(36)[0],
-            wh=np.zeros((36, size)),
-            wn=np.zeros((36, size)),
+    def test_singular_reduced_system_fails_alone(self, monkeypatch):
+        def zero_second(a, b, ok):
+            if a.shape == (3, 28, 28):
+                a[1] = 0.0
+            return _solve_points(a, b, ok)
+
+        model = LindbladModel(
+            fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
+            drive_amplitude=0.5 * P.rabi, drive_target="atom",
         )
-        ok = np.ones(3, dtype=bool)
-        stack = np.empty((3, size, size))
-        rho, top_fock = _solve_schur(stack, np.array([0.0, 1.0, 2.0]), schur, 3, ok)
-        assert not ok[1]
+        detunings = MHZ * np.array([0.0, 1.0, 2.0])
+        monkeypatch.setattr(lindblad, "_solve_points", zero_second)
+        rho, top_fock, ok = _steady_states(_parts(3, P.kappa, P.gamma), model, detunings)
+        np.testing.assert_array_equal(ok, [True, False, True])
         assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
+        for k in (0, 2):
+            expected = trace_row_solve(at_detuning(model, detunings[k]))
+            np.testing.assert_allclose(rho[k], expected, rtol=0.0, atol=1e-12)
 
     def test_broken_block_structure_fails_its_position(self, monkeypatch):
         models = []
