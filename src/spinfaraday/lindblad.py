@@ -107,8 +107,7 @@ def _operators(cutoff: int) -> _Operators:
     detuning = _commutator_superoperator(-(number + excited))
     ops = _Operators(
         a=a, sp=sp, sm=sm, number=number, excited=excited, loss=loss, decay=decay,
-        # One generator at a time keeps the basis change's memory at one d^2 x d^2.
-        real=np.concatenate([_to_real(x[None])[0] for x in (loss, decay, detuning)]),
+        real=np.stack([_to_real(x)[0] for x in (loss, decay, detuning)]),
     )
     for array in vars(ops).values():
         array.flags.writeable = False
@@ -190,15 +189,13 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return basis
 
 
-def _to_real(liou: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T^H L T of a stack of generators (n, d^2, d^2), and the mask of points
-    whose T^H L T is real: a point fails, as a generator that does not map
-    Hermitian matrices to Hermitian ones, when the imaginary part exceeds
-    1e-10 times its largest |L| entry."""
-    full = _basis_combination(_basis_combination(liou, 2, 1j), 1, -1j)
-    scale = np.max(np.abs(liou), axis=(1, 2))
-    ok = np.max(np.abs(full.imag), axis=(1, 2)) <= HERMITICITY_TOLERANCE * scale
-    return np.ascontiguousarray(full.real), ok
+def _to_real(liou: np.ndarray) -> tuple[np.ndarray, bool]:
+    """T^H L T of one generator (d^2, d^2), and whether it is real: it is
+    not, as a generator that does not map Hermitian matrices to Hermitian
+    ones, when its imaginary part exceeds 1e-10 times the largest |L| entry."""
+    full = _basis_combination(_basis_combination(liou, 1, 1j), 0, -1j)
+    ok = np.abs(full.imag).max() <= HERMITICITY_TOLERANCE * np.abs(liou).max()
+    return np.ascontiguousarray(full.real), bool(ok)
 
 
 def _solve_points(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -309,7 +306,7 @@ def _steady_states(
     cutoff = model.fock_cutoff
     dim = 2 * (cutoff + 1)
     sym = dim * (dim + 1) // 2
-    (h,), built_ok = _to_real(liouvillian(model)[None])
+    h, built_ok = _to_real(liouvillian(model))
     gap = np.abs(h - part.dissipator)
     blocks_ok = max(gap[:sym, :sym].max(), gap[sym:, sym:].max()) <= (
         HERMITICITY_TOLERANCE * np.abs(h).max()
@@ -327,7 +324,7 @@ def _steady_states(
     h_w = (h_as @ w)[:, None]
 
     n = detunings.size
-    ok = np.full(n, part.ok and built_ok[0] and blocks_ok)
+    ok = np.full(n, part.ok and built_ok and blocks_ok)
     rho = np.empty((n, dim, dim), dtype=complex)
     top_fock = np.empty(n)
     for start in range(0, n, LINESHAPE_BLOCK):
@@ -381,14 +378,15 @@ def transmittance_steady(
 ) -> complex:
     """Probe transmittance from the master equation in the weak-drive limit.
 
-    Drives the cavity with amplitude PROBE_DRIVE_RATIO*kappa and returns the
-    steady-state field amplitude normalized by the empty-cavity amplitude at
-    the same drive and cavity detuning. Serves as the independent oracle for
-    the analytic transmittance.
+    Drives the cavity with amplitude eta = PROBE_DRIVE_RATIO*kappa at cavity
+    detuning delta_c and returns the steady-state <a> over the empty cavity's
+    field -i eta/(kappa - i delta_c), exact since at g = 0 the equation for
+    <a> is closed. Serves as the independent oracle for the analytic one.
     """
     drive = PROBE_DRIVE_RATIO * params.kappa
-    common = dict(
+    model = LindbladModel(
         fock_cutoff=PROBE_FOCK_CUTOFF,
+        g=float(g),
         kappa=params.kappa,
         gamma=params.gamma,
         drive_amplitude=drive,
@@ -396,10 +394,8 @@ def transmittance_steady(
         detuning_atom=float(delta),
         detuning_cavity=float(cavity_detuning),
     )
-    a = _operators(PROBE_FOCK_CUTOFF).a
-    coupled = complex(np.trace(steady_state(LindbladModel(g=float(g), **common)) @ a))
-    empty = complex(np.trace(steady_state(LindbladModel(g=0.0, **common)) @ a))
-    return coupled / empty
+    field = complex(np.trace(steady_state(model) @ _operators(PROBE_FOCK_CUTOFF).a))
+    return field / (-1j * drive / (params.kappa - 1j * float(cavity_detuning)))
 
 
 def fluorescence_rate(model: LindbladModel) -> float:

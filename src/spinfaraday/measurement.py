@@ -57,7 +57,7 @@ class MeasurementOperator:
 
     def partner(self) -> "MeasurementOperator":
         """Operator of the orthogonal analyzer port (basis angle + 90 deg)."""
-        return kraus(self.rotation, self.basis_angle + math.pi / 2.0)
+        return kraus(self.rotation, _port_angle(self.basis_angle, REFLECTED))
 
 
 def kraus(theta: float, phi: float) -> MeasurementOperator:
@@ -210,7 +210,7 @@ def conditional_curves(
     phi = np.radians(phi_deg)
 
     p_t, click_t = _averaged_posterior(prior, phi, delta, g, params)
-    p_r, click_r = _averaged_posterior(prior, phi + math.pi / 2.0, delta, g, params)
+    p_r, click_r = _averaged_posterior(prior, _port_angle(phi, REFLECTED), delta, g, params)
     return ConditionalCurves(phi_deg, p_t, p_r, click_t, click_r)
 
 

@@ -204,6 +204,11 @@ class LosslessPoint(NamedTuple):
     reflectivity: float
 
 
+def _has_lossless_point(params: SystemParams) -> bool:
+    """Whether the cavity-locked lossless point exists: g0^2 > gamma^2/2."""
+    return params.g0 * params.g0 > 0.5 * params.gamma * params.gamma
+
+
 def lossless_rotation_point(
     anchor: SystemParams = DEFAULT_PARAMS,
     anchor_geometry: CavityGeometry = DEFAULT_GEOMETRY,
@@ -223,9 +228,9 @@ def lossless_rotation_point(
     derive_kappa at the anchor length: sqrt(R) = 2/(a + sqrt(a^2 + 4)), with
     a = 2 L kappa / c. Raises ValueError unless g0 > gamma/sqrt(2) (kappa > 0).
     """
-    g, gamma = anchor.g0, anchor.gamma
-    if not g * g > 0.5 * gamma * gamma:
+    if not _has_lossless_point(anchor):
         raise ValueError("lossless rotation point requires g0 > gamma/sqrt(2)")
+    g, gamma = anchor.g0, anchor.gamma
     c = gamma / g
     p = 2.0 - c * c
     w = (c + cmath.sqrt(c * c - p**3 / 27.0)) ** (1.0 / 3.0)
@@ -248,10 +253,8 @@ def default_reflectivity_grid(
     """
     grid = 1.0 - np.geomspace(1e-4, 1e-5, 41)
     extras = [anchor_geometry.reflectivity, 0.999990]
-    try:
+    if _has_lossless_point(anchor):
         extras.append(lossless_rotation_point(anchor, anchor_geometry).reflectivity)
-    except ValueError:
-        pass
     extras_arr = np.array([e for e in extras if grid.min() <= e <= grid.max()])
     return np.unique(np.concatenate([grid, extras_arr]))
 
@@ -317,7 +320,7 @@ def cnot_feasibility(
         _, result = _design_point(params, anchor_geometry, reflectivity=rho)
         return math.degrees(result.angle), result.delta_star / (TWO_PI * 1e6)
 
-    if params.g0 * params.g0 > 0.5 * params.gamma * params.gamma:
+    if _has_lossless_point(params):
         lossless = lossless_rotation_point(params, anchor_geometry)
         best_rho = min(max(lossless.reflectivity, rho_floor), rho_limit)
         at_lossless = best_rho == lossless.reflectivity

@@ -185,6 +185,35 @@ class TestOracleEquivalence:
         numeric = transmittance_steady(0.9 * MHZ, 0.0, P)
         assert abs(numeric - 1.0) < 1e-8
 
+    def test_one_steady_state_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return steady_state(model)
+
+        monkeypatch.setattr(lindblad, "steady_state", counted)
+        transmittance_steady(0.4 * MHZ, P.g0, P, cavity_detuning=-0.3 * MHZ)
+        assert [model.g for model in calls] == [P.g0]
+
+    def test_empty_cavity_field_is_the_closed_form(self):
+        # The oracle's normalisation -i eta/(kappa - i delta_c) against a
+        # numeric g = 0 solve, at AC1's 25 detunings (cavity on the probe)
+        # and at the (atom, cavity) detuning pairs of the test above.
+        cutoff = lindblad.PROBE_FOCK_CUTOFF
+        eta = lindblad.PROBE_DRIVE_RATIO * P.kappa
+        pairs = [(da, 0.0) for da in np.linspace(-6.0, 6.0, 25)]
+        pairs += [(-2.0, -2.0), (1.3, 1.3), (-1.0, 0.5), (0.7, -0.3)]
+        for da, dc in pairs:
+            model = LindbladModel(
+                fock_cutoff=cutoff, g=0.0, kappa=P.kappa, gamma=P.gamma,
+                drive_amplitude=eta, drive_target="cavity",
+                detuning_atom=float(da * MHZ), detuning_cavity=float(dc * MHZ),
+            )
+            numeric = expect(steady_state(model), "a", cutoff)
+            closed = -1j * eta / (P.kappa - 1j * dc * MHZ)
+            assert abs(numeric - closed) <= 1e-15 * abs(closed)
+
 
 class TestPurcellRate:
     def test_formula_frozen_value(self):
@@ -381,7 +410,7 @@ class TestBatchedSolver:
 
     def test_singular_point_fails_alone(self):
         models = [self.cavity_model(-1.3 * MHZ), self.cavity_model(0.8 * MHZ)]
-        first, last = (_to_real(liouvillian(m)[None])[0][0] for m in models)
+        first, last = (_to_real(liouvillian(m))[0] for m in models)
         a = np.stack([first, np.zeros_like(first), last])
         a[:, 0, :] = 0.0
         a[:, 0, :10] = 1.0  # the trace row at cutoff 4 (d = 10)
@@ -525,18 +554,17 @@ class TestRealBasis:
         for k in range(dim):  # the diagonal matrix units come first
             np.testing.assert_array_equal(basis[:, k].reshape(dim, dim), np.diag(np.eye(dim)[k]))
         rng = np.random.default_rng(cutoff)
-        models = [self.random_model(rng, cutoff, target) for target in ("atom", "cavity")]
-        liou = np.stack([liouvillian(m) for m in models])
-        real, ok = _to_real(liou)
-        dense = basis.conj().T @ liou @ basis
-        assert ok.all()
-        scale = np.max(np.abs(dense))
-        assert np.max(np.abs(real - dense)) <= 1e-13 * scale
+        for target in ("atom", "cavity"):
+            liou = liouvillian(self.random_model(rng, cutoff, target))
+            real, ok = _to_real(liou)
+            dense = basis.conj().T @ liou @ basis
+            assert ok
+            assert np.max(np.abs(real - dense)) <= 1e-13 * np.max(np.abs(dense))
         # The per-cutoff real-basis loss, decay and detuning generators.
         ops = lindblad._operators(cutoff)
         detuning = lindblad._commutator_superoperator(-(ops.number + ops.excited))
         generators = np.stack((ops.loss, ops.decay, detuning))
-        assert _to_real(generators)[1].all()
+        assert all(_to_real(x)[1] for x in generators)
         np.testing.assert_allclose(ops.real, basis.conj().T @ generators @ basis, atol=1e-13)
 
     @pytest.mark.parametrize("target", ["atom", "cavity"])
@@ -570,12 +598,12 @@ class TestRealBasis:
 
     def test_non_hermiticity_preserving_generator_fails_alone(self, monkeypatch):
         models = [TestBatchedSolver.cavity_model(d * MHZ) for d in (-1.3, 0.2, 0.8)]
-        liou = np.stack([liouvillian(m) for m in models])
-        real, ok = _to_real(np.stack([liou[0], 1j * liou[1], liou[2]]))
-        np.testing.assert_array_equal(ok, [True, False, True])
-        expected, expected_ok = _to_real(liou)
-        assert expected_ok.all()
-        np.testing.assert_array_equal(real[[0, 2]], expected[[0, 2]])
+        liou = [liouvillian(m) for m in models]
+        converted = [_to_real(x) for x in (liou[0], 1j * liou[1], liou[2])]
+        assert [ok for _, ok in converted] == [True, False, True]
+        assert _to_real(liou[1])[1]
+        for k in (0, 2):
+            np.testing.assert_array_equal(converted[k][0], _to_real(liou[k])[0])
         # Through the solver, such a generator fails every point of its model.
         monkeypatch.setattr(lindblad, "liouvillian", lambda model: 1j * liouvillian(model))
         with pytest.raises(np.linalg.LinAlgError):
@@ -683,7 +711,7 @@ class TestSchurSolve:
         assert shape.fock_cutoff == 3 and len(models) == 4
         # The drive stays Hermitian, so only the block-structure check fails it.
         broken = replace(models[1], drive_amplitude=models[1].drive_amplitude * (1.0 + 1e-6j))
-        assert _to_real(liouvillian(broken)[None])[1].all()
+        assert _to_real(liouvillian(broken))[1]
         assert shape.failed_points == grid.size
         kept = models[:1] + models[2:]
         for delta, rate in zip(grid, shape.rate):
