@@ -450,6 +450,8 @@ def _run(args: argparse.Namespace) -> int:
     status = _COMMANDS[args.command][2](
         params, geometry, run, grid, lambda *table: tables.append(table)
     )
+    if status:
+        return status
 
     out_dir = args.out or os.environ.get(OUTPUT_ENV_VAR) or "."
     os.makedirs(out_dir, exist_ok=True)

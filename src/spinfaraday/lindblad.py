@@ -8,8 +8,9 @@ Conventions: the frame rotates at the drive frequency, so
 H = -delta_c a^dag a - delta_a sp sm + g (a^dag sm + a sp) + drive,
 with delta_x = omega_drive - omega_x. kappa is the amplitude HWHM of the
 cavity line, so the photon-number collapse rate is 2*kappa; atomic decay has
-rate gamma. For an atom drive the Hamiltonian term is amp*sp + conj(amp)*sm,
-so a resonant Rabi frequency Omega corresponds to amplitude Omega/2.
+rate gamma. The drive amplitude amp is real: an atom drive adds amp*(sp + sm),
+so a resonant Rabi frequency Omega corresponds to amplitude Omega/2, and a
+cavity drive adds amp*(a^dag + a).
 
 Every steady state, a single point or a lineshape grid, comes from one
 reduced trace-row solve, _steady_states, whose docstring gives the
@@ -18,10 +19,9 @@ derivation.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,16 +53,18 @@ class LindbladModel:
     g: float                    # rad/s
     kappa: float                # rad/s, amplitude HWHM
     gamma: float                # rad/s
-    drive_amplitude: complex    # rad/s; for an atom drive this is Omega/2
+    drive_amplitude: float      # rad/s; for an atom drive this is Omega/2
     drive_target: str           # "atom" or "cavity"
     detuning_atom: float = 0.0  # rad/s, drive minus atom
     detuning_cavity: float = 0.0  # rad/s, drive minus cavity
 
     def __post_init__(self) -> None:
-        values = (self.g, self.kappa, self.gamma, self.drive_amplitude,
-                  self.detuning_atom, self.detuning_cavity)
-        if not all(cmath.isfinite(value) for value in values):
-            raise ValueError("g, kappa, gamma, drive_amplitude and the detunings must be finite")
+        values = np.array((self.g, self.kappa, self.gamma, self.drive_amplitude,
+                           self.detuning_atom, self.detuning_cavity))
+        if np.iscomplexobj(values) or not np.isfinite(values).all():
+            raise ValueError(
+                "g, kappa, gamma, drive_amplitude and the detunings must be finite real numbers"
+            )
         if not isinstance(self.fock_cutoff, int) or not (2 <= self.fock_cutoff <= 12):
             raise ValueError("fock_cutoff must be an integer in [2, 12]")
         if self.kappa <= 0.0 or self.gamma <= 0.0:
@@ -78,14 +80,11 @@ class _Operators:
     """Read-only operator algebra of one Fock cutoff."""
 
     a: np.ndarray
-    sp: np.ndarray
-    sm: np.ndarray
     number: np.ndarray
     excited: np.ndarray
-    loss: np.ndarray   # unit-rate dissipator of a
-    decay: np.ndarray  # unit-rate dissipator of sm
-    # (3, d^2, d^2): loss, decay and the generator N of a detuning step,
-    # H(delta) = H(0) - delta (a^dag a + sp sm), in the basis of _to_real.
+    # (7, d^2, d^2) generators in the basis of _to_real: the unit-rate
+    # dissipators D[a] and D[sm], then the coherent parts of the Hamiltonian
+    # terms -a^dag a, -sp sm, a^dag sm + a sp, sp + sm and a^dag + a.
     real: np.ndarray
 
 
@@ -103,12 +102,12 @@ def _operators(cutoff: int) -> _Operators:
     sm = np.kron(sm_atom, id_fock)
     sp = sm.conj().T
     number, excited = a.conj().T @ a, sp @ sm
-    loss, decay = _dissipator(a), _dissipator(sm)
-    detuning = _commutator_superoperator(-(number + excited))
-    ops = _Operators(
-        a=a, sp=sp, sm=sm, number=number, excited=excited, loss=loss, decay=decay,
-        real=np.stack([_to_real(x)[0] for x in (loss, decay, detuning)]),
+    hamiltonians = (-number, -excited, a.conj().T @ sm + a @ sp, sp + sm, a.conj().T + a)
+    real = np.stack(
+        [_to_real(_dissipator(c), coherent=False) for c in (a, sm)]
+        + [_to_real(_commutator_superoperator(h), coherent=True) for h in hamiltonians]
     )
+    ops = _Operators(a=a, number=number, excited=excited, real=real)
     for array in vars(ops).values():
         array.flags.writeable = False
     return ops
@@ -129,22 +128,18 @@ def _commutator_superoperator(h: np.ndarray) -> np.ndarray:
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Vectorized generator (row-major vec) of the master equation."""
-    ops = _operators(model.fock_cutoff)
-    h = (
-        -model.detuning_cavity * ops.number
-        - model.detuning_atom * ops.excited
-        + model.g * (ops.a.conj().T @ ops.sm + ops.a @ ops.sp)
+    """Generator of the master equation in the real basis of _to_real."""
+    drive, atom = model.drive_amplitude, model.drive_target == "atom"
+    rates = (
+        2.0 * model.kappa,  # photon loss, HWHM kappa
+        model.gamma,        # atomic decay
+        model.detuning_cavity,
+        model.detuning_atom,
+        model.g,
+        drive if atom else 0.0,
+        0.0 if atom else drive,
     )
-    amp = complex(model.drive_amplitude)
-    if model.drive_target == "cavity":
-        h = h + amp * ops.a.conj().T + np.conj(amp) * ops.a
-    else:
-        h = h + amp * ops.sp + np.conj(amp) * ops.sm
-    liou = _commutator_superoperator(h)
-    liou += 2.0 * model.kappa * ops.loss  # photon loss, HWHM kappa
-    liou += model.gamma * ops.decay       # atomic decay
-    return liou
+    return np.tensordot(rates, _operators(model.fock_cutoff).real, 1)
 
 
 def _top_fock_population(rho: np.ndarray, cutoff: int) -> np.ndarray:
@@ -189,13 +184,23 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return basis
 
 
-def _to_real(liou: np.ndarray) -> tuple[np.ndarray, bool]:
-    """T^H L T of one generator (d^2, d^2), and whether it is real: it is
-    not, as a generator that does not map Hermitian matrices to Hermitian
-    ones, when its imaginary part exceeds 1e-10 times the largest |L| entry."""
+def _to_real(liou: np.ndarray, coherent: bool) -> np.ndarray:
+    """T^H L T of one generator (d^2, d^2), as a real matrix.
+
+    Raises RuntimeError unless, within 1e-10 times the largest |L| entry,
+    T^H L T is real (L maps Hermitian matrices to Hermitian ones) and fills
+    only the blocks that _steady_states relies on: S-A and A-S if coherent,
+    else S-S and A-A.
+    """
     full = _basis_combination(_basis_combination(liou, 1, 1j), 0, -1j)
-    ok = np.abs(full.imag).max() <= HERMITICITY_TOLERANCE * np.abs(liou).max()
-    return np.ascontiguousarray(full.real), bool(ok)
+    dim = math.isqrt(liou.shape[0])
+    symmetric = np.arange(dim * dim) < dim * (dim + 1) // 2
+    forbidden = np.equal.outer(symmetric, symmetric) == coherent
+    if np.abs(np.where(forbidden, full, full.imag)).max() > (
+        HERMITICITY_TOLERANCE * np.abs(liou).max()
+    ):
+        raise RuntimeError("generator is not Hermitian-preserving or breaks its block structure")
+    return np.ascontiguousarray(full.real)
 
 
 def _solve_points(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -260,9 +265,10 @@ def _parts(cutoff: int, kappa: float, gamma: float) -> _Parts:
     trace_block[0] = 0.0
     trace_block[0, :dim] = 1.0
     w_inv = _solve_points(trace_block[None], np.eye(sym)[None], ok)[0]
-    n_sa = ops.real[2, :sym, sym:].copy()
+    detuning = ops.real[2] + ops.real[3]
+    n_sa = detuning[:sym, sym:].copy()
     n_sa[0] = 0.0
-    n_as = ops.real[2, sym:, :sym]
+    n_as = detuning[sym:, :sym]
     wn = w_inv @ n_sa
     return _Parts(
         dissipator, w_inv, n_as, wn, -(n_as @ wn), (n_as @ w_inv[:, 0])[:, None], bool(ok[0])
@@ -280,12 +286,12 @@ def _steady_states(
 
     Each point is a trace-row solve (Nation, arXiv:1504.06768) in a real
     Hermitian operator basis, where a Hermitian-preserving generator is a
-    real matrix and the trace row is ones on the diagonal components. With
-    a real drive amplitude every drive and jump operator is real, so in the
-    basis the dissipator D keeps the symmetric components S (diagonal and
-    symmetric off-diagonal, s = d(d+1)/2) apart from the antisymmetric ones
-    A (a = d(d-1)/2), and the Hamiltonian and detuning terms only couple
-    the two. The generator at detuning delta is
+    real matrix and the trace row is ones on the diagonal components. Every
+    drive and jump operator is real, so in the basis the dissipator D keeps
+    the symmetric components S (diagonal and symmetric off-diagonal,
+    s = d(d+1)/2) apart from the antisymmetric ones A (a = d(d-1)/2), and
+    the Hamiltonian and detuning terms only couple the two (_to_real checks
+    this once per cutoff). The generator at detuning delta is
     [[D_SS, H_SA + delta N_SA], [H_AS + delta N_AS, D_AA]], with H read
     from the model's one liouvillian and N the detuning generator. The
     trace row replaces row 0 of D_SS (giving D') and of H_SA and N_SA. With
@@ -297,20 +303,13 @@ def _steady_states(
 
     The systems are solved by _solve_points in stacks of at most
     LINESHAPE_BLOCK detunings and checked by _checked_states. Every point
-    fails when part failed, when the model's generator is not
-    Hermitian-preserving, or when its S-S or A-A block differs from D's by
-    more than 1e-10 times its largest entry, as a complex drive makes it
-    (steady_state rotates one away); a singular T(delta) or a failed trace
-    or positivity check fails its point alone.
+    fails when part failed; a singular T(delta) or a failed trace or
+    positivity check fails its point alone.
     """
     cutoff = model.fock_cutoff
     dim = 2 * (cutoff + 1)
     sym = dim * (dim + 1) // 2
-    h, built_ok = _to_real(liouvillian(model))
-    gap = np.abs(h - part.dissipator)
-    blocks_ok = max(gap[:sym, :sym].max(), gap[sym:, sym:].max()) <= (
-        HERMITICITY_TOLERANCE * np.abs(h).max()
-    )
+    h = liouvillian(model)
     h_sa = h[:sym, sym:].copy()
     h_sa[0] = 0.0
     h_as = h[sym:, :sym]
@@ -324,7 +323,7 @@ def _steady_states(
     h_w = (h_as @ w)[:, None]
 
     n = detunings.size
-    ok = np.full(n, part.ok and built_ok and blocks_ok)
+    ok = np.full(n, part.ok)
     rho = np.empty((n, dim, dim), dtype=complex)
     top_fock = np.empty(n)
     for start in range(0, n, LINESHAPE_BLOCK):
@@ -343,21 +342,15 @@ def _steady_states(
 def steady_state(model: LindbladModel) -> np.ndarray:
     """Steady-state density matrix of the master equation (see _steady_states).
 
-    The drive phase is a gauge, rho(amp) = U rho(|amp|) U^dag with
-    U = exp(i arg(amp) (a^dag a + sp sm)), so the model is solved at |amp|.
-
     Raises numpy.linalg.LinAlgError if the system is singular or the
-    solution fails the trace, hermiticity or positivity check, and
-    CutoffError if the top Fock level holds more than 1e-6 population.
+    solution fails the trace or positivity check, and CutoffError if the
+    top Fock level holds more than 1e-6 population.
     """
-    amp = complex(model.drive_amplitude)
     part = _parts(model.fock_cutoff, model.kappa, model.gamma)
-    real_drive = replace(model, drive_amplitude=abs(amp))
-    rho, top_fock, ok = _steady_states(part, real_drive, np.zeros(1))
+    rho, top_fock, ok = _steady_states(part, model, np.zeros(1))
     if not ok[0]:
         raise np.linalg.LinAlgError(
-            "steady-state solve is singular or failed the trace, hermiticity "
-            "or positivity check"
+            "steady-state solve is singular or failed the trace or positivity check"
         )
     if top_fock[0] >= TOP_FOCK_TOLERANCE:
         raise CutoffError(
@@ -365,9 +358,7 @@ def steady_state(model: LindbladModel) -> np.ndarray:
             f"{top_fock[0]:.2e} >= {TOP_FOCK_TOLERANCE:.0e}; "
             "increase fock_cutoff"
         )
-    ops = _operators(model.fock_cutoff)
-    phase = np.exp(1j * cmath.phase(amp) * np.real(np.diagonal(ops.number + ops.excited)))
-    return rho[0] * np.outer(phase, phase.conj())
+    return rho[0]
 
 
 def transmittance_steady(

@@ -526,6 +526,16 @@ class TestErrorHandling:
         assert "unstable cavity" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_failing_validate_writes_nothing(self, tmp_path, capsys):
+        # A 0.9999 reflectivity moves the derived kappa off its anchor.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("reflectivity = 0.9999\n")
+        rc = main(["validate", "--samples", "20", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "FAIL  derived cavity decay" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
     def test_bad_grid_writes_no_files(self, tmp_path):
         main(["fig4", "--grid=oops", "--out", str(tmp_path)])
         assert list(tmp_path.iterdir()) == []

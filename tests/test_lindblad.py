@@ -37,11 +37,32 @@ def expect(rho, operator, cutoff):
     return complex(np.trace(rho @ getattr(lindblad._operators(cutoff), operator)))
 
 
+def oracle_liouvillian(model):
+    """The model's complex d^2 x d^2 generator (row-major vec), built here
+    from krons, independent of the package: liouvillian is T^H of it T."""
+    nf = model.fock_cutoff + 1
+    a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, nf)), 1))
+    sm = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(nf))
+    eye = np.eye(2 * nf)
+    drive = sm + sm.T if model.drive_target == "atom" else a + a.T
+    h = (
+        -model.detuning_cavity * a.T @ a
+        - model.detuning_atom * sm.T @ sm
+        + model.g * (a.T @ sm + a @ sm.T)
+        + model.drive_amplitude * drive
+    )
+    liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c, rate in ((a, 2.0 * model.kappa), (sm, model.gamma)):
+        cdc = c.T @ c
+        liou += rate * (np.kron(c, c) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T)))
+    return liou
+
+
 def trace_row_solve(model):
     """rho of the complex trace-row solve of the whole d^2 x d^2 generator:
     the test-side oracle, with no basis change, reduction or check."""
     dim = 2 * (model.fock_cutoff + 1)
-    a = liouvillian(model)
+    a = oracle_liouvillian(model)
     a[0, :] = 0.0
     a[0, :: dim + 1] = 1.0
     b = np.zeros(dim * dim, dtype=complex)
@@ -101,6 +122,14 @@ class TestModelValidation:
                       drive_amplitude=0.1 * P.kappa, drive_target="cavity")
         with pytest.raises(ValueError, match="finite"):
             LindbladModel(**(kwargs | {field: value}))
+
+    @pytest.mark.parametrize(
+        "drive", [complex(0.1, 0.0), np.complex128(0.1), 0.1j, complex(0.1, 1e-9)]
+    )
+    def test_complex_drive_rejected(self, drive):
+        with pytest.raises(ValueError, match="finite real"):
+            LindbladModel(fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
+                          drive_amplitude=drive * P.kappa, drive_target="cavity")
 
 
 class TestSteadyState:
@@ -410,7 +439,7 @@ class TestBatchedSolver:
 
     def test_singular_point_fails_alone(self):
         models = [self.cavity_model(-1.3 * MHZ), self.cavity_model(0.8 * MHZ)]
-        first, last = (_to_real(liouvillian(m))[0] for m in models)
+        first, last = (liouvillian(m) for m in models)
         a = np.stack([first, np.zeros_like(first), last])
         a[:, 0, :] = 0.0
         a[:, 0, :10] = 1.0  # the trace row at cutoff 4 (d = 10)
@@ -532,15 +561,13 @@ class TestMirror:
 class TestRealBasis:
     @staticmethod
     def random_model(rng, cutoff, target, drive=1.0):
-        """A model with a random complex drive of up to drive MHz."""
+        """A model with a random real drive of up to drive MHz, of either sign."""
         return LindbladModel(
             fock_cutoff=cutoff,
             g=float(rng.uniform(0.0, 3.0)) * MHZ,
             kappa=float(rng.uniform(0.5, 5.0)) * MHZ,
             gamma=float(rng.uniform(0.5, 5.0)) * MHZ,
-            drive_amplitude=(
-                drive * MHZ * rng.uniform(0.01, 1.0) * np.exp(2j * np.pi * rng.uniform())
-            ),
+            drive_amplitude=drive * MHZ * rng.uniform(0.01, 1.0) * rng.choice([-1.0, 1.0]),
             drive_target=target,
             detuning_atom=float(rng.uniform(-5.0, 5.0)) * MHZ,
             detuning_cavity=float(rng.uniform(-5.0, 5.0)) * MHZ,
@@ -553,19 +580,14 @@ class TestRealBasis:
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-15)
         for k in range(dim):  # the diagonal matrix units come first
             np.testing.assert_array_equal(basis[:, k].reshape(dim, dim), np.diag(np.eye(dim)[k]))
+        # liouvillian is the test-side complex generator in this basis.
         rng = np.random.default_rng(cutoff)
-        for target in ("atom", "cavity"):
-            liou = liouvillian(self.random_model(rng, cutoff, target))
-            real, ok = _to_real(liou)
-            dense = basis.conj().T @ liou @ basis
-            assert ok
+        for target in ("atom", "cavity") * 2:
+            model = self.random_model(rng, cutoff, target)
+            dense = basis.conj().T @ oracle_liouvillian(model) @ basis
+            real = liouvillian(model)
+            assert real.dtype == np.float64
             assert np.max(np.abs(real - dense)) <= 1e-13 * np.max(np.abs(dense))
-        # The per-cutoff real-basis loss, decay and detuning generators.
-        ops = lindblad._operators(cutoff)
-        detuning = lindblad._commutator_superoperator(-(ops.number + ops.excited))
-        generators = np.stack((ops.loss, ops.decay, detuning))
-        assert all(_to_real(x)[1] for x in generators)
-        np.testing.assert_allclose(ops.real, basis.conj().T @ generators @ basis, atol=1e-13)
 
     @pytest.mark.parametrize("target", ["atom", "cavity"])
     @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
@@ -574,7 +596,6 @@ class TestRealBasis:
         rng = np.random.default_rng(10 * cutoff + len(target))
         for _ in range(4):
             model = self.random_model(rng, cutoff, target, drive=0.1)
-            assert model.drive_amplitude.imag != 0.0
             np.testing.assert_allclose(
                 steady_state(model), trace_row_solve(model), rtol=0.0, atol=1e-12
             )
@@ -582,32 +603,47 @@ class TestRealBasis:
     @pytest.mark.parametrize("target", ["atom", "cavity"])
     @pytest.mark.parametrize("cutoff", [2, 4])
     def test_drive_phase_is_a_gauge(self, cutoff, target):
-        # rho(|amp| e^{i theta}) = U rho(|amp|) U^dag with U = exp(i theta N),
-        # N = a^dag a + sp sm: for the oracle, and for steady_state.
+        # A real drive's phase is 0 or pi: rho(-amp) = U rho(amp) U^dag with
+        # U = exp(i pi N), N = a^dag a + sp sm, for the oracle and for steady_state.
         ops = lindblad._operators(cutoff)
+        u = np.diag((-1.0) ** np.rint(np.real(np.diagonal(ops.number + ops.excited))))
         rng = np.random.default_rng(cutoff + len(target))
         for _ in range(3):
             model = self.random_model(rng, cutoff, target, drive=0.1)
-            theta = np.angle(model.drive_amplitude)
-            real = replace(model, drive_amplitude=abs(model.drive_amplitude))
-            u = np.diag(np.exp(1j * theta * np.real(np.diagonal(ops.number + ops.excited))))
+            flipped = replace(model, drive_amplitude=-model.drive_amplitude)
             for solve in (trace_row_solve, steady_state):
                 np.testing.assert_allclose(
-                    solve(model), u @ solve(real) @ u.conj().T, rtol=0.0, atol=1e-12
+                    solve(flipped), u @ solve(model) @ u, rtol=0.0, atol=1e-12
                 )
 
     def test_non_hermiticity_preserving_generator_fails_alone(self, monkeypatch):
-        models = [TestBatchedSolver.cavity_model(d * MHZ) for d in (-1.3, 0.2, 0.8)]
-        liou = [liouvillian(m) for m in models]
-        converted = [_to_real(x) for x in (liou[0], 1j * liou[1], liou[2])]
-        assert [ok for _, ok in converted] == [True, False, True]
-        assert _to_real(liou[1])[1]
-        for k in (0, 2):
-            np.testing.assert_array_equal(converted[k][0], _to_real(liou[k])[0])
-        # Through the solver, such a generator fails every point of its model.
-        monkeypatch.setattr(lindblad, "liouvillian", lambda model: 1j * liouvillian(model))
-        with pytest.raises(np.linalg.LinAlgError):
-            steady_state(models[1])
+        # The per-cutoff check rejects i times a generator, and only it.
+        generator = lindblad._commutator_superoperator(lindblad._operators(3).number)
+        np.testing.assert_array_equal(
+            _to_real(generator, coherent=True), -lindblad._operators(3).real[2]
+        )
+        with pytest.raises(RuntimeError, match="Hermitian-preserving"):
+            _to_real(1j * generator, coherent=True)
+        # Such a coherent part fails the cutoff's operators as they are built.
+        commutator = lindblad._commutator_superoperator
+        monkeypatch.setattr(lindblad, "_commutator_superoperator", lambda h: 1j * commutator(h))
+        with pytest.raises(RuntimeError, match="Hermitian-preserving"):
+            lindblad._operators.__wrapped__(3)
+
+    def test_broken_block_structure_fails_its_cutoff(self, monkeypatch):
+        # A Hermitian-preserving generator that fills the wrong blocks: a
+        # dissipator with a coherent part, or a coherent part as a dissipator.
+        generator = lindblad._commutator_superoperator(lindblad._operators(3).number)
+        _to_real(generator, coherent=True)
+        with pytest.raises(RuntimeError, match="block structure"):
+            _to_real(generator, coherent=False)
+        dissipator = lindblad._dissipator
+        monkeypatch.setattr(
+            lindblad, "_dissipator",
+            lambda c: dissipator(c) + lindblad._commutator_superoperator(c + c.conj().T),
+        )
+        with pytest.raises(RuntimeError, match="block structure"):
+            lindblad._operators.__wrapped__(3)
 
     def test_lineshape_calls_liouvillian_once_per_position(self, monkeypatch):
         calls = []
@@ -696,22 +732,18 @@ class TestSchurSolve:
             expected = trace_row_solve(at_detuning(model, detunings[k]))
             np.testing.assert_allclose(rho[k], expected, rtol=0.0, atol=1e-12)
 
-    def test_broken_block_structure_fails_its_position(self, monkeypatch):
+    def test_failed_position_fails_its_points_alone(self, monkeypatch):
         models = []
 
-        def complex_drive(model):
+        def broken_second(model):
             models.append(model)
-            if len(models) == 2:
-                model = replace(model, drive_amplitude=model.drive_amplitude * (1.0 + 1e-6j))
-            return liouvillian(model)
+            liou = liouvillian(model)
+            return np.full_like(liou, np.nan) if len(models) == 2 else liou
 
-        monkeypatch.setattr(lindblad, "liouvillian", complex_drive)
+        monkeypatch.setattr(lindblad, "liouvillian", broken_second)
         grid = MHZ * np.linspace(-4.0, 4.0, 9)
         shape = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=4)
         assert shape.fock_cutoff == 3 and len(models) == 4
-        # The drive stays Hermitian, so only the block-structure check fails it.
-        broken = replace(models[1], drive_amplitude=models[1].drive_amplitude * (1.0 + 1e-6j))
-        assert _to_real(liouvillian(broken))[1]
         assert shape.failed_points == grid.size
         kept = models[:1] + models[2:]
         for delta, rate in zip(grid, shape.rate):
