@@ -12,7 +12,8 @@ fig6 draws nothing random and ignores it. A run resolves and checks its
 settings, computes, and only then writes, so a command that stops on an
 error writes no file.
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration error.
+Exit codes: 0 success, 1 numerical failure or exhausted memory, 2
+configuration error.
 The default output directory can be set with SPINFARADAY_OUT.
 """
 
@@ -41,7 +42,6 @@ from .montecarlo import (
     MotionModel,
     average_rotation,
     average_transmittance,
-    coupling_matrix,
     sample_selected_trajectories,
     threshold_trajectories,
 )
@@ -269,10 +269,10 @@ def _fig5(params, geometry, run, grid, write) -> int:
 
     # Panel (b): elliptical transmittance at delta = -2pi x 1.1 MHz averaged
     # over one threshold-selected ensemble and its probe window, both analyzer
-    # ports, prior 1/2. The inset averages over the same couplings.
-    couplings = coupling_matrix(threshold_trajectories(motion, params, n), params).reshape(-1)
+    # ports, prior 1/2. The inset averages over the same ensemble.
+    trajectories = threshold_trajectories(motion, params, n)
     delta_probe = -TWO_PI * 1.1e6
-    cc = conditional_curves(0.5, delta_probe, params, couplings)
+    cc = conditional_curves(0.5, delta_probe, params, trajectories)
     rows_b = []
     for j, phi in enumerate(cc.phi_deg):
         rows_b.append([phi, "transmitted", cc.p_down_transmitted[j], cc.click_prob_transmitted[j]])
@@ -282,7 +282,7 @@ def _fig5(params, geometry, run, grid, write) -> int:
 
     # Inset: population versus detuning at a fixed 60-degree analyzer.
     inset = population_vs_detuning(
-        0.5, math.radians(60.0), grid, params, couplings, port=TRANSMITTED
+        0.5, math.radians(60.0), grid, params, trajectories, port=TRANSMITTED
     )
     write("fig5_inset.csv", ["delta_mhz", "p_down"], list(zip(grid / (TWO_PI * 1e6), inset)))
     return 0
@@ -507,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,10 +22,11 @@ and Bayes' rule converts a prior down-population into the conditional
 population given a click. Detection-chain efficiency multiplies both
 hypotheses equally and cancels in the conditional.
 
-The curve functions average P(phi | down) over 1-D coupling samples (g0 for
-the pinned atom, or an ensemble's flattened ``montecarlo.coupling_matrix``)
-as (E|t|^2 + 1 + 2 Re(E[t] exp(-2 i phi))) / 4, from ``optics.t_moments``
-over the samples' ``optics.sample_blocks``.
+The curve functions average P(phi | down) over the couplings of the pinned
+atom (g0 alone) or of an ``Ensemble`` over its probe window, as
+(E|t|^2 + 1 + 2 Re(E[t] exp(-2 i phi))) / 4. ``optics.t_moments`` sweeps an
+ensemble's ``montecarlo.coupling_blocks``, so memory does not grow with the
+trajectory count.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import sample_blocks, t_moments
+from .montecarlo import Ensemble, coupling_blocks
+from .optics import t_moments
 from .params import SystemParams
 
 TRANSMITTED = "transmitted"
@@ -164,21 +166,18 @@ def pure_rotation_curves(
 
 
 def _averaged_posterior(
-    prior: float, angle, delta, g: np.ndarray, params: SystemParams
+    prior: float, angle, delta, params: SystemParams, ensemble: Ensemble | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(P(down | click), P(click)) after one click, broadcast over angle or delta.
 
-    P(click | down) is averaged (an intensity) over the coupling samples g in
-    its moment form, mirroring how counts accumulate over many atoms.
+    P(click | down) is averaged (an intensity) over the ensemble's couplings,
+    or taken at g0 for ``None``, in its moment form, mirroring how counts
+    accumulate over many atoms.
     """
-    m2, m1 = t_moments(delta, sample_blocks(g), params)
+    blocks = [np.array([params.g0])] if ensemble is None else coupling_blocks(ensemble, params)
+    m2, m1 = t_moments(delta, blocks, params)
     p_down_click = (m2 + 1.0 + 2.0 * np.real(m1 * np.exp(-2j * angle))) / 4.0
     return _bayes_posterior(detection_prob_up(angle), p_down_click, prior)
-
-
-def _coupling_samples(params: SystemParams, couplings) -> np.ndarray:
-    """The coupling samples, or the pinned atom's [g0] if none (checked as they are swept)."""
-    return np.array([params.g0]) if couplings is None else couplings
 
 
 @dataclass(frozen=True)
@@ -196,21 +195,20 @@ def conditional_curves(
     prior: float,
     delta: float,
     params: SystemParams,
-    couplings: np.ndarray | None = None,
+    ensemble: Ensemble | None = None,
 ) -> ConditionalCurves:
     """Conditional down-population versus analyzer angle for both ports.
 
     Analyzer angles run over 0..180 degrees in 1-degree steps. Uses the
     elliptical transmittance at detuning ``delta``, with P(phi | down)
-    averaged over ``couplings`` (1-D, rad/s); omitted, the atom sits at the
-    mode antinode.
+    averaged over the ``ensemble``'s trajectories and probe window; omitted,
+    the atom sits at the mode antinode.
     """
-    g = _coupling_samples(params, couplings)
     phi_deg = np.linspace(0.0, 180.0, 181)
     phi = np.radians(phi_deg)
 
-    p_t, click_t = _averaged_posterior(prior, phi, delta, g, params)
-    p_r, click_r = _averaged_posterior(prior, _port_angle(phi, REFLECTED), delta, g, params)
+    p_t, click_t = _averaged_posterior(prior, phi, delta, params, ensemble)
+    p_r, click_r = _averaged_posterior(prior, _port_angle(phi, REFLECTED), delta, params, ensemble)
     return ConditionalCurves(phi_deg, p_t, p_r, click_t, click_r)
 
 
@@ -219,15 +217,14 @@ def population_vs_detuning(
     phi: float,
     delta_grid: np.ndarray,
     params: SystemParams,
-    couplings: np.ndarray | None = None,
+    ensemble: Ensemble | None = None,
     port: str = TRANSMITTED,
 ) -> np.ndarray:
     """Conditional down-population versus probe detuning at fixed analyzer.
 
-    ``couplings`` are averaged over as in ``conditional_curves``; omitted,
+    The ``ensemble`` is averaged over as in ``conditional_curves``; omitted,
     the atom is pinned at the antinode. The far-detuned limit returns the
     prior: the atom decouples, both spin hypotheses give the same click
     probability, and the photon carries no information.
     """
-    g = _coupling_samples(params, couplings)
-    return _averaged_posterior(prior, _port_angle(phi, port), delta_grid, g, params)[0]
+    return _averaged_posterior(prior, _port_angle(phi, port), delta_grid, params, ensemble)[0]

@@ -146,12 +146,12 @@ def coupling_matrix(ensemble: Ensemble, params: SystemParams) -> np.ndarray:
 
 
 def coupling_blocks(ensemble: Ensemble, params: SystemParams) -> Iterator[np.ndarray]:
-    """The flattened ``coupling_matrix`` as consecutive ``optics.MOMENT_BLOCK`` slices.
+    """g(r(t)) of every trajectory row and window time, as 1-D blocks for ``t_moments``.
 
-    Each block is built when it is reached, from the trajectory rows that
-    cover it, and cut to the flat boundaries of slicing
-    ``coupling_matrix(...).reshape(-1)``: the same samples in the same
-    blocks, bit for bit, while only one block's rows are ever held.
+    The samples run row by row (trajectory-major, the order of
+    ``coupling_matrix``) in consecutive blocks of ``optics.MOMENT_BLOCK``,
+    the last one shorter. Each block is built when it is reached, from the
+    trajectory rows that cover it, so only one block's rows are ever held.
     """
     times = ensemble.motion.times()
     steps = times.size

@@ -21,7 +21,7 @@ with-atom reading is reported directly as the rotation angle.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -75,26 +75,14 @@ def t_minus_value(
 MOMENT_BLOCK = 1 << 15
 
 
-def sample_blocks(g: np.ndarray) -> Iterator[np.ndarray]:
-    """1-D coupling samples g as the consecutive ``MOMENT_BLOCK`` slices ``t_moments`` sweeps.
-
-    Raises ValueError (when iterated) unless g is 1-D.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1:
-        raise ValueError(f"couplings must be a non-empty 1-D array, got shape {g.shape}")
-    for start in range(0, g.size, MOMENT_BLOCK):
-        yield g[start : start + MOMENT_BLOCK]
-
-
 def t_moments(
     delta: np.ndarray | float, blocks: Iterable[np.ndarray], params: SystemParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E|t|^2, E[t]) of t_minus over coupling samples, one pair per detuning.
 
     The samples arrive as consecutive 1-D blocks of at most ``MOMENT_BLOCK``
-    (``sample_blocks`` of an array, or ``montecarlo.coupling_blocks`` of an
-    ensemble, which builds each block only when it is reached). Within a
+    (``montecarlo.coupling_blocks`` of an ensemble, which builds each block
+    only when it is reached, or the pinned atom's one block [g0]). Within a
     block one ``t_minus_value`` call per detuning adds to that detuning's
     two sums, so memory is O(block) however many samples there are. |t|^2
     is summed by ``einsum`` over the real view, not by a BLAS dot product,

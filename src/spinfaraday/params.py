@@ -253,7 +253,8 @@ def build_settings(
     """Build the three value objects from flat configuration keys.
 
     Unknown keys are rejected; callers that carry extra run-level keys
-    (seed, samples, ...) must filter them out first.
+    (seed, samples, ...) must filter them out first. Values must be numbers:
+    a bool or a string (a JSON ``true`` or ``"2.8"``) is a ConfigError.
     """
     unknown = sorted(set(overrides) - PARAM_KEYS)
     if unknown:
@@ -262,11 +263,9 @@ def build_settings(
     fields: dict[str, dict[str, float]] = {"params": {}, "geometry": {}, "detection": {}}
     for key, value in overrides.items():
         target, field, scale = _PARAM_KEY_TABLE[key]
-        try:
-            number = float(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"configuration key {key!r} must be numeric, got {value!r}") from exc
-        fields[target][field] = number * scale
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"configuration key {key!r} must be numeric, got {value!r}")
+        fields[target][field] = float(value) * scale
 
     try:
         params = replace(DEFAULT_PARAMS, **fields["params"])

@@ -501,6 +501,17 @@ class TestErrorHandling:
         assert "coupling_mhz" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [True, "2.8"])
+    def test_non_numeric_physics_value_exit_2(self, tmp_path, capsys, value):
+        # A JSON boolean or quoted number is not a number; key=value text is
+        # parsed into numbers before it gets here.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"g0_mhz": value}))
+        rc = main(["fig6", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'g0_mhz' must be numeric" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_physics_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("kappa_mhz = -4.4\n")
@@ -548,6 +559,7 @@ class TestErrorHandling:
             measurement.MeasurementError,
             optics.InsufficientCountsError,
             np.linalg.LinAlgError,
+            MemoryError,
         ],
     )
     def test_numerical_failure_exit_1(self, tmp_path, capsys, monkeypatch, error):

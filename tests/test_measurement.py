@@ -22,7 +22,7 @@ from spinfaraday.measurement import (
     pure_rotation_curves,
 )
 from spinfaraday.montecarlo import MotionModel, coupling_matrix, threshold_trajectories
-from spinfaraday.optics import t_minus_value
+from spinfaraday.optics import MOMENT_BLOCK, t_minus_value
 from spinfaraday.params import DEFAULT_PARAMS, TWO_PI
 
 MHZ = TWO_PI * 1e6
@@ -274,10 +274,9 @@ class TestConditionalCurves:
         np.testing.assert_allclose(total, total[0], rtol=1e-12)
 
     def test_motion_averaging_reduces_contrast(self):
-        motion = MotionModel(window=4e-6, seed=99)
-        couplings = coupling_matrix(threshold_trajectories(motion, P, 300), P).reshape(-1)
+        trajectories = threshold_trajectories(MotionModel(window=4e-6, seed=99), P, 300)
         pinned = conditional_curves(0.5, -1.1 * MHZ, P)
-        averaged = conditional_curves(0.5, -1.1 * MHZ, P, couplings)
+        averaged = conditional_curves(0.5, -1.1 * MHZ, P, trajectories)
         # averaging over weaker couplings pulls the curve toward the prior
         i30 = int(np.argmin(np.abs(pinned.phi_deg - 30.0)))
         assert abs(averaged.p_down_transmitted[i30] - 0.5) < abs(
@@ -291,17 +290,14 @@ class TestConditionalCurves:
         with pytest.raises(ValueError):
             conditional_curves(-0.1, -1.1 * MHZ, P)
 
-    def test_coupling_matrix_must_be_flattened(self):
-        with pytest.raises(ValueError, match="1-D"):
-            conditional_curves(0.5, -1.1 * MHZ, P, np.full((3, 2), P.g0))
-
     def test_averaged_click_probability_matches_per_sample_mean(self):
         # With prior 1 the click probability is P(click | down) itself.
-        g = coupling_matrix(threshold_trajectories(MotionModel(seed=5), P, 100), P).reshape(-1)
+        trajectories = threshold_trajectories(MotionModel(seed=5), P, 100)
+        g = coupling_matrix(trajectories, P).reshape(-1)
         phi = np.radians(np.linspace(0.0, 180.0, 181))
         for delta in MHZ * np.array([-2.0, -1.1, 0.0, 0.7, 3.0]):
             t = t_minus_value(delta, g, P)
-            cc = conditional_curves(1.0, delta, P, g)
+            cc = conditional_curves(1.0, delta, P, trajectories)
             for click, angle in (
                 (cc.click_prob_transmitted, phi),
                 (cc.click_prob_reflected, phi + math.pi / 2.0),
@@ -312,14 +308,34 @@ class TestConditionalCurves:
     def test_peak_memory_independent_of_the_angle_count(self):
         # A few complex arrays over the samples (16 bytes each), however many
         # analyzer angles: no array may span angles and samples together.
-        g = P.g0 * np.linspace(0.5, 1.0, 50_000)
+        trajectories = threshold_trajectories(MotionModel(window=4e-6), P, 6_000)
+        samples = len(trajectories) * trajectories.motion.times().size  # 54,000
         tracemalloc.start()
         try:
-            conditional_curves(0.5, -1.1 * MHZ, P, g)
+            conditional_curves(0.5, -1.1 * MHZ, P, trajectories)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 16 * g.size
+        assert peak < 8 * 16 * samples
+
+
+class TestReadoutMemory:
+    def test_peak_memory_independent_of_the_trajectory_count(self):
+        # fig5's readout stage, on 18,000 and 360,000 window samples: a few
+        # complex blocks of temporaries either way, where building the whole
+        # coupling matrix holds its positions, 24 bytes per sample (8.2 MiB).
+        grid = MHZ * np.linspace(-3.0, 3.0, 121)
+        motion = MotionModel(window=4e-6)
+        for n in (2_000, 40_000):
+            trajectories = threshold_trajectories(motion, P, n)
+            tracemalloc.start()
+            try:
+                conditional_curves(0.5, -1.1 * MHZ, P, trajectories)
+                population_vs_detuning(0.5, math.radians(60.0), grid, P, trajectories)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * MOMENT_BLOCK * 16, n
 
 
 class TestPopulationVsDetuning:
@@ -350,10 +366,11 @@ class TestPopulationVsDetuning:
             np.testing.assert_allclose(pops, expected, rtol=0.0, atol=1e-12)
 
     def test_averaged_matches_bayes_over_per_sample_means(self):
-        g = coupling_matrix(threshold_trajectories(MotionModel(seed=6), P, 100), P).reshape(-1)
+        trajectories = threshold_trajectories(MotionModel(seed=6), P, 100)
+        g = coupling_matrix(trajectories, P).reshape(-1)
         grid = MHZ * np.linspace(-3.0, 3.0, 13)
         for port, angle in ((TRANSMITTED, 0.7), (REFLECTED, 0.7 + math.pi / 2.0)):
-            pops = population_vs_detuning(0.4, 0.7, grid, P, g, port=port)
+            pops = population_vs_detuning(0.4, 0.7, grid, P, trajectories, port=port)
             t = t_minus_value(grid[:, None], g, P)
             p_down = detection_prob_down(angle, t).mean(axis=1)
             p_up = detection_prob_up(angle)
@@ -362,6 +379,8 @@ class TestPopulationVsDetuning:
 
     @pytest.mark.parametrize("prior", [-0.1, 1.5])
     def test_prior_checked_with_coupling_samples(self, prior):
-        couplings = P.g0 * np.linspace(0.5, 1.0, 20)
+        trajectories = threshold_trajectories(MotionModel(window=4e-6), P, 20)
         with pytest.raises(ValueError, match="prior"):
-            population_vs_detuning(prior, math.radians(60.0), MHZ * np.array([-1.1]), P, couplings)
+            population_vs_detuning(
+                prior, math.radians(60.0), MHZ * np.array([-1.1]), P, trajectories
+            )

@@ -19,7 +19,6 @@ from spinfaraday.optics import (
     angle_from_counts,
     coupling_grid,
     rotation_curve,
-    sample_blocks,
     t_minus_value,
     t_moments,
 )
@@ -113,26 +112,31 @@ class TestTransmittance:
         np.testing.assert_allclose(vec, scalar, rtol=1e-14)
 
 
+def blocks(g, size=MOMENT_BLOCK):
+    """Consecutive 1-D slices of g of at most ``size`` samples, as ``t_moments`` takes them."""
+    return [g[start : start + size] for start in range(0, g.size, size)]
+
+
 class TestMoments:
     def test_match_direct_sample_means(self):
         g = P.g0 * np.random.default_rng(4).uniform(-1.0, 1.0, size=500)
         deltas = MHZ * np.linspace(-4.0, 4.0, 9)
-        m2, m1 = t_moments(deltas, sample_blocks(g), P)
+        m2, m1 = t_moments(deltas, blocks(g), P)
         t = t_minus_value(deltas[:, None], g, P)
         np.testing.assert_allclose(m2, np.mean(np.abs(t) ** 2, axis=1), rtol=1e-12)
         np.testing.assert_allclose(m1, np.mean(t, axis=1), rtol=1e-12)
 
     def test_scalar_detuning_gives_one_pair(self):
-        m2, m1 = t_moments(MHZ, sample_blocks(np.array([P.g0])), P)
+        m2, m1 = t_moments(MHZ, [np.array([P.g0])], P)
         t = complex(t_minus_value(MHZ, P.g0, P))
         assert m2.shape == m1.shape == (1,)
         assert m2[0] == pytest.approx(abs(t) ** 2, rel=1e-14)
         assert m1[0] == pytest.approx(t, rel=1e-14)
 
-    @pytest.mark.parametrize("g", [np.array([]), np.full((3, 2), P.g0)], ids=["empty", "2-D"])
-    def test_coupling_samples_must_be_1d_and_non_empty(self, g):
+    @pytest.mark.parametrize("sweep", [[], [np.full((3, 2), P.g0)]], ids=["empty", "2-D"])
+    def test_coupling_samples_must_be_1d_and_non_empty(self, sweep):
         with pytest.raises(ValueError, match="1-D"):
-            t_moments(MHZ * np.array([-1.1, 0.0]), sample_blocks(g), P)
+            t_moments(MHZ * np.array([-1.1, 0.0]), sweep, P)
 
     def test_an_array_is_not_a_block_sequence(self):
         # Iterating a bare 1-D array yields 0-D samples, which are rejected.
@@ -140,13 +144,12 @@ class TestMoments:
             t_moments(MHZ, np.full(3, P.g0), P)
 
     @pytest.mark.parametrize("n", [1, 14, 50])
-    def test_block_boundaries_match_per_sample_means(self, monkeypatch, n):
+    def test_block_boundaries_match_per_sample_means(self, n):
         # With blocks of 7: one partial block, two whole blocks, and seven
         # whole blocks with a tail of one.
-        monkeypatch.setattr(optics, "MOMENT_BLOCK", 7)
         g = P.g0 * np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
         deltas = MHZ * np.linspace(-3.0, 3.0, 7)
-        m2, m1 = t_moments(deltas, sample_blocks(g), P)
+        m2, m1 = t_moments(deltas, blocks(g, 7), P)
         t = t_minus_value(deltas[:, None], g, P)
         np.testing.assert_allclose(m2, np.mean(np.abs(t) ** 2, axis=1), rtol=1e-12)
         np.testing.assert_allclose(m1, np.mean(t, axis=1), rtol=1e-12)
@@ -160,11 +163,10 @@ class TestMoments:
             elements.append(np.size(result))
             return result
 
-        monkeypatch.setattr(optics, "MOMENT_BLOCK", block)
         monkeypatch.setattr(optics, "t_minus_value", counted)
         g = P.g0 * np.linspace(-1.0, 1.0, 50)
         deltas = MHZ * np.linspace(-2.0, 2.0, 5)
-        t_moments(deltas, sample_blocks(g), P)
+        t_moments(deltas, blocks(g, block), P)
         assert sum(elements) == deltas.size * g.size
 
     def test_peak_memory_independent_of_the_sample_count(self):
@@ -172,9 +174,10 @@ class TestMoments:
         # kernel holds about 48 bytes per sample.
         g = P.g0 * np.linspace(-1.0, 1.0, 400_000)
         deltas = MHZ * np.linspace(-3.0, 3.0, 121)
+        views = blocks(g)
         tracemalloc.start()
         try:
-            t_moments(deltas, sample_blocks(g), P)
+            t_moments(deltas, views, P)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -184,10 +187,11 @@ class TestMoments:
         src = os.path.dirname(os.path.dirname(optics.__file__))
         code = (
             "import numpy as np\n"
-            "from spinfaraday.optics import sample_blocks, t_moments\n"
+            "from spinfaraday.optics import MOMENT_BLOCK, t_moments\n"
             "from spinfaraday.params import DEFAULT_PARAMS as P, TWO_PI\n"
             "g = P.g0 * np.random.default_rng(3).uniform(-1.0, 1.0, size=200_000)\n"
-            "m2, m1 = t_moments(TWO_PI * 1e6 * np.linspace(-3.0, 3.0, 13), sample_blocks(g), P)\n"
+            "blocks = [g[i : i + MOMENT_BLOCK] for i in range(0, g.size, MOMENT_BLOCK)]\n"
+            "m2, m1 = t_moments(TWO_PI * 1e6 * np.linspace(-3.0, 3.0, 13), blocks, P)\n"
             "print(m2.tobytes().hex() + m1.tobytes().hex())\n"
         )
         outputs = []
