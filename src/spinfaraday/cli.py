@@ -97,7 +97,8 @@ def _check_run_key(key: str, value: object) -> None:
     elif key in _RUN_RANGES:
         rule, admitted = _RUN_RANGES[key]
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value) and admitted(value)):
+        # An exact comparison: an int too large for a float fails it, as do NaN and inf.
+        if not (number and abs(value) <= sys.float_info.max and admitted(value)):
             raise ConfigError(f"{key} must be a finite number {rule}, got {value!r}")
     elif key == "ensemble" and str(value) not in (ENSEMBLE_THRESHOLD, ENSEMBLE_COINCIDENCE):
         raise ConfigError(
@@ -114,7 +115,7 @@ def _resolve(args: argparse.Namespace):
     # Run keys come from the command's own manifest or a file naming no
     # command; another command's manifest lends only its physics keys.
     command = file_cfg.pop("command", args.command)
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ConfigError(f"command must be one of {', '.join(_COMMANDS)}, got {command!r}")
     if command == args.command:
         run.update((key, file_cfg.pop(key)) for key in defaults if key in file_cfg)
@@ -159,7 +160,7 @@ def _resolve(args: argparse.Namespace):
 
 
 def _parse_grid(text: object) -> np.ndarray:
-    """Parse 'min:max:n' (MHz) into a detuning grid in rad/s."""
+    """Parse 'min:max:n' (MHz) into a detuning grid in rad/s with finite bounds."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be 'min:max:n' in MHz, got {text!r}")
@@ -167,13 +168,14 @@ def _parse_grid(text: object) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"grid must be 'min:max:n' in MHz, got {text!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"grid bounds must be finite, got {text!r}")
+    scale = TWO_PI * 1e6
+    if not (math.isfinite(lo * scale) and math.isfinite(hi * scale)):
+        raise ConfigError(f"grid bounds must be finite in rad/s, got {text!r}")
     if n < 1:
         raise ConfigError("grid must contain at least one point")
     if hi < lo or (hi == lo and n > 1):
         raise ConfigError("grid maximum must exceed the minimum")
-    return TWO_PI * 1e6 * np.linspace(lo, hi, n)
+    return scale * np.linspace(lo, hi, n)
 
 
 def _format_cell(value: object) -> str:

@@ -82,6 +82,11 @@ class _Operators:
     a: np.ndarray
     number: np.ndarray
     excited: np.ndarray
+    # Unitary T (d^2, d^2) whose columns are the vecs of an orthonormal
+    # Hermitian basis: the matrix units E_ii, then (E_ij + E_ji)/sqrt(2) for
+    # every i < j, then i(E_ji - E_ij)/sqrt(2) in the same pair order. The
+    # trace of T r is the sum of the first d components of r.
+    basis: np.ndarray
     # (7, d^2, d^2) generators in the basis of _to_real: the unit-rate
     # dissipators D[a] and D[sm], then the coherent parts of the Hamiltonian
     # terms -a^dag a, -sp sm, a^dag sm + a sp, sp + sm and a^dag + a.
@@ -107,7 +112,8 @@ def _operators(cutoff: int) -> _Operators:
         [_to_real(_dissipator(c), coherent=False) for c in (a, sm)]
         + [_to_real(_commutator_superoperator(h), coherent=True) for h in hamiltonians]
     )
-    ops = _Operators(a=a, number=number, excited=excited, real=real)
+    basis = _basis_combination(np.eye(a.size, dtype=complex), 1, 1j)
+    ops = _Operators(a=a, number=number, excited=excited, basis=basis, real=real)
     for array in vars(ops).values():
         array.flags.writeable = False
     return ops
@@ -142,46 +148,22 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return np.tensordot(rates, _operators(model.fock_cutoff).real, 1)
 
 
-def _top_fock_population(rho: np.ndarray, cutoff: int) -> np.ndarray:
-    """Population of the top Fock level, over the trailing (d, d) axes."""
-    nf = cutoff + 1
-    diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
-    # Atom index i, Fock index n live at row i*nf + n.
-    return diag[..., nf - 1] + diag[..., 2 * nf - 1]
-
-
-@functools.lru_cache(maxsize=None)
-def _basis_indices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major vec indices of the diagonal, of (i, j) and of (j, i), i < j."""
-    upper_i, upper_j = np.triu_indices(dim, 1)
-    return np.arange(dim) * (dim + 1), upper_i * dim + upper_j, upper_j * dim + upper_i
-
-
 def _basis_combination(x: np.ndarray, axis: int, phase: complex) -> np.ndarray:
     """x @ T along the last axis (phase 1j) or T^H @ x along a row axis
     (phase -1j), from the at most two nonzeros per column of T."""
-    diag, upper, lower = _basis_indices(math.isqrt(x.shape[axis]))
-    x_upper = np.take(x, upper, axis)
-    x_lower = np.take(x, lower, axis)
+    dim = math.isqrt(x.shape[axis])
+    upper_i, upper_j = np.triu_indices(dim, 1)
+    # Row-major vec indices of (i, j) and of (j, i), i < j.
+    x_upper = np.take(x, upper_i * dim + upper_j, axis)
+    x_lower = np.take(x, upper_j * dim + upper_i, axis)
     return np.concatenate(
         (
-            np.take(x, diag, axis),
+            np.take(x, np.arange(dim) * (dim + 1), axis),
             (x_upper + x_lower) / math.sqrt(2.0),
             (phase / math.sqrt(2.0)) * (x_lower - x_upper),
         ),
         axis,
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """Unitary T whose columns are the vecs of an orthonormal Hermitian basis:
-    the matrix units E_ii, then (E_ij + E_ji)/sqrt(2) for every i < j, then
-    i(E_ji - E_ij)/sqrt(2) in the same pair order. The trace of T r is the
-    sum of the first dim components of r."""
-    basis = _basis_combination(np.eye(dim * dim, dtype=complex), 1, 1j)
-    basis.flags.writeable = False
-    return basis
 
 
 def _to_real(liou: np.ndarray, coherent: bool) -> np.ndarray:
@@ -235,18 +217,21 @@ def _checked_states(
     """
     dim = 2 * (cutoff + 1)
     ok &= np.abs(r[:, :dim].sum(axis=1) - 1.0) <= TRACE_TOLERANCE
-    rho = (r @ _hermitian_basis(dim).T).reshape(r.shape[0], dim, dim)
+    rho = (r @ _operators(cutoff).basis.T).reshape(r.shape[0], dim, dim)
     if ok.any():
         min_eig = np.linalg.eigvalsh(rho[ok]).min(axis=1)
         ok[ok] = min_eig >= EIGENVALUE_FLOOR
     rho[~ok] = np.nan
-    return rho, _top_fock_population(rho, cutoff)
+    # Atom index i, Fock index n live at row i*(cutoff+1) + n.
+    diag = np.real(np.diagonal(rho, axis1=1, axis2=2))
+    return rho, diag[:, dim // 2 - 1] + diag[:, dim - 1]
 
 
 class _Parts(NamedTuple):
-    """The pieces of _steady_states fixed by the Fock cutoff, kappa and gamma."""
+    """The read-only pieces of _steady_states fixed by the Fock cutoff, kappa
+    and gamma, with D = 2 kappa D[a] + gamma D[sm] in the real basis."""
 
-    dissipator: np.ndarray  # (d^2, d^2) real-basis D = 2 kappa D[a] + gamma D[sm]
+    d_aa: np.ndarray        # (a, a) D_AA
     w_inv: np.ndarray       # (s, s) W = D'^-1
     n_as: np.ndarray        # (a, s) N_AS
     wn: np.ndarray          # (s, a) W N_SA
@@ -255,6 +240,7 @@ class _Parts(NamedTuple):
     ok: bool                # false if D' is singular
 
 
+@functools.lru_cache(maxsize=8)
 def _parts(cutoff: int, kappa: float, gamma: float) -> _Parts:
     ops = _operators(cutoff)
     dim = 2 * (cutoff + 1)
@@ -270,17 +256,20 @@ def _parts(cutoff: int, kappa: float, gamma: float) -> _Parts:
     n_sa[0] = 0.0
     n_as = detuning[sym:, :sym]
     wn = w_inv @ n_sa
-    return _Parts(
-        dissipator, w_inv, n_as, wn, -(n_as @ wn), (n_as @ w_inv[:, 0])[:, None], bool(ok[0])
+    part = _Parts(
+        dissipator[sym:, sym:].copy(), w_inv, n_as, wn, -(n_as @ wn),
+        (n_as @ w_inv[:, 0])[:, None], bool(ok[0]),
     )
+    for array in part[:-1]:
+        array.flags.writeable = False
+    return part
 
 
 def _steady_states(
-    part: _Parts, model: LindbladModel, detunings: np.ndarray
+    model: LindbladModel, detunings: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked steady states of model with each of detunings (n,) added to
-    both its atom and its cavity detuning. part must be _parts of the
-    model's cutoff, kappa and gamma. Returns (rho, top_fock, ok): the
+    both its atom and its cavity detuning. Returns (rho, top_fock, ok): the
     density matrices (n, d, d), their top Fock populations (n,) and the
     pass mask (n,), with rho and top_fock NaN at the failed points.
 
@@ -295,18 +284,20 @@ def _steady_states(
     [[D_SS, H_SA + delta N_SA], [H_AS + delta N_AS, D_AA]], with H read
     from the model's one liouvillian and N the detuning generator. The
     trace row replaces row 0 of D_SS (giving D') and of H_SA and N_SA. With
-    W = D'^-1 and w = W e_0, a Schur complement leaves one a x a system per
-    detuning (28 x 28 at cutoff 3, against 64 x 64):
+    W = D'^-1 and w = W e_0 (_parts, cached per cutoff, kappa and gamma), a
+    Schur complement leaves one a x a system per detuning (28 x 28 at
+    cutoff 3, against 64 x 64):
     (T0 + delta T1 + delta^2 T2) x_A = -(H_AS + delta N_AS) w, with
     T0 = D_AA - H_AS W H_SA, T1 = -(H_AS W N_SA + N_AS W H_SA) and
     T2 = -N_AS W N_SA, and then x_S = w - W (H_SA + delta N_SA) x_A.
 
     The systems are solved by _solve_points in stacks of at most
     LINESHAPE_BLOCK detunings and checked by _checked_states. Every point
-    fails when part failed; a singular T(delta) or a failed trace or
+    fails when D' is singular; a singular T(delta) or a failed trace or
     positivity check fails its point alone.
     """
     cutoff = model.fock_cutoff
+    part = _parts(cutoff, model.kappa, model.gamma)
     dim = 2 * (cutoff + 1)
     sym = dim * (dim + 1) // 2
     h = liouvillian(model)
@@ -316,7 +307,7 @@ def _steady_states(
     w = part.w_inv[:, 0]
     wh = part.w_inv @ h_sa
     t = np.stack((
-        part.dissipator[sym:, sym:] - h_as @ wh,
+        part.d_aa - h_as @ wh,
         -(h_as @ part.wn + part.n_as @ wh),
         part.t2,
     ))
@@ -340,14 +331,14 @@ def _steady_states(
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
-    """Steady-state density matrix of the master equation (see _steady_states).
+    """Steady-state density matrix of the master equation: one
+    _steady_states point at the model's own detunings.
 
     Raises numpy.linalg.LinAlgError if the system is singular or the
     solution fails the trace or positivity check, and CutoffError if the
     top Fock level holds more than 1e-6 population.
     """
-    part = _parts(model.fock_cutoff, model.kappa, model.gamma)
-    rho, top_fock, ok = _steady_states(part, model, np.zeros(1))
+    rho, top_fock, ok = _steady_states(model, np.zeros(1))
     if not ok[0]:
         raise np.linalg.LinAlgError(
             "steady-state solve is singular or failed the trace or positivity check"
@@ -472,8 +463,8 @@ def fluorescence_lineshape(
     Jiang, arXiv:1310.1523). Grid points whose |delta| agree within
     MIRROR_TOLERANCE (1e-12) of the largest |detuning| share one solve at the
     largest signed value among them, found by one sort over |delta|. Each
-    atom position is one _steady_states call over the solved detunings,
-    with the pieces fixed by the cutoff (_parts) built once per cutoff.
+    atom position is one _steady_states call over the solved detunings, and
+    the positions of one cutoff share one D' inverse.
     Rates and pass marks are kept per atom position and solved detuning,
     and fed to the grid once, after the position average. failed_points
     counts grid points over all atom positions of the final cutoff, so a
@@ -508,7 +499,6 @@ def fluorescence_lineshape(
     solved, feeds = _mirror_map(detunings)
     for cutoff in range(LINESHAPE_START_CUTOFF, MAX_LINESHAPE_CUTOFF + 1, 2):
         ops = _operators(cutoff)
-        part = _parts(cutoff, params.kappa, params.gamma)
         # Photons scattered per unit time by each product-basis population.
         emission = np.real(
             2.0 * params.kappa * np.diagonal(ops.number) + params.gamma * np.diagonal(ops.excited)
@@ -527,7 +517,7 @@ def fluorescence_lineshape(
                 drive_amplitude=0.5 * omega_local[s],
                 drive_target="atom",
             )
-            rho, top_fock, ok[s] = _steady_states(part, model, solved)
+            rho, top_fock, ok[s] = _steady_states(model, solved)
             rates[s] = np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
             if ok[s].any():
                 worst_top = max(worst_top, float(np.nanmax(top_fock)))

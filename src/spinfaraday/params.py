@@ -204,13 +204,14 @@ def parse_config_text(text: str) -> dict[str, object]:
 
     Accepts either a JSON object or plain ``key = value`` lines with ``#``
     comments. Values in the key=value form are parsed as numbers when
-    possible and kept as strings otherwise.
+    possible and kept as strings otherwise. A body that opens with ``{`` or
+    ``[`` is read as JSON.
     """
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
             raise ConfigError(f"invalid JSON configuration: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("JSON configuration must be an object")
@@ -243,7 +244,7 @@ def load_config(path: str) -> dict[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
 
 
@@ -254,7 +255,8 @@ def build_settings(
 
     Unknown keys are rejected; callers that carry extra run-level keys
     (seed, samples, ...) must filter them out first. Values must be numbers:
-    a bool or a string (a JSON ``true`` or ``"2.8"``) is a ConfigError.
+    a bool or a string (a JSON ``true`` or ``"2.8"``) is a ConfigError, and
+    so is an integer too large for a float.
     """
     unknown = sorted(set(overrides) - PARAM_KEYS)
     if unknown:
@@ -265,7 +267,10 @@ def build_settings(
         target, field, scale = _PARAM_KEY_TABLE[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"configuration key {key!r} must be numeric, got {value!r}")
-        fields[target][field] = float(value) * scale
+        try:
+            fields[target][field] = float(value) * scale
+        except OverflowError as exc:
+            raise ConfigError(f"configuration key {key!r} is too large for a finite float") from exc
 
     try:
         params = replace(DEFAULT_PARAMS, **fields["params"])

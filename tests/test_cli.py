@@ -254,8 +254,8 @@ class TestFig2:
         steady_states = lindblad._steady_states
         calls = []
 
-        def fail_last_point_once(part, model, detunings):
-            rho, top_fock, ok = steady_states(part, model, detunings)
+        def fail_last_point_once(model, detunings):
+            rho, top_fock, ok = steady_states(model, detunings)
             if not calls:
                 ok[-1] = False
                 rho[-1] = np.nan
@@ -483,6 +483,15 @@ class TestErrorHandling:
             ("fig4", "kappa_mhz = inf\n", []),
             ("fig4", "", ["--grid=nan:1:5"]),
             ("fig4", "", ["--grid=-inf:inf:3"]),
+            # numbers too large for a float
+            pytest.param("fig6", "g0_mhz = 1" + "0" * 400 + "\n", [], id="huge-physics-key"),
+            pytest.param("fig6", '{"g0_mhz": 1' + "0" * 400 + "}", [], id="huge-json-key"),
+            pytest.param("fig5", "window_us = 1" + "0" * 400 + "\n", [], id="huge-run-key"),
+            # finite in MHz, beyond a float once converted to rad/s
+            *(
+                pytest.param(command, "", ["--grid=1e308:1.7e308:3"], id=f"{command}-huge-grid")
+                for command in ("fig2", "fig4", "fig5")
+            ),
         ],
     )
     def test_non_finite_value_exit_2(self, tmp_path, capsys, command, body, argv):
@@ -491,6 +500,23 @@ class TestErrorHandling:
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *argv])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'{"command": ["fig4"]}', "command must be one of"),
+            # "\xb5" is a Latin-1 micro sign, not UTF-8
+            (b"length_um = 200  # 200 \xb5m\n", "cannot read config file"),
+        ],
+        ids=["unhashable-command", "not-utf-8"],
+    )
+    def test_malformed_config_file_exit_2(self, tmp_path, capsys, body, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(body)
+        rc = main(["fig4", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):

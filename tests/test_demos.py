@@ -5,6 +5,7 @@ only when a demo's numbers are meant to change.
 """
 
 import contextlib
+import glob
 import io
 import os
 import runpy
@@ -15,16 +16,10 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 DEMOS = os.path.join(os.path.dirname(TESTS), "demos")
 
 
-# The fluorescence demo is left out for its run time.
 @pytest.mark.parametrize(
     "name",
-    [
-        "pinned_atom_rotation",
-        "conditional_spin_readout",
-        "falling_atom_ensembles",
-        "cavity_design_scans",
-        "coincidence_selection",
-    ],
+    sorted(os.path.splitext(os.path.basename(path))[0]
+           for path in glob.glob(os.path.join(DEMOS, "*.py"))),
 )
 def test_demo_runs(name):
     out = io.StringIO()

@@ -12,7 +12,6 @@ from spinfaraday import lindblad
 from spinfaraday.lindblad import (
     CutoffError,
     LindbladModel,
-    _hermitian_basis,
     _parts,
     _solve_points,
     _steady_states,
@@ -77,8 +76,10 @@ def at_detuning(model, delta):
 
 @pytest.fixture
 def solve_shapes(monkeypatch):
-    """Shapes of every stack of systems handed to _solve_points."""
+    """Shapes of every stack of systems handed to _solve_points, from an
+    empty _parts cache, so that the first D' inverse is solved here."""
     shapes = []
+    _parts.cache_clear()
 
     def counted(a, b, ok):
         shapes.append(a.shape)
@@ -186,8 +187,19 @@ class TestSteadyState:
         with pytest.raises(CutoffError):
             steady_state(model)
         # the solver under steady_state still returns the state for diagnostics
-        _, top_fock, ok = _steady_states(_parts(2, P.kappa, P.gamma), model, np.zeros(1))
+        _, top_fock, ok = _steady_states(model, np.zeros(1))
         assert ok[0] and top_fock[0] >= 1e-6
+
+    def test_failed_solve_raises_linalg_error(self, monkeypatch):
+        monkeypatch.setattr(
+            lindblad, "liouvillian", lambda model: np.full_like(liouvillian(model), np.nan)
+        )
+        model = LindbladModel(
+            fock_cutoff=2, g=P.g0, kappa=P.kappa, gamma=P.gamma,
+            drive_amplitude=0.1 * P.kappa, drive_target="cavity",
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="trace or positivity"):
+            steady_state(model)
 
 
 class TestOracleEquivalence:
@@ -404,6 +416,22 @@ class TestLineshape:
         with pytest.raises(ValueError, match="detuning_grid"):
             fluorescence_lineshape(P, 0.5, grid, n_samples=10)
 
+    def test_no_cutoff_up_to_the_limit_raises(self, monkeypatch):
+        # At power 30 cutoff 3 is rejected (see the liouvillian call count test).
+        monkeypatch.setattr(lindblad, "MAX_LINESHAPE_CUTOFF", 3)
+        with pytest.raises(CutoffError, match="at cutoff 3"):
+            fluorescence_lineshape(P, 30.0, MHZ * np.linspace(-4.0, 4.0, 9), n_samples=8)
+
+    def test_no_finite_point_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            lindblad, "liouvillian", lambda model: np.full_like(liouvillian(model), np.nan)
+        )
+        # numpy warns of its all-NaN mean and maximum before the error.
+        with pytest.warns(RuntimeWarning), pytest.raises(
+            np.linalg.LinAlgError, match="no finite points"
+        ):
+            fluorescence_lineshape(P, 1.0, MHZ * np.linspace(-1.0, 1.0, 3), n_samples=2)
+
     def test_pinned_atom_ignores_sample_count(self):
         pinned = fluorescence_lineshape(P, 0.5, GRID[:5], average_positions=False, n_samples=0)
         assert pinned.failed_points == 0
@@ -469,9 +497,9 @@ class TestMirror:
         """Detunings of every _steady_states call the lineshape makes."""
         sizes = []
 
-        def counted(part, model, detunings):
+        def counted(model, detunings):
             sizes.append(detunings.size)
-            return _steady_states(part, model, detunings)
+            return _steady_states(model, detunings)
 
         monkeypatch.setattr(lindblad, "_steady_states", counted)
         return sizes
@@ -492,7 +520,8 @@ class TestMirror:
         solve_shapes.clear()
         monkeypatch.setattr(lindblad, "LINESHAPE_BLOCK", 7)
         blocked = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3, seed=5)
-        assert [shape[0] for shape in solve_shapes[1:4]] == [7, 7, 2]
+        # The first run cached the D' inverse, so the first position's stacks come first.
+        assert [shape[0] for shape in solve_shapes[:3]] == [7, 7, 2]
         np.testing.assert_array_equal(blocked.rate, whole.rate)
         np.testing.assert_array_equal(blocked.normalized, whole.normalized)
         assert blocked.fock_cutoff == whole.fock_cutoff
@@ -576,7 +605,7 @@ class TestRealBasis:
     @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
     def test_basis_unitary_and_transform_matches_dense(self, cutoff):
         dim = 2 * (cutoff + 1)
-        basis = _hermitian_basis(dim)
+        basis = lindblad._operators(cutoff).basis
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-15)
         for k in range(dim):  # the diagonal matrix units come first
             np.testing.assert_array_equal(basis[:, k].reshape(dim, dim), np.diag(np.eye(dim)[k]))
@@ -681,8 +710,8 @@ class TestSchurSolve:
     def test_matches_dense_solve(self, g_ratio, omega_ratio, delta_mhz, cutoff):
         solved = []
 
-        def captured(part, model, detunings):
-            rho, top_fock, ok = _steady_states(part, model, detunings)
+        def captured(model, detunings):
+            rho, top_fock, ok = _steady_states(model, detunings)
             solved.append((model, detunings.copy(), rho.copy(), ok.copy()))
             return rho, top_fock, ok
 
@@ -713,6 +742,18 @@ class TestSchurSolve:
         # One D' inverse per cutoff, then one stack of 16 detunings per position.
         assert solve_shapes == [(1, 36, 36)] + [(16, 28, 28)] * 3
 
+    def test_parts_built_once_per_cutoff_and_rates(self, solve_shapes):
+        # cutoff 4: d = 10, 55 symmetric and 45 antisymmetric components.
+        first = transmittance_steady(MHZ, P.g0, P)
+        again = transmittance_steady(MHZ, P.g0, P)
+        assert first == again
+        assert solve_shapes == [(1, 55, 55), (1, 45, 45), (1, 45, 45)]
+        part = _parts(4, P.kappa, P.gamma)
+        assert not any(array.flags.writeable for array in part[:-1])
+        transmittance_steady(MHZ, P.g0, replace(P, kappa=2.0 * P.kappa))
+        assert solve_shapes[3:] == [(1, 55, 55), (1, 45, 45)]
+        assert _parts.cache_info().currsize == 2
+
     def test_singular_reduced_system_fails_alone(self, monkeypatch):
         def zero_second(a, b, ok):
             if a.shape == (3, 28, 28):
@@ -725,7 +766,7 @@ class TestSchurSolve:
         )
         detunings = MHZ * np.array([0.0, 1.0, 2.0])
         monkeypatch.setattr(lindblad, "_solve_points", zero_second)
-        rho, top_fock, ok = _steady_states(_parts(3, P.kappa, P.gamma), model, detunings)
+        rho, top_fock, ok = _steady_states(model, detunings)
         np.testing.assert_array_equal(ok, [True, False, True])
         assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
         for k in (0, 2):
@@ -764,6 +805,11 @@ class TestCurveFwhm:
         hwhm = 1.7
         y = 1.0 / (1.0 + (x / hwhm) ** 2)
         assert curve_fwhm(x, y) == pytest.approx(2.0 * hwhm, rel=1e-5)
+
+    def test_no_half_maximum_crossing_rejected(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="does not cross half maximum"):
+            curve_fwhm(x, 1.0 - 0.2 * np.abs(x))
 
     def test_boundary_peak_rejected(self):
         x = np.linspace(0.0, 1.0, 50)

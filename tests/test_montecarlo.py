@@ -358,6 +358,11 @@ class TestCoincidenceSelection:
         with pytest.raises(SelectionError):
             sample_selected_trajectories(MotionModel(seed=1), P, 10, rate_max=1.0)
 
+    @pytest.mark.parametrize("rate_max", [0.0, -7.6e5])
+    def test_non_positive_rate_raises_before_sampling(self, rate_max):
+        with pytest.raises(SelectionError, match="must be positive"):
+            sample_selected_trajectories(MotionModel(seed=1), P, 10, rate_max=rate_max)
+
     @pytest.mark.parametrize(
         "selection",
         [
@@ -376,7 +381,7 @@ class TestCoincidenceSelection:
         ],
     )
     def test_invalid_inputs_raise_before_sampling(self, selection):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite"):
             sample_selected_trajectories(MotionModel(seed=1), P, 10, **selection)
 
     @pytest.mark.parametrize(

@@ -137,6 +137,15 @@ class TestGeometryDerivations:
         k2 = derive_kappa(CavityGeometry(150e-6, 50e-3, rho2))
         assert k2 / k1 == pytest.approx(0.5, rel=1e-4)
 
+    def test_non_positive_wavelength_rejected(self):
+        with pytest.raises(ValueError, match="wavelength"):
+            derive_waist(DEFAULT_GEOMETRY, 0.0)
+
+    @pytest.mark.parametrize("reflectivity", [0.0, 1.0, -0.5, math.nan])
+    def test_finesse_outside_the_unit_interval_rejected(self, reflectivity):
+        with pytest.raises(GeometryError, match="reflectivity must lie in"):
+            finesse(reflectivity)
+
     def test_finesse_monotone_in_reflectivity(self):
         rhos = np.linspace(0.999, 0.99999, 50)
         values = np.array([finesse(r) for r in rhos])
@@ -185,6 +194,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text('{"kappa_mhz": }')
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            # more digits than Python converts to an int
+            ('{"g0_mhz": 1' + "0" * 5000 + "}", "invalid JSON"),
+            ('["kappa_mhz", 9.0]', "must be an object"),
+            ("= 9.0\n", "line 1: empty key"),
+        ],
+        ids=["json-int-too-long", "json-array", "empty-key"],
+    )
+    def test_invalid_text_rejected(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(text)
+
     def test_build_settings_scales(self):
         params, geometry, detection = build_settings({"g0_mhz": 1.0, "gamma_khz": 50})
         assert params.g0 == pytest.approx(MHZ, rel=1e-12)
@@ -198,6 +221,10 @@ class TestConfigParsing:
     def test_build_settings_non_numeric(self):
         with pytest.raises(ConfigError):
             build_settings({"kappa_mhz": "fast"})
+
+    def test_build_settings_integer_too_large_for_a_float(self):
+        with pytest.raises(ConfigError, match="'g0_mhz' is too large for a finite float"):
+            build_settings({"g0_mhz": 10**400})
 
     def test_build_settings_invalid_value(self):
         with pytest.raises(ConfigError):
