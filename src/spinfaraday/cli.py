@@ -446,7 +446,8 @@ _COMMANDS: dict[str, tuple[str, dict[str, object], Callable[..., int]]] = {
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Resolve the settings, run the command body, then write its output."""
+    """Resolve the settings, run the command body, check that every numeric
+    cell of its tables is finite, then write its output."""
     params, geometry, detection, run, grid = _resolve(args)
     tables: list[tuple[str, list, list]] = []
     status = _COMMANDS[args.command][2](
@@ -454,6 +455,11 @@ def _run(args: argparse.Namespace) -> int:
     )
     if status:
         return status
+    for name, header, rows in tables:
+        for row in rows:
+            for column, value in zip(header, row):
+                if not isinstance(value, str) and not math.isfinite(value):
+                    raise RuntimeError(f"{name}: column {column} holds non-finite {value}")
 
     out_dir = args.out or os.environ.get(OUTPUT_ENV_VAR) or "."
     os.makedirs(out_dir, exist_ok=True)

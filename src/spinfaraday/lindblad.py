@@ -12,6 +12,11 @@ rate gamma. The drive amplitude amp is real: an atom drive adds amp*(sp + sm),
 so a resonant Rabi frequency Omega corresponds to amplitude Omega/2, and a
 cavity drive adds amp*(a^dag + a).
 
+In an orthonormal basis of d^2 Hermitian matrices the generator is a real
+matrix. Each of its seven terms is built once per Fock cutoff (_operators) by
+applying the term to every basis matrix and projecting the images back onto
+the basis (_to_real); no complex superoperator is formed.
+
 Every steady state, a single point or a lineshape grid, comes from one
 reduced trace-row solve, _steady_states, whose docstring gives the
 derivation.
@@ -79,15 +84,15 @@ class LindbladModel:
 class _Operators:
     """Read-only operator algebra of one Fock cutoff."""
 
-    a: np.ndarray
-    number: np.ndarray
-    excited: np.ndarray
-    # Unitary T (d^2, d^2) whose columns are the vecs of an orthonormal
-    # Hermitian basis: the matrix units E_ii, then (E_ij + E_ji)/sqrt(2) for
-    # every i < j, then i(E_ji - E_ij)/sqrt(2) in the same pair order. The
-    # trace of T r is the sum of the first d components of r.
+    a: np.ndarray               # real (d, d)
+    number: np.ndarray          # real (d, d), a^dag a
+    excited: np.ndarray         # real (d, d), sp sm
+    # (d^2, d, d) orthonormal Hermitian basis: the matrix units E_ii, then
+    # (E_ij + E_ji)/sqrt(2) for every i < j, then i(E_ji - E_ij)/sqrt(2) in
+    # the same pair order. A real-basis vector r stands for the matrix
+    # sum_k r_k basis[k], whose trace is the sum of the first d components.
     basis: np.ndarray
-    # (7, d^2, d^2) generators in the basis of _to_real: the unit-rate
+    # (7, d^2, d^2) generators in that basis, from _to_real: the unit-rate
     # dissipators D[a] and D[sm], then the coherent parts of the Hamiltonian
     # terms -a^dag a, -sp sm, a^dag sm + a sp, sp + sm and a^dag + a.
     real: np.ndarray
@@ -96,45 +101,40 @@ class _Operators:
 @functools.lru_cache(maxsize=None)
 def _operators(cutoff: int) -> _Operators:
     nf = cutoff + 1
-    destroy = np.zeros((nf, nf), dtype=complex)
-    for n in range(1, nf):
-        destroy[n - 1, n] = math.sqrt(n)
-    id_atom = np.eye(2, dtype=complex)
-    id_fock = np.eye(nf, dtype=complex)
-    # Atom basis order (ground, excited); sm = |g><e|.
-    sm_atom = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    a = np.kron(id_atom, destroy)
-    sm = np.kron(sm_atom, id_fock)
-    sp = sm.conj().T
-    number, excited = a.conj().T @ a, sp @ sm
-    hamiltonians = (-number, -excited, a.conj().T @ sm + a @ sp, sp + sm, a.conj().T + a)
-    real = np.stack(
-        [_to_real(_dissipator(c), coherent=False) for c in (a, sm)]
-        + [_to_real(_commutator_superoperator(h), coherent=True) for h in hamiltonians]
+    dim = 2 * nf
+    # Atom basis order (ground, excited), sm = |g><e|: atom index i and Fock
+    # index n live at row i*nf + n.
+    a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, nf)), 1))
+    sm = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(nf))
+    number, excited = a.T @ a, sm.T @ sm
+
+    eye = np.eye(dim)
+    upper_i, upper_j = np.triu_indices(dim, 1)
+    upper = eye[upper_i, :, None] * eye[upper_j, None, :]  # E_ij for i < j
+    lower = upper.transpose(0, 2, 1)
+    diagonal = eye[:, :, None] * eye[:, None, :]
+    basis = np.concatenate(
+        (diagonal, (upper + lower) / math.sqrt(2.0), 1j * (lower - upper) / math.sqrt(2.0))
     )
-    basis = _basis_combination(np.eye(a.size, dtype=complex), 1, 1j)
+
+    # Each term's image of every basis matrix: c B c^dag - (c^dag c B + B c^dag c)/2
+    # for a dissipator D[c], -i(h B - B h) for a coherent part.
+    hamiltonians = (-number, -excited, a.T @ sm + a @ sm.T, sm.T + sm, a.T + a)
+    real = np.stack(
+        [
+            _to_real(c @ basis @ c.T - 0.5 * (cdc @ basis + basis @ cdc), basis, coherent=False)
+            for c, cdc in ((a, number), (sm, excited))
+        ]
+        + [_to_real(-1j * (h @ basis - basis @ h), basis, coherent=True) for h in hamiltonians]
+    )
     ops = _Operators(a=a, number=number, excited=excited, basis=basis, real=real)
     for array in vars(ops).values():
         array.flags.writeable = False
     return ops
 
 
-def _dissipator(c: np.ndarray) -> np.ndarray:
-    """Unit-rate D[c] = c x c* - (c^dag c x 1 + 1 x (c^dag c)^T)/2."""
-    dim = c.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    cdc = c.conj().T @ c
-    return np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-
-
-def _commutator_superoperator(h: np.ndarray) -> np.ndarray:
-    """-i(H x 1 - 1 x H^T): the coherent part of the row-major generator."""
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-
-
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Generator of the master equation in the real basis of _to_real."""
+    """Generator of the master equation in the real basis of _operators."""
     drive, atom = model.drive_amplitude, model.drive_target == "atom"
     rates = (
         2.0 * model.kappa,  # photon loss, HWHM kappa
@@ -148,38 +148,22 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return np.tensordot(rates, _operators(model.fock_cutoff).real, 1)
 
 
-def _basis_combination(x: np.ndarray, axis: int, phase: complex) -> np.ndarray:
-    """x @ T along the last axis (phase 1j) or T^H @ x along a row axis
-    (phase -1j), from the at most two nonzeros per column of T."""
-    dim = math.isqrt(x.shape[axis])
-    upper_i, upper_j = np.triu_indices(dim, 1)
-    # Row-major vec indices of (i, j) and of (j, i), i < j.
-    x_upper = np.take(x, upper_i * dim + upper_j, axis)
-    x_lower = np.take(x, upper_j * dim + upper_i, axis)
-    return np.concatenate(
-        (
-            np.take(x, np.arange(dim) * (dim + 1), axis),
-            (x_upper + x_lower) / math.sqrt(2.0),
-            (phase / math.sqrt(2.0)) * (x_lower - x_upper),
-        ),
-        axis,
-    )
+def _to_real(images: np.ndarray, units: np.ndarray, coherent: bool) -> np.ndarray:
+    """A generator in the orthonormal basis units (d^2, d, d), as a real
+    (d^2, d^2) matrix, from images (d^2, d, d): its image of each unit.
 
-
-def _to_real(liou: np.ndarray, coherent: bool) -> np.ndarray:
-    """T^H L T of one generator (d^2, d^2), as a real matrix.
-
-    Raises RuntimeError unless, within 1e-10 times the largest |L| entry,
-    T^H L T is real (L maps Hermitian matrices to Hermitian ones) and fills
-    only the blocks that _steady_states relies on: S-A and A-S if coherent,
-    else S-S and A-A.
+    Entry (j, k) is Tr(units[j]^dag images[k]). Raises RuntimeError unless,
+    within 1e-10 times the largest |images| entry, the matrix is real (the
+    generator maps Hermitian matrices to Hermitian ones) and fills only the
+    blocks that _steady_states relies on: S-A and A-S if coherent, else S-S
+    and A-A.
     """
-    full = _basis_combination(_basis_combination(liou, 1, 1j), 0, -1j)
-    dim = math.isqrt(liou.shape[0])
-    symmetric = np.arange(dim * dim) < dim * (dim + 1) // 2
+    size, dim = units.shape[:2]
+    full = units.reshape(size, size).conj() @ images.reshape(size, size).T
+    symmetric = np.arange(size) < dim * (dim + 1) // 2
     forbidden = np.equal.outer(symmetric, symmetric) == coherent
     if np.abs(np.where(forbidden, full, full.imag)).max() > (
-        HERMITICITY_TOLERANCE * np.abs(liou).max()
+        HERMITICITY_TOLERANCE * np.abs(images).max()
     ):
         raise RuntimeError("generator is not Hermitian-preserving or breaks its block structure")
     return np.ascontiguousarray(full.real)
@@ -217,7 +201,7 @@ def _checked_states(
     """
     dim = 2 * (cutoff + 1)
     ok &= np.abs(r[:, :dim].sum(axis=1) - 1.0) <= TRACE_TOLERANCE
-    rho = (r @ _operators(cutoff).basis.T).reshape(r.shape[0], dim, dim)
+    rho = (r @ _operators(cutoff).basis.reshape(dim * dim, -1)).reshape(-1, dim, dim)
     if ok.any():
         min_eig = np.linalg.eigvalsh(rho[ok]).min(axis=1)
         ok[ok] = min_eig >= EIGENVALUE_FLOOR
@@ -473,7 +457,9 @@ def fluorescence_lineshape(
     The Fock cutoff starts at LINESHAPE_START_CUTOFF and adapts upward (in
     steps of 2, up to MAX_LINESHAPE_CUTOFF) until the top level holds less
     than 1e-6 population; a pass stops at its first position over that
-    limit, and CutoffError if that never happens.
+    limit, and CutoffError if that never happens. numpy.linalg.LinAlgError
+    is raised when some grid point fails at every atom position, or when the
+    peak rate is not positive.
     """
     if not (math.isfinite(power_scale) and power_scale > 0.0):
         raise ValueError(f"power_scale must be finite and positive, got {power_scale}")
@@ -528,10 +514,16 @@ def fluorescence_lineshape(
     else:
         raise CutoffError(f"top Fock population {worst_top:.2e} at cutoff {cutoff}")
 
+    unsolved = np.count_nonzero(~ok.any(axis=0)[feeds])
+    if unsolved:
+        raise np.linalg.LinAlgError(
+            f"lineshape solve produced no finite points at {unsolved} of "
+            f"{detunings.size} detunings"
+        )
     mean_rate = np.nanmean(rates, axis=0)[feeds]
-    peak = np.nanmax(mean_rate)
-    if not np.isfinite(peak) or peak <= 0.0:
-        raise np.linalg.LinAlgError("lineshape solve produced no finite points")
+    peak = mean_rate.max()
+    if peak <= 0.0:
+        raise np.linalg.LinAlgError(f"lineshape peak rate {peak:.3g} is not positive")
     return Lineshape(
         detunings=detunings,
         normalized=mean_rate / peak,

@@ -156,13 +156,14 @@ def pure_rotation_curves(
 
     Returns an array of shape (len(priors), len(phi_grid)) with
     P(down | click at phi) for a transmitted-port click, using the
-    pure-rotation click probabilities cos(phi)^2 and cos(phi - theta)^2.
+    pure-rotation click probabilities cos(phi)^2 and cos(phi - theta)^2,
+    both from detection_prob_up.
     """
     phi_grid = np.asarray(phi_grid, dtype=float)
-    p_up_click = np.cos(phi_grid) ** 2
-    p_down_click = np.cos(phi_grid - theta) ** 2
     prior = np.asarray(priors, dtype=float).reshape(-1, 1)
-    return _bayes_posterior(p_up_click, p_down_click, prior)[0]
+    return _bayes_posterior(
+        detection_prob_up(phi_grid), detection_prob_up(phi_grid - theta), prior
+    )[0]
 
 
 def _averaged_posterior(

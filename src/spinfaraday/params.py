@@ -199,19 +199,30 @@ _PARAM_KEY_TABLE: dict[str, tuple[str, str, float]] = {
 PARAM_KEYS = frozenset(_PARAM_KEY_TABLE)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """The JSON object of pairs, whose keys must all differ."""
+    out: dict[str, object] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"key {key!r} given twice")
+        out[key] = value
+    return out
+
+
 def parse_config_text(text: str) -> dict[str, object]:
     """Parse a configuration file body.
 
     Accepts either a JSON object or plain ``key = value`` lines with ``#``
     comments. Values in the key=value form are parsed as numbers when
     possible and kept as strings otherwise. A body that opens with ``{`` or
-    ``[`` is read as JSON.
+    ``[`` is read as JSON. A key given twice, in either form, is a
+    ConfigError.
     """
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
         try:
-            data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+            data = json.loads(text, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # JSONDecodeError, a too-long integer or a repeated key
             raise ConfigError(f"invalid JSON configuration: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("JSON configuration must be an object")
@@ -229,6 +240,8 @@ def parse_config_text(text: str) -> dict[str, object]:
         value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in out:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
         try:
             parsed: object = int(value)
         except ValueError:

@@ -519,6 +519,28 @@ class TestErrorHandling:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_key_given_twice_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("g0_mhz = 2\ng0_mhz = 3\n")
+        rc = main(["fig6", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "line 2: key 'g0_mhz' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fig4", "fig5"])
+    def test_non_finite_cell_exit_1(self, tmp_path, command):
+        # Finite grid bounds at which the transmittance overflows to nan. The
+        # run is a subprocess, so numpy's overflow warning stays a warning.
+        src = os.path.dirname(os.path.dirname(spinfaraday.__file__))
+        argv = [command, "--samples", "20", "--grid=1e294:1e295:3", "--out", str(tmp_path)]
+        out = subprocess.run(
+            [sys.executable, "-m", "spinfaraday.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert "holds non-finite nan" in out.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("coupling_mhz = 2.8\n")

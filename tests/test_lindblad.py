@@ -426,11 +426,20 @@ class TestLineshape:
         monkeypatch.setattr(
             lindblad, "liouvillian", lambda model: np.full_like(liouvillian(model), np.nan)
         )
-        # numpy warns of its all-NaN mean and maximum before the error.
-        with pytest.warns(RuntimeWarning), pytest.raises(
-            np.linalg.LinAlgError, match="no finite points"
-        ):
+        with pytest.raises(np.linalg.LinAlgError, match="no finite points at 3 of 3 detunings"):
             fluorescence_lineshape(P, 1.0, MHZ * np.linspace(-1.0, 1.0, 3), n_samples=2)
+
+    def test_detuning_failing_at_every_position_raises(self, monkeypatch):
+        # The grid -2..2 MHz is solved at 0, 1 and 2 MHz; the last, which
+        # feeds the grid points -2 and 2, is singular at every position.
+        def singular_last(a, b, ok):
+            if a.shape == (3, 28, 28):
+                a[2] = 0.0
+            return _solve_points(a, b, ok)
+
+        monkeypatch.setattr(lindblad, "_solve_points", singular_last)
+        with pytest.raises(np.linalg.LinAlgError, match="no finite points at 2 of 5 detunings"):
+            fluorescence_lineshape(P, 1.0 / 3.0, MHZ * np.linspace(-2.0, 2.0, 5), n_samples=2)
 
     def test_pinned_atom_ignores_sample_count(self):
         pinned = fluorescence_lineshape(P, 0.5, GRID[:5], average_positions=False, n_samples=0)
@@ -602,13 +611,16 @@ class TestRealBasis:
             detuning_cavity=float(rng.uniform(-5.0, 5.0)) * MHZ,
         )
 
-    @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+    @pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 12])
     def test_basis_unitary_and_transform_matches_dense(self, cutoff):
         dim = 2 * (cutoff + 1)
-        basis = lindblad._operators(cutoff).basis
-        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-15)
+        units = lindblad._operators(cutoff).basis
+        np.testing.assert_array_equal(units, units.conj().transpose(0, 2, 1))
         for k in range(dim):  # the diagonal matrix units come first
-            np.testing.assert_array_equal(basis[:, k].reshape(dim, dim), np.diag(np.eye(dim)[k]))
+            np.testing.assert_array_equal(units[k], np.diag(np.eye(dim)[k]))
+        # Columns of T are the row-major vecs of the basis matrices.
+        basis = units.reshape(dim * dim, dim * dim).T
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim * dim), atol=1e-15)
         # liouvillian is the test-side complex generator in this basis.
         rng = np.random.default_rng(cutoff)
         for target in ("atom", "cavity") * 2:
@@ -645,32 +657,46 @@ class TestRealBasis:
                     solve(flipped), u @ solve(model) @ u, rtol=0.0, atol=1e-12
                 )
 
+    @staticmethod
+    def coherent_images(h, units):
+        """Images -i(h B - B h) of every basis matrix B under a Hamiltonian h."""
+        return -1j * (h @ units - units @ h)
+
     def test_non_hermiticity_preserving_generator_fails_alone(self, monkeypatch):
         # The per-cutoff check rejects i times a generator, and only it.
-        generator = lindblad._commutator_superoperator(lindblad._operators(3).number)
-        np.testing.assert_array_equal(
-            _to_real(generator, coherent=True), -lindblad._operators(3).real[2]
-        )
+        ops = lindblad._operators(3)
+        images = self.coherent_images(ops.number, ops.basis)
+        np.testing.assert_array_equal(_to_real(images, ops.basis, coherent=True), -ops.real[2])
         with pytest.raises(RuntimeError, match="Hermitian-preserving"):
-            _to_real(1j * generator, coherent=True)
+            _to_real(1j * images, ops.basis, coherent=True)
         # Such a coherent part fails the cutoff's operators as they are built.
-        commutator = lindblad._commutator_superoperator
-        monkeypatch.setattr(lindblad, "_commutator_superoperator", lambda h: 1j * commutator(h))
+        to_real = lindblad._to_real
+        monkeypatch.setattr(
+            lindblad, "_to_real",
+            lambda images, units, coherent: to_real(
+                1j * images if coherent else images, units, coherent
+            ),
+        )
         with pytest.raises(RuntimeError, match="Hermitian-preserving"):
             lindblad._operators.__wrapped__(3)
 
     def test_broken_block_structure_fails_its_cutoff(self, monkeypatch):
         # A Hermitian-preserving generator that fills the wrong blocks: a
         # dissipator with a coherent part, or a coherent part as a dissipator.
-        generator = lindblad._commutator_superoperator(lindblad._operators(3).number)
-        _to_real(generator, coherent=True)
+        ops = lindblad._operators(3)
+        images = self.coherent_images(ops.number, ops.basis)
+        _to_real(images, ops.basis, coherent=True)
         with pytest.raises(RuntimeError, match="block structure"):
-            _to_real(generator, coherent=False)
-        dissipator = lindblad._dissipator
-        monkeypatch.setattr(
-            lindblad, "_dissipator",
-            lambda c: dissipator(c) + lindblad._commutator_superoperator(c + c.conj().T),
-        )
+            _to_real(images, ops.basis, coherent=False)
+        to_real = lindblad._to_real
+
+        def with_coherent_part(images, units, coherent):
+            if not coherent:  # add -i[h, B] with a real symmetric hopping h
+                hop = np.eye(units.shape[1], k=1)
+                images = images + self.coherent_images(hop + hop.T, units)
+            return to_real(images, units, coherent)
+
+        monkeypatch.setattr(lindblad, "_to_real", with_coherent_part)
         with pytest.raises(RuntimeError, match="block structure"):
             lindblad._operators.__wrapped__(3)
 

@@ -201,8 +201,10 @@ class TestConfigParsing:
             ('{"g0_mhz": 1' + "0" * 5000 + "}", "invalid JSON"),
             ('["kappa_mhz", 9.0]', "must be an object"),
             ("= 9.0\n", "line 1: empty key"),
+            ("g0_mhz = 2\n# again\ng0_mhz = 3\n", "line 3: key 'g0_mhz' given twice"),
+            ('{"g0_mhz": 2, "g0_mhz": 3}', "key 'g0_mhz' given twice"),
         ],
-        ids=["json-int-too-long", "json-array", "empty-key"],
+        ids=["json-int-too-long", "json-array", "empty-key", "key-twice", "json-key-twice"],
     )
     def test_invalid_text_rejected(self, text, match):
         with pytest.raises(ConfigError, match=match):
