@@ -27,7 +27,7 @@ params = DEFAULT_PARAMS
 
 def click(amplitudes, op):
     """Spin amplitudes (up, down) after a click, renormalized, and its probability."""
-    updated = np.diagonal(op.matrix) * amplitudes
+    updated = np.diagonal(op) * amplitudes
     probability = float(np.sum(np.abs(updated) ** 2))
     return updated / math.sqrt(probability), probability
 

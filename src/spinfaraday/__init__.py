@@ -34,7 +34,6 @@ from .measurement import (
     ConditionalCurves,
     ConditionalResult,
     MeasurementError,
-    MeasurementOperator,
     REFLECTED,
     TRANSMITTED,
     conditional_curves,

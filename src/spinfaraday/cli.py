@@ -12,8 +12,9 @@ fig6 draws nothing random and ignores it. A run resolves and checks its
 settings, computes, and only then writes, so a command that stops on an
 error writes no file.
 
-Exit codes: 0 success, 1 numerical failure or exhausted memory, 2
-configuration error.
+Exit codes: 0 success, 1 numerical failure, exhausted memory or a failed
+write, 2 configuration error (an output directory that cannot be created
+among them).
 The default output directory can be set with SPINFARADAY_OUT.
 """
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from .lindblad import fluorescence_lineshape, transmittance_steady
 from .measurement import (
+    REFLECTED,
     TRANSMITTED,
     conditional_curves,
     conditional_population,
@@ -296,82 +298,68 @@ def _fig6(params, geometry, run, grid, write) -> int:
     return 0
 
 
+def _draw_checks(rng: np.random.Generator, draws: int, low, high, identities):
+    """Yield (name, passed, detail) for each (name, deviation) of ``identities``.
+
+    All of them read the same ``draws`` rows of uniforms in [low, high),
+    drawn in the order of one scalar draw after another. The worst deviation
+    is an ``np.max``, so a NaN deviation fails its check.
+    """
+    samples = rng.uniform(low, high, size=(draws, len(low)))
+    for name, deviation in identities:
+        worst = np.max([deviation(*row) for row in samples])
+        yield name, worst < 1e-12, f"max deviation {worst:.3e} over {draws} draws (tol 1e-12)"
+
+
+def _completeness(theta, phi, basis):
+    """Kraus weights of both ports (reflected: analyzer a quarter turn on), off identity."""
+    ops = kraus(theta, phi), kraus(theta, phi + math.pi / 2.0)
+    return np.max(np.abs(sum(op.conj().T @ op for op in ops) - np.eye(2)))
+
+
+def _reversal(theta, phi, basis):
+    product = kraus(-theta, basis - theta) @ kraus(theta, basis)
+    return np.max(np.abs(product - math.cos(basis) * math.cos(basis - theta) * np.eye(2)))
+
+
+def _bayes_total(prior, phi, phase):
+    t = complex(np.exp(1j * phase))
+    ports = [conditional_population(prior, phi, t, port) for port in (TRANSMITTED, REFLECTED)]
+    return abs(sum(r.p_down_given_click * r.click_probability for r in ports) - prior)
+
+
+def _port_sum(phi, magnitude, phase):
+    t = complex(magnitude * np.exp(1j * phase))
+    total = detection_prob_down(phi, t) + detection_prob_down(phi + math.pi / 2.0, t)
+    return abs(float(total) - (1.0 + abs(t) ** 2) / 2.0)
+
+
 def _validate_checks(params, geometry, rng: np.random.Generator, draws: int):
     """Yield (name, passed, detail) for the numerical invariant suite."""
     # Steady-state solver against the analytic transmittance.
     deltas = TWO_PI * 1e6 * np.array([-4.0, -1.1, 0.0, 0.7, 3.3])
-    worst = 0.0
-    for delta in deltas:
-        analytic = t_minus_value(delta, params.g0, params)
-        numeric = transmittance_steady(delta, params.g0, params)
-        worst = max(worst, abs(numeric - analytic) / abs(analytic))
+    analytic = [t_minus_value(delta, params.g0, params) for delta in deltas]
+    worst = np.max([
+        abs(transmittance_steady(delta, params.g0, params) - a) / abs(a)
+        for delta, a in zip(deltas, analytic)
+    ])
     yield (
         "steady-state transmittance vs analytic",
         worst < 1e-6,
         f"max relative error {worst:.3e} (tol 1e-06)",
     )
 
-    # Kraus completeness and reversal.
-    worst_complete = 0.0
-    worst_reversal = 0.0
-    identity = np.eye(2)
-    for _ in range(draws):
-        theta, phi, basis = rng.uniform(-math.pi, math.pi, size=3)
-        op = kraus(theta, phi)
-        partner = op.partner()
-        total = op.matrix.conj().T @ op.matrix + partner.matrix.conj().T @ partner.matrix
-        worst_complete = max(worst_complete, float(np.max(np.abs(total - identity))))
-        forward = kraus(theta, basis)
-        reverse = kraus(-theta, basis - theta)
-        product = reverse.matrix @ forward.matrix
-        scale = math.cos(basis) * math.cos(basis - theta)
-        worst_reversal = max(
-            worst_reversal, float(np.max(np.abs(product - scale * identity)))
-        )
-    yield (
-        "Kraus completeness",
-        worst_complete < 1e-12,
-        f"max deviation {worst_complete:.3e} over {draws} draws (tol 1e-12)",
-    )
-    yield (
-        "measurement reversal proportional to identity",
-        worst_reversal < 1e-12,
-        f"max deviation {worst_reversal:.3e} over {draws} draws (tol 1e-12)",
-    )
-
-    # Bayes total probability on the lossless manifold.
-    worst_bayes = 0.0
-    for _ in range(draws):
-        prior = rng.uniform(0.0, 1.0)
-        phi = rng.uniform(0.0, math.pi)
-        t = complex(np.exp(1j * rng.uniform(-math.pi, math.pi)))
-        transmitted = conditional_population(prior, phi, t, port="transmitted")
-        reflected = conditional_population(prior, phi, t, port="reflected")
-        total = (
-            transmitted.p_down_given_click * transmitted.click_probability
-            + reflected.p_down_given_click * reflected.click_probability
-        )
-        worst_bayes = max(worst_bayes, abs(total - prior))
-    yield (
-        "Bayes total probability (lossless)",
-        worst_bayes < 1e-12,
-        f"max deviation {worst_bayes:.3e} over {draws} draws (tol 1e-12)",
-    )
-
-    # Port-sum identity for a general lossy transmittance.
-    worst_port = 0.0
-    for _ in range(draws):
-        phi = rng.uniform(0.0, math.pi)
-        t_val = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-        t = complex(t_val)
-        total = detection_prob_down(phi, t) + detection_prob_down(phi + math.pi / 2.0, t)
-        expected = (1.0 + abs(t_val) ** 2) / 2.0
-        worst_port = max(worst_port, abs(float(total) - expected))
-    yield (
-        "two-port click probability sum",
-        worst_port < 1e-12,
-        f"max deviation {worst_port:.3e} over {draws} draws (tol 1e-12)",
-    )
+    # Kraus completeness and reversal share each draw's (theta, phi, basis).
+    # The Bayes total draws (prior, phi, phase of t) on the lossless manifold
+    # |t| = 1, and the port sum (phi, |t|, phase of t) for a lossy t.
+    yield from _draw_checks(rng, draws, [-math.pi] * 3, [math.pi] * 3, [
+        ("Kraus completeness", _completeness),
+        ("measurement reversal proportional to identity", _reversal),
+    ])
+    yield from _draw_checks(rng, draws, [0.0, 0.0, -math.pi], [1.0, math.pi, math.pi],
+                            [("Bayes total probability (lossless)", _bayes_total)])
+    yield from _draw_checks(rng, draws, [0.0, 0.0, -math.pi], [math.pi, 1.0, math.pi],
+                            [("two-port click probability sum", _port_sum)])
 
     # Geometry anchors.
     waist = derive_waist(geometry, params.wavelength)
@@ -462,7 +450,10 @@ def _run(args: argparse.Namespace) -> int:
                     raise RuntimeError(f"{name}: column {column} holds non-finite {value}")
 
     out_dir = args.out or os.environ.get(OUTPUT_ENV_VAR) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from exc
     manifest = f"{args.command}.manifest.json"
     payload = {"command": args.command, **run, **settings_to_flat(params, geometry, detection)}
     with open(os.path.join(out_dir, manifest), "w", encoding="utf-8") as fh:
@@ -515,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, MemoryError) as exc:
+    except (ValueError, RuntimeError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

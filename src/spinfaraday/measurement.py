@@ -5,11 +5,12 @@ ellipticity, and the conditional-population curves.
 A probe photon transmitted through the cavity and detected behind an
 analyzer at angle phi updates the spin. For a spin-independent ideal
 rotation by theta on the down component the update is the diagonal Kraus
-operator diag(cos(phi), cos(phi - theta)), applied to the spin amplitudes
-by its diagonal; detection at the orthogonal port replaces phi with
-phi + pi/2, and the two ports together satisfy the completeness relation
-exactly. A second click at basis - theta with rotation -theta composes with
-the first to a multiple of the identity, which reverses the measurement.
+operator diag(cos(phi), cos(phi - theta)), which ``kraus`` returns as a
+plain 2x2 matrix, applied to the spin amplitudes by its diagonal.
+Detection at the orthogonal port replaces phi with phi + pi/2, and the two
+ports together satisfy the completeness relation exactly. A second click
+at basis - theta with rotation -theta composes with the first to a
+multiple of the identity, which reverses the measurement.
 
 With the real (lossy, elliptical) sigma- transmittance t_minus, and the
 sigma+ component passing with factor 1, the per-photon detection
@@ -49,25 +50,13 @@ class MeasurementError(ValueError):
     """Raised when conditioning on an impossible outcome."""
 
 
-@dataclass(frozen=True)
-class MeasurementOperator:
-    """Diagonal Kraus operator for a click behind the analyzer."""
+def kraus(theta: float, phi: float) -> np.ndarray:
+    """Kraus operator diag(cos(phi), cos(phi - theta)) for a click at phi.
 
-    rotation: float     # rad, polarization rotation for the down state
-    basis_angle: float  # rad, analyzer angle
-    matrix: np.ndarray  # 2x2 complex, diagonal in (up, down)
-
-    def partner(self) -> "MeasurementOperator":
-        """Operator of the orthogonal analyzer port (basis angle + 90 deg)."""
-        return kraus(self.rotation, _port_angle(self.basis_angle, REFLECTED))
-
-
-def kraus(theta: float, phi: float) -> MeasurementOperator:
-    """Kraus operator diag(cos(phi), cos(phi - theta)) for a click at phi."""
-    matrix = np.array(
-        [[math.cos(phi), 0.0], [0.0, math.cos(phi - theta)]], dtype=complex
-    )
-    return MeasurementOperator(rotation=theta, basis_angle=phi, matrix=matrix)
+    A 2x2 complex matrix in the (up, down) basis; the reflected port's
+    operator is ``kraus(theta, phi + pi/2)``.
+    """
+    return np.diag([math.cos(phi), math.cos(phi - theta)]).astype(complex)
 
 
 def detection_prob_down(

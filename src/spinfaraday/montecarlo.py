@@ -29,8 +29,9 @@ grid, which the averages read directly.
 
 Averages are taken over intensities (expected photon counts), not field
 amplitudes, since counts accumulate over many atoms. They stream the
-couplings to the moment sweep one block at a time (``coupling_blocks``),
-so their memory does not grow with the trajectory count.
+couplings to the moment sweep one block of whole trajectory rows at a time
+(``coupling_blocks``), so their memory does not grow with the trajectory
+count.
 """
 
 from __future__ import annotations
@@ -149,19 +150,15 @@ def coupling_blocks(ensemble: Ensemble, params: SystemParams) -> Iterator[np.nda
     """g(r(t)) of every trajectory row and window time, as 1-D blocks for ``t_moments``.
 
     The samples run row by row (trajectory-major, the order of
-    ``coupling_matrix``) in consecutive blocks of ``optics.MOMENT_BLOCK``,
-    the last one shorter. Each block is built when it is reached, from the
-    trajectory rows that cover it, so only one block's rows are ever held.
+    ``coupling_matrix``). Each block holds ``max(1, optics.MOMENT_BLOCK //
+    steps)`` whole rows of the window's ``steps`` times (the last block may
+    hold fewer), so a block exceeds ``MOMENT_BLOCK`` samples only when one
+    row does. Each block is built when it is reached, so only one is held.
     """
     times = ensemble.motion.times()
-    steps = times.size
-    total = len(ensemble) * steps
-    block = optics.MOMENT_BLOCK  # read per call: optics owns the block size
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        lo = start // steps
-        rows = _coupling_rows(ensemble, times, lo, -(-stop // steps), params).reshape(-1)
-        yield rows[start - lo * steps : stop - lo * steps]
+    rows = max(1, optics.MOMENT_BLOCK // times.size)  # read per call: optics owns the block size
+    for lo in range(0, len(ensemble), rows):
+        yield _coupling_rows(ensemble, times, lo, lo + rows, params).reshape(-1)
 
 
 def _sample_disc(

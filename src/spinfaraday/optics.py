@@ -70,8 +70,8 @@ def t_minus_value(
 
 # Coupling samples per block of the moment sweep: one block's complex t is
 # 512 KiB, so it stays in a 2 MiB L2 cache together with its temporaries.
-# An ensemble's block also carries the positions of the trajectory rows
-# that cover it (about 0.8 MiB), built just before the block is swept.
+# An ensemble's block is the whole trajectory rows that fit (at least one),
+# built with their positions (about 0.8 MiB) just before it is swept.
 MOMENT_BLOCK = 1 << 15
 
 
@@ -80,11 +80,11 @@ def t_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E|t|^2, E[t]) of t_minus over coupling samples, one pair per detuning.
 
-    The samples arrive as consecutive 1-D blocks of at most ``MOMENT_BLOCK``
-    (``montecarlo.coupling_blocks`` of an ensemble, which builds each block
-    only when it is reached, or the pinned atom's one block [g0]). Within a
-    block one ``t_minus_value`` call per detuning adds to that detuning's
-    two sums, so memory is O(block) however many samples there are. |t|^2
+    The samples arrive as consecutive 1-D blocks: an ensemble's
+    ``montecarlo.coupling_blocks``, whole trajectory rows built only when
+    reached, or the pinned atom's one block [g0]. Within a block one
+    ``t_minus_value`` call per detuning adds to that detuning's two sums,
+    so memory is O(block) however many samples there are. |t|^2
     is summed by ``einsum`` over the real view, not by a BLAS dot product,
     whose rounding would follow the BLAS thread count. Raises ValueError
     unless every block is 1-D and there is at least one sample.

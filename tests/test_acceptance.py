@@ -217,13 +217,13 @@ def test_ac07_measurement_algebra_identities():
         theta = rng.uniform(-0.5 * math.pi, 0.5 * math.pi)
         phi = rng.uniform(0.0, math.pi)
         op = kraus(theta, phi)
-        partner = op.partner()
-        total = op.matrix.conj().T @ op.matrix + partner.matrix.conj().T @ partner.matrix
+        reflected = kraus(theta, phi + math.pi / 2.0)
+        total = op.conj().T @ op + reflected.conj().T @ reflected
         worst_complete = max(
             worst_complete, float(np.max(np.abs(total - np.eye(2))))
         )
         reversal = kraus(theta, theta - phi)
-        product = reversal.matrix @ op.matrix
+        product = reversal @ op
         scale = product[0, 0]
         worst_reversal = max(
             worst_reversal,

@@ -78,6 +78,29 @@ class TestValidate:
         assert "all checks passed" in out
         assert os.path.exists(tmp_path / "validate.manifest.json")
 
+    @pytest.mark.parametrize(
+        "target, failing",
+        [
+            ("t_minus_value", ["steady-state transmittance vs analytic"]),
+            ("kraus", ["Kraus completeness", "measurement reversal proportional to identity"]),
+        ],
+    )
+    def test_nan_deviation_fails_its_check(self, tmp_path, capsys, monkeypatch, target, failing):
+        # A NaN deviation must not vanish into the running worst value.
+        nan = {
+            "t_minus_value": lambda *args, **kwargs: complex("nan"),
+            "kraus": lambda theta, phi: np.full((2, 2), np.nan, dtype=complex),
+        }[target]
+        monkeypatch.setattr(cli, target, nan)
+        rc = main(["validate", "--samples", "5", "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert [l.split(":")[0] for l in lines if l.startswith("FAIL")] == [
+            f"FAIL  {name}" for name in failing
+        ]
+        assert f"{len(failing)} check(s) failed" in lines
+        assert not (tmp_path / "out").exists()
+
 
 class TestFig6:
     def test_outputs_and_determinism(self, tmp_path):
@@ -649,6 +672,30 @@ class TestOutputDirectory:
         assert main(["validate", "--samples", "20", "--out", str(explicit)]) == 0
         assert (explicit / "validate.manifest.json").exists()
         assert not (tmp_path / "env").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "beneath-a-file"])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_uncreatable_directory_exit_2(self, tmp_path, capsys, monkeypatch, below, source):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        target = str(afile / below) if below else str(afile)
+        argv = ["fig6"]
+        if source == "flag":
+            argv += ["--out", target]
+        else:
+            monkeypatch.setenv(OUTPUT_ENV_VAR, target)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot create output directory {target!r}")
+        assert "Traceback" not in err
+        assert afile.read_text() == "kept\n"
+
+    def test_write_failure_exit_1(self, tmp_path, capsys):
+        # A directory squatting on the manifest's name makes its open fail.
+        (tmp_path / "validate.manifest.json").mkdir()
+        assert main(["validate", "--samples", "5", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "validate.manifest.json" in err
 
     def test_grid_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -34,44 +34,34 @@ angles = st.floats(-math.pi, math.pi, allow_nan=False)
 class TestKraus:
     def test_matrix_entries(self):
         op = kraus(0.3, 0.8)
-        assert op.matrix[0, 0] == pytest.approx(math.cos(0.8))
-        assert op.matrix[1, 1] == pytest.approx(math.cos(0.5))
-        assert op.matrix[0, 1] == 0.0 and op.matrix[1, 0] == 0.0
+        assert isinstance(op, np.ndarray) and op.shape == (2, 2) and op.dtype == complex
+        assert op[0, 0] == pytest.approx(math.cos(0.8))
+        assert op[1, 1] == pytest.approx(math.cos(0.5))
+        assert op[0, 1] == 0.0 and op[1, 0] == 0.0
 
     def test_zero_rotation_proportional_to_identity(self):
         op = kraus(0.0, 0.6)
-        np.testing.assert_allclose(op.matrix, math.cos(0.6) * np.eye(2), atol=1e-15)
-
-    def test_partner_is_quarter_turn(self):
-        op = kraus(0.4, 0.1)
-        partner = op.partner()
-        assert partner.basis_angle == pytest.approx(0.1 + math.pi / 2.0)
-        assert partner.rotation == op.rotation
+        np.testing.assert_allclose(op, math.cos(0.6) * np.eye(2), atol=1e-15)
 
     @given(theta=angles, phi=angles)
     @settings(max_examples=300)
     def test_completeness(self, theta, phi):
-        op = kraus(theta, phi)
-        partner = op.partner()
-        total = (
-            op.matrix.conj().T @ op.matrix
-            + partner.matrix.conj().T @ partner.matrix
-        )
+        # The reflected port's operator is the quarter-turned analyzer's.
+        op, reflected = kraus(theta, phi), kraus(theta, phi + math.pi / 2.0)
+        total = op.conj().T @ op + reflected.conj().T @ reflected
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
     @given(theta=angles, basis=angles)
     @settings(max_examples=300)
     def test_reversal_proportional_to_identity(self, theta, basis):
-        forward = kraus(theta, basis)
-        reverse = kraus(-theta, basis - theta)
-        product = reverse.matrix @ forward.matrix
+        product = kraus(-theta, basis - theta) @ kraus(theta, basis)
         scale = math.cos(basis) * math.cos(basis - theta)
         assert np.max(np.abs(product - scale * np.eye(2))) < 1e-12
 
 
 def click(amplitudes, op):
     """Spin amplitudes (up, down) after a click, renormalized, and its probability."""
-    updated = np.diagonal(op.matrix) * np.asarray(amplitudes, dtype=complex)
+    updated = np.diagonal(op) * np.asarray(amplitudes, dtype=complex)
     probability = float(np.sum(np.abs(updated) ** 2))
     return updated / math.sqrt(probability), probability
 

@@ -4,7 +4,7 @@ Each row of the table names a module and, in backticks, the functions,
 classes and constants it holds. A change that deletes or renames one would
 leave the table stale without a word; this test resolves each backticked
 Python name against the row's module, or else against the package (as in
-``optics.t_moments`` or ``MeasurementOperator.partner``), and fails on any
+``optics.t_moments`` or ``ScanResult.rows``), and fails on any
 it cannot find. It reads README.md and writes nothing.
 """
 
@@ -60,10 +60,8 @@ def unresolved(module_name, words):
 def test_the_check_finds_a_stale_name():
     words = ["t_moments", "sample_blocks", "montecarlo.coupling_blocks", "E|t|^2", "golden"]
     assert unresolved(f"{PACKAGE}.optics", words) == ["sample_blocks"]
-    assert unresolved(f"{PACKAGE}.measurement", ["MeasurementOperator.partner"]) == []
-    assert unresolved(f"{PACKAGE}.measurement", ["MeasurementOperator.reverse"]) == [
-        "MeasurementOperator.reverse"
-    ]
+    assert unresolved(f"{PACKAGE}.scans", ["ScanResult.rows"]) == []
+    assert unresolved(f"{PACKAGE}.scans", ["ScanResult.columns"]) == ["ScanResult.columns"]
 
 
 ROWS = layout_rows()
