@@ -194,17 +194,20 @@ def _checked_states(
     """Checked density matrices of real-basis solutions r (n, d^2).
 
     A point fails when it is false in ok on entry, or when its solution
-    misses unit trace by more than 1e-10 or has an eigenvalue below -1e-8.
-    Failures are reported one way only: the point is cleared in ok, in
-    place. Returns (rho, top_fock): the density matrices (n, d, d) and their
-    top Fock populations (n,), NaN at the failed points.
+    misses unit trace by more than 1e-10 or has an eigenvalue below -1e-8,
+    found by one Cholesky of rho + 1e-8 I per stack, with eigvalsh only for
+    a stack where it fails. Failures are reported one way only: the point is
+    cleared in ok, in place. Returns (rho, top_fock): the density matrices
+    (n, d, d) and their top Fock populations (n,), NaN at the failed points.
     """
     dim = 2 * (cutoff + 1)
     ok &= np.abs(r[:, :dim].sum(axis=1) - 1.0) <= TRACE_TOLERANCE
     rho = (r @ _operators(cutoff).basis.reshape(dim * dim, -1)).reshape(-1, dim, dim)
     if ok.any():
-        min_eig = np.linalg.eigvalsh(rho[ok]).min(axis=1)
-        ok[ok] = min_eig >= EIGENVALUE_FLOOR
+        try:
+            np.linalg.cholesky(rho[ok] - EIGENVALUE_FLOOR * np.eye(dim))
+        except np.linalg.LinAlgError:
+            ok[ok] = np.linalg.eigvalsh(rho[ok]).min(axis=1) >= EIGENVALUE_FLOOR
     rho[~ok] = np.nan
     # Atom index i, Fock index n live at row i*(cutoff+1) + n.
     diag = np.real(np.diagonal(rho, axis1=1, axis2=2))
@@ -276,9 +279,10 @@ def _steady_states(
     T2 = -N_AS W N_SA, and then x_S = w - W (H_SA + delta N_SA) x_A.
 
     The systems are solved by _solve_points in stacks of at most
-    LINESHAPE_BLOCK detunings and checked by _checked_states. Every point
-    fails when D' is singular; a singular T(delta) or a failed trace or
-    positivity check fails its point alone.
+    LINESHAPE_BLOCK detunings and checked by _checked_states (positivity by
+    one Cholesky of rho + 1e-8 I per stack, eigvalsh only where it fails).
+    Every point fails when D' is singular; a singular T(delta) or a failed
+    trace or positivity check fails its point alone.
     """
     cutoff = model.fock_cutoff
     part = _parts(cutoff, model.kappa, model.gamma)

@@ -289,9 +289,6 @@ class CnotReport:
     best_reflectivity: float
     best_delta_mhz: float
     angle_at_limit_deg: float      # value at the reflectivity limit itself
-    spin_split_deg: float          # 2 * best_angle_deg
-    rotation_up_deg: float         # opposite sign partner of the down rotation
-    required_deg: float = 45.0
 
 
 def cnot_feasibility(
@@ -338,6 +335,4 @@ def cnot_feasibility(
         best_reflectivity=best_rho,
         best_delta_mhz=best_delta,
         angle_at_limit_deg=angle_at_limit,
-        spin_split_deg=2.0 * best_angle,
-        rotation_up_deg=-best_angle,
     )

@@ -5,13 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinfaraday import lindblad
+from spinfaraday.cli import main
 from spinfaraday.lindblad import (
+    EIGENVALUE_FLOOR,
     CutoffError,
     LindbladModel,
+    _checked_states,
     _parts,
     _solve_points,
     _steady_states,
@@ -818,6 +821,78 @@ class TestSchurSolve:
                 [atom_driven_rate(m.g, 2.0 * m.drive_amplitude, delta, 3) for m in kept]
             )
             assert rate == pytest.approx(expected, rel=1e-12)
+
+
+class TestPositivityCheck:
+    """One Cholesky per stack, with the eigvalsh rule only where it fails."""
+
+    @staticmethod
+    def real_basis_states(rng, cutoff, smallest):
+        """Real-basis vectors (n, d^2) of unit-trace Hermitian matrices, each
+        with a random eigenbasis and the given smallest eigenvalue."""
+        dim = 2 * (cutoff + 1)
+        units = lindblad._operators(cutoff).basis.reshape(dim * dim, -1)
+        states = []
+        for low in smallest:
+            rest = rng.uniform(0.1, 1.0, dim - 1)
+            eigs = np.r_[low, (1.0 - low) * rest / rest.sum()]
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            states.append(((q * eigs) @ q.conj().T).ravel())
+        return (np.array(states) @ units.conj().T).real
+
+    @staticmethod
+    def eigvalsh_marks(r, cutoff):
+        dim = 2 * (cutoff + 1)
+        rho = (r @ lindblad._operators(cutoff).basis.reshape(dim * dim, -1)).reshape(-1, dim, dim)
+        return np.linalg.eigvalsh(rho).min(axis=1) >= EIGENVALUE_FLOOR
+
+    def test_marks_and_nan_rows_match_the_eigvalsh_rule(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape[0])
+            return eigvalsh(a)
+
+        r = self.real_basis_states(np.random.default_rng(3), 2, [1e-3, -1e-9, -1e-6])
+        expected = self.eigvalsh_marks(r, 2)
+        np.testing.assert_array_equal(expected, [True, True, False])
+        monkeypatch.setattr(lindblad.np.linalg, "eigvalsh", counted)
+        ok = np.ones(3, dtype=bool)
+        rho, top_fock = _checked_states(r, 2, ok)
+        np.testing.assert_array_equal(ok, expected)
+        assert calls == [3]  # the failing stack alone falls back, as one stack
+        assert np.all(np.isnan(rho[2])) and np.isnan(top_fock[2])
+        assert np.isfinite(rho[:2]).all() and np.isfinite(top_fock[:2]).all()
+        ok = np.ones(2, dtype=bool)
+        _checked_states(r[:2], 2, ok)
+        assert ok.all() and calls == [3]  # a passing stack never reaches eigvalsh
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        smallest=st.lists(st.floats(-1e-6, 1e-6), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_marks_equal_eigvalsh_rule(self, seed, smallest):
+        assume(all(abs(low - EIGENVALUE_FLOOR) > 1e-12 for low in smallest))
+        r = self.real_basis_states(np.random.default_rng(seed), 2, smallest)
+        ok = np.ones(len(smallest), dtype=bool)
+        _checked_states(r, 2, ok)
+        np.testing.assert_array_equal(ok, self.eigvalsh_marks(r, 2))
+
+    def test_healthy_inputs_never_reach_the_fallback(self, tmp_path, monkeypatch):
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("a healthy stack reached the eigvalsh fallback")
+
+        monkeypatch.setattr(lindblad.np.linalg, "eigvalsh", no_eigvalsh)
+        grid = MHZ * np.linspace(-10.0, 10.0, 121)
+        for scale in (1.0 / 300.0, 100.0 / 300.0, 1.0):
+            shape = fluorescence_lineshape(P, scale, grid, average_positions=False)
+            assert shape.failed_points == 0
+        assert main(["fig2", "--out", str(tmp_path), "--samples", "3"]) == 0
+        # validate's oracle: one steady_state of the weak-drive probe model per detuning
+        for delta in MHZ * np.array([-4.0, -1.1, 0.0, 0.7, 3.3]):
+            assert np.isfinite(transmittance_steady(delta, P.g0, P))
 
 
 class TestCurveFwhm:

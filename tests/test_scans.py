@@ -340,14 +340,6 @@ class TestCnotFeasibility:
         assert report.best_reflectivity == pytest.approx(0.9999883822444183, abs=1e-9)
         assert report.best_delta_mhz == pytest.approx(-2.021916340101459, rel=1e-6)
         assert report.angle_at_limit_deg == pytest.approx(41.20737878144908, rel=1e-9)
-        assert report.spin_split_deg == pytest.approx(90.0, abs=1e-9)
-        assert report.rotation_up_deg == pytest.approx(-45.0, abs=1e-9)
-        assert report.required_deg == 45.0
-
-    def test_opposite_spin_rotations(self):
-        report = cnot_feasibility()
-        assert report.rotation_up_deg == pytest.approx(-report.best_angle_deg)
-        assert report.spin_split_deg == pytest.approx(2.0 * report.best_angle_deg)
 
     def test_limit_below_lossless_point_infeasible(self):
         # (coupling scale, rho_limit, best angle in deg): the best mirror is the limit
