@@ -13,10 +13,10 @@ models are provided:
   whose rate follows the local emission rate (coupling squared, scaled to
   ``rate_max`` at the mode center, weighted by the excitation-beam profile),
   and an atom is selected when two clicks arrive within ``window_ns``. The
-  returned trajectory starts at the second click. A batch of candidates
-  holds one (batch, k_max) float array of click times plus row-slice
-  temporaries; the click rate is evaluated only where an exact bound says
-  a click can pass.
+  returned trajectory starts at the second click. Click times are held one
+  slab of ``COINCIDENCE_ROW_BLOCK`` candidates at a time, never a whole
+  batch; the click rate is evaluated only where an exact bound says a click
+  can pass.
 * ``threshold_trajectories`` keeps atoms whose initial coupling magnitude is
   at least a set fraction (default 0.9) of the maximum. This is the default
   ensemble for averaged curves: it directly encodes "nearly maximal
@@ -36,6 +36,7 @@ count.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -216,6 +217,11 @@ def threshold_trajectories(
     return Ensemble(r0, velocity, motion)
 
 
+def _front(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous (rows, cols) view of the first rows * cols entries of ``buffer``."""
+    return buffer.reshape(-1)[: rows * cols].reshape(rows, cols)
+
+
 def _first_coincidences(
     row: np.ndarray, clicks: np.ndarray, window_s: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -256,14 +262,17 @@ def sample_selected_trajectories(
     when two consecutive clicks arrive within the coincidence window; its
     trajectory starts at the second click.
 
-    Each batch draws its exponential gaps as one (batch, k_max) block whose
-    running sum, taken in place, is the only batch-sized float array held.
-    The uniforms are drawn ``COINCIDENCE_ROW_BLOCK`` rows at a time, which
-    consumes the generator exactly as one whole block would, and each row
-    slice is thinned over only the columns up to its last click in
-    ``[0, t_total]`` (click times grow along a row). A slice's accepted
-    clicks are paired into coincidences right after thinning, so no
-    batch-wide click mask is held; thinning stops at the n-th atom.
+    The random stream is that of drawing each batch's (batch, k_max)
+    exponential gaps as one block, then its uniforms as one block, but no
+    batch-sized array is held: four (``COINCIDENCE_ROW_BLOCK``, k_max) float
+    slabs are reused for gaps, uniforms and the prefilter. All of a batch's
+    gaps precede its uniforms in the stream, so the generator draws the
+    gaps slab by slab into one buffer and discards them to reach the
+    uniforms, and a copy taken at the first gap replays each slab's gaps
+    just before that slab's uniforms are drawn. Each slab is thinned over
+    only the columns up to its last click in ``[0, t_total]`` (click times
+    grow along a row), and its accepted clicks are paired into coincidences
+    right after thinning; thinning stops at the n-th atom.
 
     The ratio is evaluated only on candidate clicks that pass an exact
     prefilter. The height y depends on t alone, and x^2, z^2 >= 0 and
@@ -300,6 +309,7 @@ def sample_selected_trajectories(
 
     r0_parts: list[np.ndarray] = []
     v_parts: list[np.ndarray] = []
+    gaps, uniforms, heights, bounds = (np.empty((COINCIDENCE_ROW_BLOCK, k_max)) for _ in range(4))
     selected = candidates = 0
     while selected < n:
         _check_acceptance(selected, candidates, COINCIDENCE_JUDGED_FROM)
@@ -311,19 +321,32 @@ def sample_selected_trajectories(
         vx, vz = _sample_velocities(rng, m, motion)
         vy = -motion.v_fall
 
-        # Homogeneous candidate clicks at rate_max, then thinning.
-        times = rng.exponential(1.0 / rate_max, size=(m, k_max))
-        np.cumsum(times, axis=1, out=times)
-        for lo in range(0, m, COINCIDENCE_ROW_BLOCK):
-            t = times[lo : lo + COINCIDENCE_ROW_BLOCK]
-            u = rng.uniform(size=t.shape)
-            k = int(np.count_nonzero(t <= t_total, axis=1).max())
-            t, u = t[:, :k], u[:, :k]
-            y = COINCIDENCE_START_HEIGHT + vy * t
-            row, col = np.nonzero(
-                (t <= t_total) & (u <= np.exp(-bound_rate * y * y) * (1.0 + 1e-9))
-            )
-            t, u, y = t[row, col], u[row, col], y[row, col]
+        # Homogeneous candidate clicks at rate_max, then thinning, one slab of
+        # rows at a time (the last slab may be shorter). The generator skips
+        # the batch's gaps to reach its uniforms; a copy replays the gaps.
+        slabs = range(0, m, COINCIDENCE_ROW_BLOCK)
+        replay = copy.deepcopy(rng)
+        for lo in slabs:
+            rng.standard_exponential(out=gaps[: m - lo])
+        for lo in slabs:
+            t = replay.standard_exponential(out=gaps[: m - lo])
+            t *= 1.0 / rate_max
+            np.cumsum(t, axis=1, out=t)
+            u = rng.random(out=uniforms[: m - lo])
+            # Rows are sorted, so the column minima give the last column
+            # that any row's click in [0, t_total] reaches.
+            k = int(np.searchsorted(t.min(axis=0), t_total, side="right"))
+            y = np.multiply(vy, t[:, :k], out=_front(heights, t.shape[0], k))
+            y += COINCIDENCE_START_HEIGHT
+            bound = np.multiply(-bound_rate, y, out=_front(bounds, t.shape[0], k))
+            bound *= y
+            np.exp(bound, out=bound)
+            bound *= 1.0 + 1e-9
+            flat = np.flatnonzero((t[:, :k] <= t_total) & (u[:, :k] <= bound))
+            row = flat // k
+            y = y.reshape(-1)[flat]
+            flat += row * (k_max - k)  # the same clicks' indices in the whole slab
+            t, u = t.reshape(-1)[flat], u.reshape(-1)[flat]
             row += lo
             x = x0[row] + vx[row] * t
             z = z0[row] + vz[row] * t

@@ -9,6 +9,7 @@ import pytest
 from spinfaraday import montecarlo, optics
 from spinfaraday.montecarlo import (
     COINCIDENCE_BATCH_SIZE,
+    COINCIDENCE_ROW_BLOCK,
     COINCIDENCE_START_HEIGHT,
     SOURCE_RADIUS_FACTOR,
     MotionModel,
@@ -388,32 +389,41 @@ class TestCoincidenceSelection:
             sample_selected_trajectories(MotionModel(seed=1), P, 10, **selection)
 
     @pytest.mark.parametrize(
-        "selection, n",
+        "selection, n, row_block",
         [
-            ({}, 1000),
-            ({"excitation_waist": 2e-6}, 30),
-            ({"rate_max": 4 * 7.6e5}, 2500),
-            ({"window_ns": 50.0}, 200),
+            ({}, 1000, None),
+            ({"excitation_waist": 2e-6}, 30, None),
+            ({"rate_max": 4 * 7.6e5}, 2500, None),
+            ({"window_ns": 50.0}, 200, None),
+            # 700 does not divide the batch, so each batch ends on a 100-row
+            # slab: the replayed gaps and the uniforms must stay in step.
+            ({}, 1000, 700),
         ],
-        ids=["default", "waist-2um", "rate-x4", "window-50ns"],
+        ids=["default", "waist-2um", "rate-x4", "window-50ns", "short-last-slab"],
     )
-    def test_matches_whole_block_thinning(self, selection, n):
+    def test_matches_whole_block_thinning(self, monkeypatch, selection, n, row_block):
         # each case spans at least two batches
+        if row_block is not None:
+            assert COINCIDENCE_BATCH_SIZE % row_block == 100
+            monkeypatch.setattr(montecarlo, "COINCIDENCE_ROW_BLOCK", row_block)
         motion = MotionModel(seed=99)
         trajs = sample_selected_trajectories(motion, P, n, **selection)
         r0, velocity = whole_block_selection(motion, P, n, **selection)
         assert np.array_equal(trajs.r0, r0)
         assert np.array_equal(trajs.velocity, velocity)
 
-    def test_peak_memory_of_one_batch(self):
-        # Below 2.5 (batch x k_max) float arrays; k_max = 358 at the defaults.
+    @pytest.mark.parametrize("n", [500, 2500], ids=["one-batch", "three-batches"])
+    def test_peak_memory_of_one_batch(self, n):
+        # Measured 6.3 slabs of (COINCIDENCE_ROW_BLOCK x k_max) floats at either
+        # n, with k_max = 358 at the defaults: four slab buffers plus the
+        # prefiltered clicks. Holding a whole (batch, k_max) block reads 15 or more.
         tracemalloc.start()
         try:
-            sample_selected_trajectories(MotionModel(), P, 500)
+            sample_selected_trajectories(MotionModel(), P, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * COINCIDENCE_BATCH_SIZE * 358 * 8
+        assert peak < 7.5 * COINCIDENCE_ROW_BLOCK * 358 * 8
 
 
 class TestAveragedCurves:
