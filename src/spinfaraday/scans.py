@@ -57,7 +57,9 @@ class MaxRotation(NamedTuple):
 
 def _abs_rotation(delta: np.ndarray, params: SystemParams, mode: str) -> np.ndarray:
     # Kept 1-D even for one point: numpy's scalar complex division rounds
-    # differently from its array loop, and fig6 pins the array rounding.
+    # differently from its array loop, and fig6 pins the array rounding. An
+    # element's value does not depend on the rest of the batch, so the coarse
+    # grid's values and the lookahead batches equal one-point evaluations.
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     cavity_detuning = delta if mode == CAVITY_EQUALS_ATOM else 0.0
     return np.abs(rotation_curve(delta, params.g0, params, cavity_detuning))
@@ -66,6 +68,67 @@ def _abs_rotation(delta: np.ndarray, params: SystemParams, mode: str) -> np.ndar
 # scipy's ``golden`` ratio, rounded to 8 digits: fig6 pins that method's iterates.
 _GOLDEN_R = 0.61803399
 _GOLDEN_C = 1.0 - _GOLDEN_R
+# Golden-section steps evaluated ahead per array call: 2**LOOKAHEAD - 1 points.
+LOOKAHEAD = 4
+
+_Bracket = tuple[float, float, float, float]
+
+
+def _golden_step(bracket: _Bracket, up: bool) -> _Bracket:
+    """scipy's next bracket (x0, x1, x2, x3): up when f2 > f1, else down."""
+    x0, x1, x2, x3 = bracket
+    if up:
+        return x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3, x3
+    return x0, _GOLDEN_R * x1 + _GOLDEN_C * x0, x1, x2
+
+
+def _lookahead_tree(bracket: _Bracket, slot: int) -> tuple[list[_Bracket], list[int]]:
+    """Brackets from ``bracket`` through the next ``LOOKAHEAD`` - 1 steps, in
+    heap order (node i steps up to 2i+1, down to 2i+2), and the slot (1 or 2)
+    of each one's unevaluated inner point."""
+    nodes = [bracket]
+    for i in range(2 ** (LOOKAHEAD - 1) - 1):
+        nodes += [_golden_step(nodes[i], True), _golden_step(nodes[i], False)]
+    return nodes, [slot] + [2, 1] * (len(nodes) // 2)
+
+
+def _golden_section(
+    bracket: _Bracket, known: float, slot: int, params: SystemParams, mode: str
+) -> MaxRotation:
+    """scipy's golden-section iterates from a bracket whose x[slot] is unevaluated.
+
+    ``known`` is f at the other inner point. Each round evaluates the
+    lookahead tree's points in one array call, then walks the tree with
+    scipy's comparisons: ``LOOKAHEAD`` steps, fewer if it converges. The
+    convergence test precedes every step, and at most 5000 steps are taken.
+    """
+    f1 = f2 = known
+    steps = 0
+    while True:
+        nodes, slots = _lookahead_tree(bracket, slot)
+        points = np.array([node[s] for node, s in zip(nodes, slots)])
+        values = _abs_rotation(points, params, mode).tolist()
+        i = 0
+        while True:
+            x0, x1, x2, x3 = nodes[i]
+            if slots[i] == 1:
+                f1 = values[i]
+            else:
+                f2 = values[i]
+            if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)) or steps == 5000:
+                return MaxRotation(f1, x1) if f1 > f2 else MaxRotation(f2, x2)
+            steps += 1
+            # The kept inner point changes slot; the next node fills the other.
+            up = f2 > f1
+            if up:
+                f1 = f2
+            else:
+                f2 = f1
+            child = 2 * i + (1 if up else 2)
+            if child >= len(nodes):
+                bracket, slot = _golden_step(nodes[i], up), 2 if up else 1
+                break
+            i = child
 
 
 def max_rotation(params: SystemParams, mode: str = PROBE_EQUALS_CAVITY) -> MaxRotation:
@@ -74,7 +137,9 @@ def max_rotation(params: SystemParams, mode: str = PROBE_EQUALS_CAVITY) -> MaxRo
     Scans a coarse grid on the negative-detuning half (the curve is
     antisymmetric). A grid maximum strictly above both neighbours is refined
     by scipy's ``golden`` iterates (xtol 1e-12, at most 5000 steps), and the
-    refined point replaces it unless lower.
+    refined point replaces it unless lower. The iterates match scipy's bit
+    for bit, though each array call evaluates the candidate points of
+    ``LOOKAHEAD`` steps.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -92,28 +157,15 @@ def max_rotation(params: SystemParams, mode: str = PROBE_EQUALS_CAVITY) -> MaxRo
     if best == 0 or best == grid.size - 1:
         return grid_max
 
-    def f(delta: float) -> float:
-        return float(_abs_rotation(np.array([delta]), params, mode)[0])
-
-    x0, xb, x3 = (float(x) for x in grid[best - 1 : best + 2])
-    fb = f(xb)
-    if not (fb > f(x0) and fb > f(x3)):
+    x0, xb, x3 = grid[best - 1 : best + 2].tolist()
+    f0, fb, f3 = values[best - 1 : best + 2].tolist()
+    if not (fb > f0 and fb > f3):
         return grid_max
     if abs(x3 - xb) > abs(xb - x0):
-        x1, x2 = xb, xb + _GOLDEN_C * (x3 - xb)
+        bracket, slot = (x0, xb, xb + _GOLDEN_C * (x3 - xb), x3), 2
     else:
-        x1, x2 = xb - _GOLDEN_C * (xb - x0), xb
-    f1, f2 = f(x1), f(x2)
-    for _ in range(5000):
-        if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
-            break
-        if f2 > f1:
-            x0, x1, x2 = x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3
-            f1, f2 = f2, f(x2)
-        else:
-            x3, x2, x1 = x2, x1, _GOLDEN_R * x1 + _GOLDEN_C * x0
-            f2, f1 = f1, f(x1)
-    refined = MaxRotation(f1, x1) if f1 > f2 else MaxRotation(f2, x2)
+        bracket, slot = (x0, xb - _GOLDEN_C * (xb - x0), xb, x3), 1
+    refined = _golden_section(bracket, fb, slot, params, mode)
     return refined if refined.angle >= grid_max.angle else grid_max
 
 

@@ -117,6 +117,20 @@ class TestFig6:
         assert header[0] == "reflectivity"
         assert len(rows) == 43
 
+    def test_rotation_curve_calls(self, tmp_path, monkeypatch):
+        # 68 maxima: one coarse grid call each, then a golden-section
+        # refinement that evaluates several steps' points per call.
+        original = optics.rotation_curve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, original, counted)
+        assert main(["fig6", "--out", str(tmp_path)]) == 0
+        assert len(calls) <= 1150
+
     def test_manifest_contents(self, tmp_path):
         main(["fig6", "--out", str(tmp_path)])
         manifest = json.loads(read(tmp_path / "fig6.manifest.json"))

@@ -208,6 +208,74 @@ class TestMaxRotation:
             assert (values[best], grid[best]) == expected
 
 
+def coarse_bracket(params, mode):
+    """max_rotation's coarse grid maximum and its neighbours inside the grid."""
+    grid, values = detuning_grid(params, mode, scans.MAX_ROTATION_COARSE_POINTS)
+    best = int(np.argmax(values))
+    window = slice(max(best - 1, 0), best + 2)
+    return grid[window], values[window]
+
+
+def single_point_values(points, params, mode):
+    return [scans._abs_rotation(points[i : i + 1], params, mode)[0] for i in range(points.size)]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBatchInvariance:
+    # max_rotation reads the bracket from the coarse grid's batch and the
+    # refined points from lookahead batches; scipy evaluated each alone.
+
+    @pytest.mark.parametrize("mode", [PROBE_EQUALS_CAVITY, CAVITY_EQUALS_ATOM])
+    @pytest.mark.parametrize("row", SCIPY_GOLDEN_MAXIMA, ids=row_id)
+    def test_coarse_bracket(self, row, mode):
+        params, _, _ = table_point(row)
+        points, batch = coarse_bracket(params, mode)
+        assert hexes(batch) == hexes(single_point_values(points, params, mode))
+
+    @pytest.mark.parametrize("mode", [PROBE_EQUALS_CAVITY, CAVITY_EQUALS_ATOM])
+    def test_lookahead_tree(self, mode):
+        (x0, xb, x3), _ = coarse_bracket(P, mode)
+        bracket = (x0, xb, xb + scans._GOLDEN_C * (x3 - xb), x3)
+        nodes, slots = scans._lookahead_tree(bracket, 2)
+        points = np.array([node[slot] for node, slot in zip(nodes, slots)])
+        assert points.size == 2**scans.LOOKAHEAD - 1 == len(set(points.tolist()))
+        batch = scans._abs_rotation(points, P, mode)
+        assert hexes(batch) == hexes(single_point_values(points, P, mode))
+
+
+def refinement_calls(monkeypatch, row, lookahead):
+    """max_rotation of a table row at a lookahead depth, and the sizes of
+    the array calls after the coarse grid's."""
+    monkeypatch.setattr(scans, "LOOKAHEAD", lookahead)
+    sizes = []
+
+    def counted(delta, *args):
+        sizes.append(np.size(delta))
+        return rotation_curve(delta, *args)
+
+    monkeypatch.setattr(scans, "rotation_curve", counted)
+    params, mode, _ = table_point(row)
+    return max_rotation(params, mode), sizes[1:]
+
+
+@pytest.mark.parametrize("lookahead", [1, 2, 4, 7])
+def test_lookahead_depth_keeps_scipy_iterates(monkeypatch, lookahead):
+    # One call per round of 2**lookahead - 1 points. The rows converge both
+    # inside a round and on its last level at every depth above 1.
+    ends_a_round = set()
+    for row in SCIPY_GOLDEN_MAXIMA:
+        _, single = refinement_calls(monkeypatch, row, 1)
+        result, sizes = refinement_calls(monkeypatch, row, lookahead)
+        assert (result.angle.hex(), result.delta_star.hex()) == row[5:]
+        assert sizes == [2**lookahead - 1] * -(-len(single) // lookahead)
+        if single:
+            ends_a_round.add(len(single) % lookahead == 0)
+    assert ends_a_round == ({True} if lookahead == 1 else {True, False})
+
+
 class TestLosslessPoint:
     def test_frozen_values(self):
         point = lossless_rotation_point()
