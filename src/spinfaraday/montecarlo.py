@@ -15,8 +15,9 @@ models are provided:
   and an atom is selected when two clicks arrive within ``window_ns``. The
   returned trajectory starts at the second click. Click times are held one
   slab of ``COINCIDENCE_ROW_BLOCK`` candidates at a time, never a whole
-  batch; the click rate is evaluated only where an exact bound says a click
-  can pass.
+  batch; the click rate is evaluated only where two exact bounds, each
+  row's transverse envelope and then the height's factor, say a click can
+  pass.
 * ``threshold_trajectories`` keeps atoms whose initial coupling magnitude is
   at least a set fraction (default 0.9) of the maximum. This is the default
   ensemble for averaged curves: it directly encodes "nearly maximal
@@ -52,7 +53,7 @@ MIN_ACCEPTANCE = 1e-4                   # both samplers' acceptance floor, once 
 THRESHOLD_JUDGED_FROM = 4_000_000       # candidates drawn before threshold acceptance is judged
 COINCIDENCE_START_HEIGHT = 50e-6        # m, candidate entry height above the mode center
 COINCIDENCE_BATCH_SIZE = 5_000          # candidates simulated per batch
-COINCIDENCE_ROW_BLOCK = 500             # batch rows thinned at a time
+COINCIDENCE_ROW_BLOCK = 100             # batch rows thinned at a time
 COINCIDENCE_JUDGED_FROM = 50_000        # candidates drawn before coincidence acceptance is judged
 
 
@@ -217,9 +218,44 @@ def threshold_trajectories(
     return Ensemble(r0, velocity, motion)
 
 
-def _front(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A C-contiguous (rows, cols) view of the first rows * cols entries of ``buffer``."""
-    return buffer.reshape(-1)[: rows * cols].reshape(rows, cols)
+def _closest_approach(p0: np.ndarray, v: np.ndarray, duration: float) -> np.ndarray:
+    """Smallest |p0 + v t| over t in [0, duration], per row; 0 where the path reaches zero.
+
+    Rounding keeps each computed p0 + v t between p0 and the computed end,
+    so no click on the path lies nearer zero than this.
+    """
+    end = p0 + v * duration
+    return np.where(np.sign(p0) == np.sign(end), np.minimum(np.abs(p0), np.abs(end)), 0.0)
+
+
+def _row_envelope(
+    x0: np.ndarray,
+    vx: np.ndarray,
+    z0: np.ndarray,
+    vz: np.ndarray,
+    duration: float,
+    waist: float,
+    excitation_waist: float,
+) -> np.ndarray:
+    """Each row's transverse bound on the click ratio over [0, duration], with a 1e-9 margin.
+
+    F = exp(-2 x_min^2/w0^2 - 2 z_min^2/w_exc^2) (1 + 1e-9), where x_min and
+    z_min are the row's smallest |x| and |z| (``_closest_approach``).
+    """
+    x_min = _closest_approach(x0, vx, duration)
+    z_min = _closest_approach(z0, vz, duration)
+    return np.exp(-2.0 * x_min**2 / waist**2 - 2.0 * z_min**2 / excitation_waist**2) * (1.0 + 1e-9)
+
+
+def _click_ratio(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, params: SystemParams, excitation_waist: float
+) -> np.ndarray:
+    """The click rate over ``rate_max``: (g/g0)^2 times the excitation-beam profile."""
+    return (
+        np.exp(-2.0 * (x**2 + y**2) / params.waist**2)
+        * np.cos(2.0 * math.pi * z / params.wavelength) ** 2
+        * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
+    )
 
 
 def _first_coincidences(
@@ -264,25 +300,31 @@ def sample_selected_trajectories(
 
     The random stream is that of drawing each batch's (batch, k_max)
     exponential gaps as one block, then its uniforms as one block, but no
-    batch-sized array is held: four (``COINCIDENCE_ROW_BLOCK``, k_max) float
-    slabs are reused for gaps, uniforms and the prefilter. All of a batch's
-    gaps precede its uniforms in the stream, so the generator draws the
-    gaps slab by slab into one buffer and discards them to reach the
-    uniforms, and a copy taken at the first gap replays each slab's gaps
-    just before that slab's uniforms are drawn. Each slab is thinned over
-    only the columns up to its last click in ``[0, t_total]`` (click times
-    grow along a row), and its accepted clicks are paired into coincidences
-    right after thinning; thinning stops at the n-th atom.
+    batch-sized array is held: two (``COINCIDENCE_ROW_BLOCK``, k_max) float
+    slabs are reused for gaps and uniforms. All of a batch's gaps precede
+    its uniforms in the stream, so the generator draws the gaps slab by slab
+    into one buffer and discards them to reach the uniforms, and a copy
+    taken at the first gap replays each slab's gaps just before that slab's
+    uniforms are drawn. Each slab is thinned over only the columns up to its
+    last click in ``[0, t_total]`` (click times grow along a row), and its
+    accepted clicks are paired into coincidences right after thinning;
+    thinning stops at the n-th atom.
 
-    The ratio is evaluated only on candidate clicks that pass an exact
-    prefilter. The height y depends on t alone, and x^2, z^2 >= 0 and
-    cos^2 <= 1 give ratio <= exp(-c y^2) with c = 2 (1/w0^2 + 1/w_exc^2).
-    A click is a candidate when u <= exp(-c y^2) (1 + 1e-9). The ``<=``
-    keeps every u == 0. Otherwise u >= 2^-53, so only ratios of at least
-    2^-53 can pass: their exponent arguments are at most 53 ln 2 < 37, and
-    their rounding errors about 1e-14 relative, far inside the 1e-9 margin.
-    The accepted clicks are therefore exactly those of thinning the whole
-    block.
+    The ratio is evaluated only on candidate clicks that pass two exact
+    prefilters. A row's path is straight, so over ``[0, t_total]`` its
+    |x| and |z| are at least x_min and z_min, each 0 where the path reaches
+    zero; the height y depends on t alone; and cos^2 <= 1. Hence
+
+        ratio <= F_r exp(-c y^2),  F_r = exp(-2 x_min^2/w0^2 - 2 z_min^2/w_exc^2),
+
+    with c = 2 (1/w0^2 + 1/w_exc^2). Stage A keeps the clicks with
+    u <= F_r (1 + 1e-9), one compare per click; stage B computes y on those
+    alone and keeps t <= t_total and u <= F_r (1 + 1e-9) exp(-c y^2). The
+    ``<=`` keeps every u == 0. Otherwise u >= 2^-53, so only ratios of at
+    least 2^-53 can pass: their exponent arguments, and the bound's smaller
+    ones, are at most 53 ln 2 < 37, and their rounding errors about 1e-14
+    relative, far inside the 1e-9 margin. The accepted clicks are therefore
+    exactly those of thinning the whole block.
 
     Raises ValueError for a non-finite ``rate_max`` or a window or
     excitation waist that is not finite and positive, and SelectionError
@@ -309,7 +351,7 @@ def sample_selected_trajectories(
 
     r0_parts: list[np.ndarray] = []
     v_parts: list[np.ndarray] = []
-    gaps, uniforms, heights, bounds = (np.empty((COINCIDENCE_ROW_BLOCK, k_max)) for _ in range(4))
+    gaps, uniforms = (np.empty((COINCIDENCE_ROW_BLOCK, k_max)) for _ in range(2))
     selected = candidates = 0
     while selected < n:
         _check_acceptance(selected, candidates, COINCIDENCE_JUDGED_FROM)
@@ -320,6 +362,7 @@ def sample_selected_trajectories(
         y0 = np.full(m, COINCIDENCE_START_HEIGHT)
         vx, vz = _sample_velocities(rng, m, motion)
         vy = -motion.v_fall
+        envelope = _row_envelope(x0, vx, z0, vz, t_total, params.waist, excitation_waist)
 
         # Homogeneous candidate clicks at rate_max, then thinning, one slab of
         # rows at a time (the last slab may be shorter). The generator skips
@@ -336,26 +379,19 @@ def sample_selected_trajectories(
             # Rows are sorted, so the column minima give the last column
             # that any row's click in [0, t_total] reaches.
             k = int(np.searchsorted(t.min(axis=0), t_total, side="right"))
-            y = np.multiply(vy, t[:, :k], out=_front(heights, t.shape[0], k))
-            y += COINCIDENCE_START_HEIGHT
-            bound = np.multiply(-bound_rate, y, out=_front(bounds, t.shape[0], k))
-            bound *= y
-            np.exp(bound, out=bound)
-            bound *= 1.0 + 1e-9
-            flat = np.flatnonzero((t[:, :k] <= t_total) & (u[:, :k] <= bound))
+            # Stage A: each row's envelope alone.
+            flat = np.flatnonzero(u[:, :k] <= envelope[lo : lo + t.shape[0], None])
             row = flat // k
-            y = y.reshape(-1)[flat]
             flat += row * (k_max - k)  # the same clicks' indices in the whole slab
             t, u = t.reshape(-1)[flat], u.reshape(-1)[flat]
             row += lo
+            # Stage B: the height's factor, on stage A's clicks only.
+            y = vy * t + COINCIDENCE_START_HEIGHT
+            passed = (t <= t_total) & (u <= envelope[row] * np.exp(-bound_rate * y * y))
+            row, t, u, y = row[passed], t[passed], u[passed], y[passed]
             x = x0[row] + vx[row] * t
             z = z0[row] + vz[row] * t
-            ratio = (
-                np.exp(-2.0 * (x**2 + y**2) / params.waist**2)
-                * np.cos(2.0 * math.pi * z / params.wavelength) ** 2
-                * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
-            )
-            keep = u < ratio
+            keep = u < _click_ratio(x, y, z, params, excitation_waist)
             rows, t_sel = _first_coincidences(row[keep], t[keep], window_ns * 1e-9)
             rows, t_sel = rows[: n - selected], t_sel[: n - selected]
             velocity = np.column_stack([vx[rows], np.full(rows.size, vy), vz[rows]])

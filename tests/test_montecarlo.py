@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinfaraday import montecarlo, optics
 from spinfaraday.montecarlo import (
@@ -15,7 +17,10 @@ from spinfaraday.montecarlo import (
     MotionModel,
     Ensemble,
     SelectionError,
+    _click_ratio,
+    _closest_approach,
     _first_coincidences,
+    _row_envelope,
     _sample_disc,
     _sample_velocities,
     average_rotation,
@@ -347,7 +352,8 @@ class TestCoincidenceSelection:
         assert np.array_equal(a.r0, b.r0) and np.array_equal(a.velocity, b.velocity)
 
     def test_stops_thinning_once_n_are_selected(self, monkeypatch):
-        # the first row slice of the first batch already holds 50 coincidences
+        # the first 500-row slab of the first batch already holds 50 coincidences
+        monkeypatch.setattr(montecarlo, "COINCIDENCE_ROW_BLOCK", 500)
         calls = []
 
         def counted(*args):
@@ -412,18 +418,90 @@ class TestCoincidenceSelection:
         assert np.array_equal(trajs.r0, r0)
         assert np.array_equal(trajs.velocity, velocity)
 
-    @pytest.mark.parametrize("n", [500, 2500], ids=["one-batch", "three-batches"])
-    def test_peak_memory_of_one_batch(self, n):
-        # Measured 6.3 slabs of (COINCIDENCE_ROW_BLOCK x k_max) floats at either
-        # n, with k_max = 358 at the defaults: four slab buffers plus the
-        # prefiltered clicks. Holding a whole (batch, k_max) block reads 15 or more.
+    def test_matches_whole_block_thinning_on_crossing_paths(self):
+        # At 0.5 m/s transverse most rows cross x = 0 or z = 0 during the
+        # fall, so their envelopes are set by the crossing, not the ends.
+        motion = MotionModel(seed=99, v_transverse_rms=0.5)
+        rng = np.random.default_rng(motion.seed)
+        x0, z0 = _sample_disc(rng, COINCIDENCE_BATCH_SIZE, SOURCE_RADIUS_FACTOR * P.waist)
+        vx, vz = _sample_velocities(rng, COINCIDENCE_BATCH_SIZE, motion)
+        t_total = 2.0 * COINCIDENCE_START_HEIGHT / motion.v_fall
+        crossing = (_closest_approach(x0, vx, t_total) == 0.0) | (
+            _closest_approach(z0, vz, t_total) == 0.0
+        )
+        assert crossing.mean() > 0.5
+        # about 150 atoms per batch are selected, so 300 span two batches
+        trajs = sample_selected_trajectories(motion, P, 300)
+        r0, velocity = whole_block_selection(motion, P, 300)
+        assert np.array_equal(trajs.r0, r0)
+        assert np.array_equal(trajs.velocity, velocity)
+
+    @staticmethod
+    def sampler_peak(n):
+        """The sampler's tracemalloc peak; numpy.random, imported lazily, is imported first."""
+        np.random.default_rng()
         tracemalloc.start()
         try:
             sample_selected_trajectories(MotionModel(), P, n)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7.5 * COINCIDENCE_ROW_BLOCK * 358 * 8
+
+    @pytest.mark.parametrize("n", [500, 2500], ids=["one-batch", "three-batches"])
+    def test_peak_memory_of_one_batch(self, n):
+        # Measured 5.2 and 5.5 slabs of (COINCIDENCE_ROW_BLOCK x k_max) floats
+        # at the two n, with k_max = 358 at the defaults: the gap and uniform
+        # slabs plus the clicks within each row's envelope and the batch's
+        # rows. Holding a whole (batch, k_max) block reads 70 or more.
+        assert self.sampler_peak(n) < 7.5 * COINCIDENCE_ROW_BLOCK * 358 * 8
+
+    def test_peak_memory_below_two_and_a_half_megabytes(self):
+        # Measured 1.6 MB at n = 2,500; four 500-row slabs read 8.4 MB.
+        assert self.sampler_peak(2500) < 2.5e6
+
+
+class TestClickEnvelope:
+    @pytest.mark.parametrize(
+        "p0, v, expected",
+        [
+            (-1.0, 2.0, 0.0),  # crosses zero mid-path
+            (1.0, -1.0, 0.0),  # touches zero at the end
+            (0.0, 1.0, 0.0),  # starts at zero
+            (1.0, 0.5, 1.0),  # moves away from zero, positive side
+            (-1.0, -0.5, 1.0),  # moves away from zero, negative side
+            (2.0, -1.0, 1.0),  # moves toward zero without reaching it
+            (-2.0, 1.0, 1.0),  # the same from the negative side
+            (-3.0, 0.0, 3.0),  # at rest
+        ],
+        ids=[
+            "crosses", "touches-end", "touches-start", "away-positive", "away-negative",
+            "toward-positive", "toward-negative", "at-rest",
+        ],
+    )
+    def test_closest_approach_hand_cases(self, p0, v, expected):
+        assert _closest_approach(np.array([p0]), np.array([v]), 1.0)[0] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x0=st.floats(-2.0, 2.0),
+        z0=st.floats(-2.0, 2.0),
+        vx=st.floats(-1.0, 1.0),
+        vz=st.floats(-1.0, 1.0),
+        fraction=st.floats(0.0, 1.0),
+        excitation_waist=st.sampled_from([24e-6, 2e-6]),
+    )
+    def test_envelope_bounds_the_click_ratio(self, x0, z0, vx, vz, fraction, excitation_waist):
+        # start positions in mode waists on the source disc's square, velocities in m/s
+        motion = MotionModel()
+        t_total = 2.0 * COINCIDENCE_START_HEIGHT / motion.v_fall
+        x0, z0 = np.array([x0 * P.waist]), np.array([z0 * P.waist])
+        vx, vz = np.array([vx]), np.array([vz])
+        envelope = _row_envelope(x0, vx, z0, vz, t_total, P.waist, excitation_waist)
+        t = np.array([fraction * t_total])
+        y = -motion.v_fall * t + COINCIDENCE_START_HEIGHT
+        c = 2.0 * (1.0 / P.waist**2 + 1.0 / excitation_waist**2)
+        ratio = _click_ratio(x0 + vx * t, y, z0 + vz * t, P, excitation_waist)
+        assert ratio[0] <= envelope[0] * np.exp(-c * y * y)[0]
 
 
 class TestAveragedCurves:
