@@ -58,10 +58,11 @@ print("cavity transmittance at delta/2pi = -1.1 MHz: t- = %.3f%+.3fj"
       % (t.real, t.imag))
 print("conditional spin populations after one click (prior 0.5):")
 print(f"{'phi (deg)':>10} {'transmitted':>12} {'reflected':>10}")
-for phi_deg in (45.0, 60.0, 75.0, 90.0, 105.0, 120.0, 135.0):
-    pt = conditional_population(0.5, math.radians(phi_deg), t, port="transmitted")
-    pr = conditional_population(0.5, math.radians(phi_deg), t, port="reflected")
-    print(f"{phi_deg:10.1f} {pt.p_down_given_click:12.4f} {pr.p_down_given_click:10.4f}")
+phi_deg = np.array([45.0, 60.0, 75.0, 90.0, 105.0, 120.0, 135.0])
+transmitted, _ = conditional_population(0.5, np.radians(phi_deg), t)
+reflected, _ = conditional_population(0.5, np.radians(phi_deg) + math.pi / 2.0, t)
+for row in zip(phi_deg, transmitted, reflected):
+    print("%10.1f %12.4f %10.4f" % row)
 print()
 print("at 90 degrees a transmitted click pins P(down) = 1 exactly; beyond 90")
 print("degrees the two ports exchange roles.")

@@ -32,10 +32,7 @@ from .lindblad import (
 )
 from .measurement import (
     ConditionalCurves,
-    ConditionalResult,
     MeasurementError,
-    REFLECTED,
-    TRANSMITTED,
     conditional_curves,
     conditional_population,
     detection_prob_down,

@@ -31,8 +31,6 @@ import numpy as np
 
 from .lindblad import fluorescence_lineshape, transmittance_steady
 from .measurement import (
-    REFLECTED,
-    TRANSMITTED,
     conditional_curves,
     conditional_population,
     detection_prob_down,
@@ -285,9 +283,7 @@ def _fig5(params, geometry, run, grid, write) -> int:
     write("fig5b.csv", ["phi_deg", "port", "p_down", "click_prob"], rows_b)
 
     # Inset: population versus detuning at a fixed 60-degree analyzer.
-    inset = population_vs_detuning(
-        0.5, math.radians(60.0), grid, params, trajectories, port=TRANSMITTED
-    )
+    inset = population_vs_detuning(0.5, math.radians(60.0), grid, params, trajectories)
     write("fig5_inset.csv", ["delta_mhz", "p_down"], list(zip(grid / (TWO_PI * 1e6), inset)))
     return 0
 
@@ -324,8 +320,8 @@ def _reversal(theta, phi, basis):
 
 def _bayes_total(prior, phi, phase):
     t = complex(np.exp(1j * phase))
-    ports = [conditional_population(prior, phi, t, port) for port in (TRANSMITTED, REFLECTED)]
-    return abs(sum(r.p_down_given_click * r.click_probability for r in ports) - prior)
+    p_down, click = conditional_population(prior, np.array([phi, phi + math.pi / 2.0]), t)
+    return abs(np.sum(p_down * click) - prior)
 
 
 def _port_sum(phi, magnitude, phase):

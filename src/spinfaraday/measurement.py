@@ -6,11 +6,11 @@ A probe photon transmitted through the cavity and detected behind an
 analyzer at angle phi updates the spin. For a spin-independent ideal
 rotation by theta on the down component the update is the diagonal Kraus
 operator diag(cos(phi), cos(phi - theta)), which ``kraus`` returns as a
-plain 2x2 matrix, applied to the spin amplitudes by its diagonal.
-Detection at the orthogonal port replaces phi with phi + pi/2, and the two
-ports together satisfy the completeness relation exactly. A second click
-at basis - theta with rotation -theta composes with the first to a
-multiple of the identity, which reverses the measurement.
+plain 2x2 matrix, applied to the spin amplitudes by its diagonal. Every
+readout takes the analyzer angle: the orthogonal (reflected) port is read
+at phi + pi/2, and the two ports together satisfy the completeness relation
+exactly. A second click at basis - theta with rotation -theta composes with
+the first to a multiple of the identity, which reverses the measurement.
 
 With the real (lossy, elliptical) sigma- transmittance t_minus, and the
 sigma+ component passing with factor 1, the per-photon detection
@@ -19,9 +19,9 @@ probabilities are
     P(phi | up)   = cos(phi)^2
     P(phi | down) = |exp(-i phi) t_minus + exp(+i phi)|^2 / 4,
 
-and Bayes' rule converts a prior down-population into the conditional
-population given a click. Detection-chain efficiency multiplies both
-hypotheses equally and cancels in the conditional.
+and Bayes' rule converts a prior down-population, elementwise, into the
+conditional population given a click. Detection-chain efficiency multiplies
+both hypotheses equally and cancels in the conditional.
 
 The curve functions average P(phi | down) over the couplings of the pinned
 atom (g0 alone) or of an ``Ensemble`` over its probe window, as
@@ -42,9 +42,6 @@ from .montecarlo import Ensemble, coupling_blocks
 from .optics import t_moments
 from .params import SystemParams
 
-TRANSMITTED = "transmitted"
-REFLECTED = "reflected"
-
 
 class MeasurementError(ValueError):
     """Raised when conditioning on an impossible outcome."""
@@ -64,36 +61,21 @@ def detection_prob_down(
 ) -> np.ndarray | float:
     """Per-photon detection probability at analyzer angle phi, spin down.
 
-    |exp(-i phi) t_minus + exp(+i phi)|^2 / 4. Vectorized over phi and,
-    broadcast against it, over a complex array t_minus; scalar inputs
-    return a numpy scalar (``np.float64``, a ``float``).
+    |exp(-i phi) t_minus + exp(+i phi)|^2 / 4, vectorized over phi and,
+    broadcast against it, over a complex array t_minus. Scalar inputs give
+    the array element's ``np.float64`` bit for bit: numpy's SIMD complex
+    products may fuse multiply-adds and its scalars square through ``pow``,
+    so this product is taken in real parts and squared by ``np.square``.
     """
     phi = np.asarray(phi, dtype=float)
-    return np.abs(np.exp(-1j * phi) * t_minus + np.exp(1j * phi)) ** 2 / 4.0
+    t, rot = np.asarray(t_minus, dtype=complex), np.exp(-1j * phi)
+    field = rot.real * t.real - rot.imag * t.imag + 1j * (rot.real * t.imag + rot.imag * t.real)
+    return np.square(np.abs(field + np.exp(1j * phi))) / 4.0
 
 
 def detection_prob_up(phi: np.ndarray | float) -> np.ndarray | float:
-    """Per-photon detection probability at angle phi for spin up: cos(phi)^2.
-
-    A scalar phi returns a numpy scalar (``np.float64``, a ``float``).
-    """
-    return np.cos(np.asarray(phi, dtype=float)) ** 2
-
-
-@dataclass(frozen=True)
-class ConditionalResult:
-    """Bayesian update after one detected probe photon."""
-
-    p_down_given_click: float
-    click_probability: float
-
-
-def _port_angle(phi: float, port: str) -> float:
-    if port == TRANSMITTED:
-        return phi
-    if port == REFLECTED:
-        return phi + math.pi / 2.0
-    raise ValueError(f"port must be '{TRANSMITTED}' or '{REFLECTED}', got {port!r}")
+    """Spin-up detection probability cos(phi)^2, squared as in ``detection_prob_down``."""
+    return np.square(np.cos(np.asarray(phi, dtype=float)))
 
 
 def _bayes_posterior(p_up_click, p_down_click, prior):
@@ -101,8 +83,8 @@ def _bayes_posterior(p_up_click, p_down_click, prior):
 
     Returns (P(down | click), P(click)), with
     P(click) = P(click|up) (1 - prior) + P(click|down) prior; the posterior
-    is NaN where P(click) is zero. Raises ValueError unless every prior lies
-    in [0, 1] (NaN does not).
+    is NaN where P(click) is zero. Scalar inputs return ``np.float64``.
+    Raises ValueError unless every prior lies in [0, 1] (NaN does not).
     """
     prior = np.asarray(prior, dtype=float)
     if not np.all((prior >= 0.0) & (prior <= 1.0)):
@@ -110,30 +92,25 @@ def _bayes_posterior(p_up_click, p_down_click, prior):
     click = np.asarray(p_up_click * (1.0 - prior) + p_down_click * prior)
     with np.errstate(invalid="ignore", divide="ignore"):
         posterior = np.where(click > 0.0, p_down_click * prior / click, np.nan)
-    return posterior, click
+    return posterior[()], click[()]
 
 
 def conditional_population(
-    p_down_prior: float,
-    phi: float,
-    t_minus: complex,
-    port: str = TRANSMITTED,
-) -> ConditionalResult:
-    """Conditional down-population after a click at the given port.
+    prior: np.ndarray | float, phi: np.ndarray | float, t_minus: np.ndarray | complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P(down | click), P(click)) after a click at analyzer angle phi.
 
     P(down | click) = P(click|down) P(down) /
-                      (P(click|up) P(up) + P(click|down) P(down)).
+                      (P(click|up) P(up) + P(click|down) P(down)),
+    elementwise over broadcastable inputs; the orthogonal port is read at
+    phi + pi/2. Raises MeasurementError if any element has zero P(click).
     """
-    angle = _port_angle(phi, port)
     posterior, click = _bayes_posterior(
-        detection_prob_up(angle), detection_prob_down(angle, t_minus), p_down_prior
+        detection_prob_up(phi), detection_prob_down(phi, t_minus), prior
     )
-    if not click > 0.0:
+    if not np.all(click > 0.0):
         raise MeasurementError("cannot condition on a zero-probability outcome")
-    return ConditionalResult(
-        p_down_given_click=float(posterior),
-        click_probability=float(click),
-    )
+    return posterior, click
 
 
 def pure_rotation_curves(
@@ -198,7 +175,7 @@ def conditional_curves(
     phi = np.radians(phi_deg)
 
     p_t, click_t = _averaged_posterior(prior, phi, delta, params, ensemble)
-    p_r, click_r = _averaged_posterior(prior, _port_angle(phi, REFLECTED), delta, params, ensemble)
+    p_r, click_r = _averaged_posterior(prior, phi + math.pi / 2.0, delta, params, ensemble)
     return ConditionalCurves(phi_deg, p_t, p_r, click_t, click_r)
 
 
@@ -208,13 +185,12 @@ def population_vs_detuning(
     delta_grid: np.ndarray,
     params: SystemParams,
     ensemble: Ensemble | None = None,
-    port: str = TRANSMITTED,
 ) -> np.ndarray:
-    """Conditional down-population versus probe detuning at fixed analyzer.
+    """Conditional down-population versus probe detuning at analyzer angle phi.
 
     The ``ensemble`` is averaged over as in ``conditional_curves``; omitted,
     the atom is pinned at the antinode. The far-detuned limit returns the
     prior: the atom decouples, both spin hypotheses give the same click
     probability, and the photon carries no information.
     """
-    return _averaged_posterior(prior, _port_angle(phi, port), delta_grid, params, ensemble)[0]
+    return _averaged_posterior(prior, phi, delta_grid, params, ensemble)[0]

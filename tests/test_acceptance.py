@@ -21,8 +21,6 @@ from spinfaraday.lindblad import (
     transmittance_steady,
 )
 from spinfaraday.measurement import (
-    REFLECTED,
-    TRANSMITTED,
     conditional_curves,
     conditional_population,
     kraus,
@@ -240,10 +238,10 @@ def test_ac07_measurement_algebra_identities():
         down_weight = 0.5 * (1.0 + abs(t) ** 2)
         total_click = 0.0
         joint_down = 0.0
-        for port in (TRANSMITTED, REFLECTED):
-            result = conditional_population(prior, phi, t, port=port)
-            total_click += result.click_probability
-            joint_down += result.p_down_given_click * result.click_probability
+        for angle in (phi, phi + math.pi / 2.0):
+            p_down, click = conditional_population(prior, angle, t)
+            total_click += click
+            joint_down += p_down * click
         expected_click = (1.0 - prior) + prior * down_weight
         expected_down = prior * down_weight
         worst_bayes = max(
@@ -264,8 +262,8 @@ def test_ac07_measurement_algebra_identities():
 def test_ac08_conditional_population_behavior():
     delta = -TWO_PI * 1.1e6
     t = complex(t_minus_value(delta, P.g0, P))
-    certain = conditional_population(0.5, math.radians(90.0), t, port=TRANSMITTED)
-    exact_certainty = certain.p_down_given_click == 1.0
+    certain, _ = conditional_population(0.5, math.radians(90.0), t)
+    exact_certainty = certain == 1.0
 
     # Beyond 90 degrees each port takes over the other's curve: on the
     # 181-point 1-degree grid, P_T(phi + 90) == P_R(phi) and vice versa.
@@ -288,7 +286,7 @@ def test_ac08_conditional_population_behavior():
     report(
         "AC8",
         ok,
-        f"P(down|90 deg, transmitted) = {certain.p_down_given_click} (exactly 1); "
+        f"P(down|90 deg, transmitted) = {certain} (exactly 1); "
         f"port roles interchange beyond 90 deg (exact curve swap): {swap}; "
         f"zero-rotation curves flat at the prior: {flat_at_prior}",
     )

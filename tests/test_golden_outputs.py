@@ -31,6 +31,7 @@ RUNS = {
     "fig5": (["fig5", "--samples", "200"], None, False),
     "fig6": (["fig6"], None, False),
     "validate": (["validate"], None, True),
+    "validate-seed1": (["validate", "--seed", "1", "--samples", "2000"], None, True),
 }
 
 

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from spinfaraday.measurement import (
     MeasurementError,
-    REFLECTED,
-    TRANSMITTED,
     conditional_curves,
     conditional_population,
     detection_prob_down,
@@ -142,48 +140,57 @@ class TestDetectionProbabilities:
 class TestConditionalPopulation:
     def test_frozen_oracle(self):
         t = complex(t_minus_value(MHZ, P.g0, P))
-        result = conditional_population(0.5, 0.0, t)
-        assert result.p_down_given_click == pytest.approx(
-            0.3063231072906917, rel=1e-12
-        )
+        p_down, _ = conditional_population(0.5, 0.0, t)
+        assert p_down == pytest.approx(0.3063231072906917, rel=1e-12)
 
     def test_certain_outcome_at_ninety_degrees(self):
         t = complex(t_minus_value(-1.1 * MHZ, P.g0, P))
-        result = conditional_population(0.5, math.pi / 2.0, t)
-        assert result.p_down_given_click == pytest.approx(1.0, rel=1e-14)
+        p_down, _ = conditional_population(0.5, math.pi / 2.0, t)
+        assert p_down == pytest.approx(1.0, rel=1e-14)
 
     def test_prior_extremes_fixed_points(self):
         t = 0.2 + 0.1j
-        assert conditional_population(0.0, 0.4, t).p_down_given_click == 0.0
-        assert conditional_population(1.0, 0.4, t).p_down_given_click == 1.0
+        assert conditional_population(0.0, 0.4, t)[0] == 0.0
+        assert conditional_population(1.0, 0.4, t)[0] == 1.0
+
+    def test_scalar_inputs_return_float64_pair(self):
+        p_down, click = conditional_population(0.5, 0.3, 0.2 + 0.1j)
+        assert type(p_down) is np.float64 and type(click) is np.float64
+
+    def test_arrays_match_per_element_calls_bit_for_bit(self):
+        # The pinned t grid at both ports' angles, and an array of angles.
+        t_grid = t_minus_value(MHZ * np.linspace(-3.0, 3.0, 13), P.g0, P)
+        t = complex(t_minus_value(-1.1 * MHZ, P.g0, P))
+        phi_grid = np.radians(np.linspace(0.0, 180.0, 181))
+        for phi, t_minus in ((0.7, t_grid), (0.7 + math.pi / 2.0, t_grid), (phi_grid, t)):
+            p_down, click = conditional_population(0.4, phi, t_minus)
+            pairs = [conditional_population(0.4, a, b) for a, b in np.broadcast(phi, t_minus)]
+            np.testing.assert_array_equal(p_down, [pair[0] for pair in pairs])
+            np.testing.assert_array_equal(click, [pair[1] for pair in pairs])
 
     def test_zero_click_probability_raises(self):
         # t = -1 cancels the uncoupled component exactly at phi = 0, so a
         # certain-down prior leaves literally no photon to condition on
         with pytest.raises(MeasurementError):
             conditional_population(1.0, 0.0, -1.0 + 0.0j)
+        # one such element among several is enough
+        with pytest.raises(MeasurementError):
+            conditional_population(1.0, np.array([0.3, 0.0, 1.1]), -1.0 + 0.0j)
 
     def test_invalid_prior_rejected(self):
         with pytest.raises(ValueError):
             conditional_population(1.2, 0.1, 1.0 + 0.0j)
-
-    def test_invalid_port_rejected(self):
-        with pytest.raises(ValueError):
-            conditional_population(0.5, 0.1, 1.0 + 0.0j, port="up")
 
     @given(prior=st.floats(0.0, 1.0), phi=angles, phase=angles)
     @settings(max_examples=300)
     def test_total_probability_on_lossless_manifold(self, prior, phi, phase):
         t = cmath.exp(1j * phase)
         try:
-            transmitted = conditional_population(prior, phi, t, port=TRANSMITTED)
-            reflected = conditional_population(prior, phi, t, port=REFLECTED)
+            transmitted = conditional_population(prior, phi, t)
+            reflected = conditional_population(prior, phi + math.pi / 2.0, t)
         except MeasurementError:
             return  # degenerate zero-click geometry; identity not defined
-        total = (
-            transmitted.p_down_given_click * transmitted.click_probability
-            + reflected.p_down_given_click * reflected.click_probability
-        )
+        total = transmitted[0] * transmitted[1] + reflected[0] * reflected[1]
         assert total == pytest.approx(prior, abs=1e-12)
 
     @given(
@@ -198,14 +205,11 @@ class TestConditionalPopulation:
         # P(down & T) + P(down & R) = prior * (P(phi|down) + P(phi+90|down))
         t = amp * cmath.exp(1j * phase)
         try:
-            transmitted = conditional_population(prior, phi, t, port=TRANSMITTED)
-            reflected = conditional_population(prior, phi, t, port=REFLECTED)
+            transmitted = conditional_population(prior, phi, t)
+            reflected = conditional_population(prior, phi + math.pi / 2.0, t)
         except MeasurementError:
             return
-        joint = (
-            transmitted.p_down_given_click * transmitted.click_probability
-            + reflected.p_down_given_click * reflected.click_probability
-        )
+        joint = transmitted[0] * transmitted[1] + reflected[0] * reflected[1]
         expected = prior * (
             detection_prob_down(phi, t) + detection_prob_down(phi + math.pi / 2.0, t)
         )
@@ -341,26 +345,24 @@ class TestPopulationVsDetuning:
 
     def test_reflected_port_supported(self):
         grid = MHZ * np.array([-1.1, 0.0, 1.1])
-        pops = population_vs_detuning(0.5, 0.3, grid, P, port=REFLECTED)
+        pops = population_vs_detuning(0.5, 0.3 + math.pi / 2.0, grid, P)
         assert pops.shape == (3,)
         assert np.all((0.0 <= pops) & (pops <= 1.0))
 
     def test_pinned_matches_per_detuning_conditional_population(self):
         grid = MHZ * np.linspace(-3.0, 3.0, 13)
-        for port in (TRANSMITTED, REFLECTED):
-            pops = population_vs_detuning(0.4, 0.7, grid, P, port=port)
-            expected = [
-                conditional_population(0.4, 0.7, t, port).p_down_given_click
-                for t in t_minus_value(grid, P.g0, P)
-            ]
+        t = t_minus_value(grid, P.g0, P)
+        for phi in (0.7, 0.7 + math.pi / 2.0):
+            pops = population_vs_detuning(0.4, phi, grid, P)
+            expected, _ = conditional_population(0.4, phi, t)
             np.testing.assert_allclose(pops, expected, rtol=0.0, atol=1e-12)
 
     def test_averaged_matches_bayes_over_per_sample_means(self):
         trajectories = threshold_trajectories(MotionModel(seed=6), P, 100)
         g = coupling_matrix(trajectories, P).reshape(-1)
         grid = MHZ * np.linspace(-3.0, 3.0, 13)
-        for port, angle in ((TRANSMITTED, 0.7), (REFLECTED, 0.7 + math.pi / 2.0)):
-            pops = population_vs_detuning(0.4, 0.7, grid, P, trajectories, port=port)
+        for angle in (0.7, 0.7 + math.pi / 2.0):
+            pops = population_vs_detuning(0.4, angle, grid, P, trajectories)
             t = t_minus_value(grid[:, None], g, P)
             p_down = detection_prob_down(angle, t).mean(axis=1)
             p_up = detection_prob_up(angle)
