@@ -67,10 +67,11 @@ print()
 print("at 90 degrees a transmitted click pins P(down) = 1 exactly; beyond 90")
 print("degrees the two ports exchange roles.")
 
-curves = conditional_curves(0.5, delta, params)
-j = int(np.argmax(curves.p_down_transmitted))
+curve_deg = np.linspace(0.0, 180.0, 181)
+(transmitted, _), _ = conditional_curves(0.5, np.radians(curve_deg), delta, params)
+j = int(np.argmax(transmitted))
 print("full transmitted-port curve peaks at phi = %.0f deg with P(down) = %.4f"
-      % (curves.phi_deg[j], curves.p_down_transmitted[j]))
+      % (curve_deg[j], transmitted[j]))
 
 grid = TWO_PI * 1e6 * np.linspace(-3.0, 3.0, 7)
 pops = population_vs_detuning(0.5, math.radians(60.0), grid, params)

@@ -24,11 +24,11 @@ for label, scale in (("1/30000", 1.0 / 30000.0), ("1/3000", 1.0 / 3000.0),
                      ("1/300", 1.0 / 300.0), ("100/300", 100.0 / 300.0),
                      ("1", 1.0)):
     shape = fluorescence_lineshape(params, scale, grid, n_samples=200, seed=7)
-    fwhm = curve_fwhm(shape.detunings, shape.normalized)
+    fwhm = curve_fwhm(grid, shape.normalized)
     print(f"{label:>15} {fwhm / MHZ:12.3f} {fwhm / params.gamma:12.1f}")
 print()
 
 pinned = fluorescence_lineshape(params, 1.0 / 300.0, grid, average_positions=False)
-fwhm = curve_fwhm(pinned.detunings, pinned.normalized)
+fwhm = curve_fwhm(grid, pinned.normalized)
 print("an atom pinned at the antinode instead shows the vacuum-Rabi-broadened")
 print("width %.2f MHz at every power (coupling, not saturation, sets it)." % (fwhm / MHZ))

@@ -31,7 +31,6 @@ from .lindblad import (
     transmittance_steady,
 )
 from .measurement import (
-    ConditionalCurves,
     MeasurementError,
     conditional_curves,
     conditional_population,

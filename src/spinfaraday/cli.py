@@ -112,18 +112,18 @@ def _resolve(args: argparse.Namespace):
     file_cfg = dict(load_config(args.config)) if args.config else {}
 
     run = dict(defaults)
-    # Run keys come from the command's own manifest or a file naming no
-    # command; another command's manifest lends only its physics keys.
+    # Run keys belong to the command the file names, or to this one if it
+    # names none; another command's are checked, then dropped, so its
+    # manifest lends only physics keys. build_settings rejects any other key.
     command = file_cfg.pop("command", args.command)
     if not isinstance(command, str) or command not in _COMMANDS:
         raise ConfigError(f"command must be one of {', '.join(_COMMANDS)}, got {command!r}")
+    taken = {key: file_cfg.pop(key) for key in _COMMANDS[command][1] if key in file_cfg}
     if command == args.command:
-        run.update((key, file_cfg.pop(key)) for key in defaults if key in file_cfg)
-    # Tolerate valid run keys of sibling commands so any manifest loads anywhere.
-    for _, other, _ in _COMMANDS.values():
-        for key in other:
-            if key in file_cfg:
-                _check_run_key(key, file_cfg.pop(key))
+        run.update(taken)
+    else:
+        for key, value in taken.items():
+            _check_run_key(key, value)
 
     # Every command takes --seed, so one seed can be passed to all of them.
     if args.seed is not None:
@@ -213,7 +213,7 @@ def _fig2(params, geometry, run, grid, write) -> int:
                 f"for {label}; curve continued without them",
                 file=sys.stderr,
             )
-        for detuning, value in zip(shape.detunings, shape.normalized):
+        for detuning, value in zip(grid, shape.normalized):
             rows.append([detuning / (TWO_PI * 1e6), value, label])
     write("fig2.csv", ["detuning_mhz", "normalized_fluorescence", "power_label"], rows)
     return 0
@@ -261,25 +261,22 @@ def _fig5(params, geometry, run, grid, write) -> int:
 
     # Panel (a): ideal rotation of -10 degrees, three priors, transmitted port.
     phi_deg = np.linspace(0.0, 180.0, 181)
+    phi = np.radians(phi_deg)
     priors = (0.75, 0.5, 0.25)
-    curves = pure_rotation_curves(math.radians(-10.0), priors, np.radians(phi_deg))
-    rows_a = []
-    for i, prior in enumerate(priors):
-        for j, phi in enumerate(phi_deg):
-            rows_a.append([phi, prior, curves[i, j]])
+    curves = pure_rotation_curves(math.radians(-10.0), priors, phi)
+    rows_a = [[deg, prior, p] for prior, row in zip(priors, curves) for deg, p in zip(phi_deg, row)]
     write("fig5a.csv", ["phi_deg", "prior", "p_down"], rows_a)
 
     # Panel (b): elliptical transmittance at delta = -2pi x 1.1 MHz averaged
     # over one threshold-selected ensemble and its probe window, both analyzer
     # ports, prior 1/2. The inset averages over the same ensemble.
     trajectories = threshold_trajectories(motion, params, n)
-    delta_probe = -TWO_PI * 1.1e6
-    cc = conditional_curves(0.5, delta_probe, params, trajectories)
-    rows_b = []
-    for j, phi in enumerate(cc.phi_deg):
-        rows_b.append([phi, "transmitted", cc.p_down_transmitted[j], cc.click_prob_transmitted[j]])
-    for j, phi in enumerate(cc.phi_deg):
-        rows_b.append([phi, "reflected", cc.p_down_reflected[j], cc.click_prob_reflected[j]])
+    p_down, click = conditional_curves(0.5, phi, -TWO_PI * 1.1e6, params, trajectories)
+    rows_b = [
+        [deg, port, p, c]
+        for port, p_row, c_row in zip(("transmitted", "reflected"), p_down, click)
+        for deg, p, c in zip(phi_deg, p_row, c_row)
+    ]
     write("fig5b.csv", ["phi_deg", "port", "p_down", "click_prob"], rows_b)
 
     # Inset: population versus detuning at a fixed 60-degree analyzer.

@@ -391,7 +391,6 @@ def purcell_rate_formula(params: SystemParams, rabi: float | None = None) -> flo
 class Lineshape:
     """Fluorescence versus excitation detuning."""
 
-    detunings: np.ndarray      # rad/s
     normalized: np.ndarray     # peak-normalized curve
     rate: np.ndarray           # photons/s, total scattered rate
     fock_cutoff: int
@@ -529,7 +528,6 @@ def fluorescence_lineshape(
     if peak <= 0.0:
         raise np.linalg.LinAlgError(f"lineshape peak rate {peak:.3g} is not positive")
     return Lineshape(
-        detunings=detunings,
         normalized=mean_rate / peak,
         rate=mean_rate,
         fock_cutoff=cutoff,

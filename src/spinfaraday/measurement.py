@@ -1,6 +1,6 @@
 """Ancilla-assisted spin measurement: Kraus operators for a pure
 polarization rotation, Bayesian conditional populations including
-ellipticity, and the conditional-population curves.
+ellipticity, and the two-port conditional-population readouts.
 
 A probe photon transmitted through the cavity and detected behind an
 analyzer at angle phi updates the spin. For a spin-independent ideal
@@ -23,9 +23,10 @@ and Bayes' rule converts a prior down-population, elementwise, into the
 conditional population given a click. Detection-chain efficiency multiplies
 both hypotheses equally and cancels in the conditional.
 
-The curve functions average P(phi | down) over the couplings of the pinned
-atom (g0 alone) or of an ``Ensemble`` over its probe window, as
-(E|t|^2 + 1 + 2 Re(E[t] exp(-2 i phi))) / 4. ``optics.t_moments`` sweeps an
+The readouts take the caller's analyzer angles and return arrays; each
+averages P(phi | down) over the pinned atom (g0 alone) or an ``Ensemble``'s
+couplings in its probe window, as (E|t|^2 + 1 + 2 Re(E[t] exp(-2 i phi))) / 4,
+and ``conditional_curves`` stacks both ports. ``optics.t_moments`` sweeps an
 ensemble's ``montecarlo.coupling_blocks``, so memory does not grow with the
 trajectory count.
 """
@@ -33,7 +34,6 @@ trajectory count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -142,41 +142,29 @@ def _averaged_posterior(
     accumulate over many atoms.
     """
     blocks = [np.array([params.g0])] if ensemble is None else coupling_blocks(ensemble, params)
-    m2, m1 = t_moments(delta, blocks, params)
+    m2, m1 = (m.reshape(np.shape(delta)) for m in t_moments(delta, blocks, params))
     p_down_click = (m2 + 1.0 + 2.0 * np.real(m1 * np.exp(-2j * angle))) / 4.0
     return _bayes_posterior(detection_prob_up(angle), p_down_click, prior)
 
 
-@dataclass(frozen=True)
-class ConditionalCurves:
-    """Two-port conditional-population curves over analyzer angles."""
-
-    phi_deg: np.ndarray
-    p_down_transmitted: np.ndarray
-    p_down_reflected: np.ndarray
-    click_prob_transmitted: np.ndarray
-    click_prob_reflected: np.ndarray
-
-
 def conditional_curves(
     prior: float,
+    phi: np.ndarray | float,
     delta: float,
     params: SystemParams,
     ensemble: Ensemble | None = None,
-) -> ConditionalCurves:
-    """Conditional down-population versus analyzer angle for both ports.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P(down | click), P(click)) at both ports, each of shape (2, *np.shape(phi)).
 
-    Analyzer angles run over 0..180 degrees in 1-degree steps. Uses the
-    elliptical transmittance at detuning ``delta``, with P(phi | down)
-    averaged over the ``ensemble``'s trajectories and probe window; omitted,
-    the atom sits at the mode antinode.
+    Row 0 is the transmitted port at analyzer angle phi, row 1 the reflected
+    port at phi + pi/2. P(phi | down) is taken at detuning ``delta``, averaged
+    over the ``ensemble``'s trajectories and probe window, or at the mode
+    antinode when it is omitted.
     """
-    phi_deg = np.linspace(0.0, 180.0, 181)
-    phi = np.radians(phi_deg)
-
+    phi = np.asarray(phi, dtype=float)
     p_t, click_t = _averaged_posterior(prior, phi, delta, params, ensemble)
     p_r, click_r = _averaged_posterior(prior, phi + math.pi / 2.0, delta, params, ensemble)
-    return ConditionalCurves(phi_deg, p_t, p_r, click_t, click_r)
+    return np.stack([p_t, p_r]), np.stack([click_t, click_r])
 
 
 def population_vs_detuning(

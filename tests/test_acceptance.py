@@ -267,17 +267,13 @@ def test_ac08_conditional_population_behavior():
 
     # Beyond 90 degrees each port takes over the other's curve: on the
     # 181-point 1-degree grid, P_T(phi + 90) == P_R(phi) and vice versa.
-    curves = conditional_curves(0.5, delta, P)
-    swap = np.allclose(
-        curves.p_down_transmitted[90:], curves.p_down_reflected[:91], atol=1e-12
-    ) and np.allclose(
-        curves.p_down_reflected[90:], curves.p_down_transmitted[:91], atol=1e-12
+    deg = np.linspace(0.0, 180.0, 181)
+    (transmitted, reflected), _ = conditional_curves(0.5, np.radians(deg), delta, P)
+    swap = np.allclose(transmitted[90:], reflected[:91], atol=1e-12) and np.allclose(
+        reflected[90:], transmitted[:91], atol=1e-12
     )
-    deg = curves.phi_deg
     below = (deg >= 45.0) & (deg < 90.0)
-    transmitted_indicates_down = np.all(
-        curves.p_down_transmitted[below] > curves.p_down_reflected[below]
-    )
+    transmitted_indicates_down = np.all(transmitted[below] > reflected[below])
 
     flat = pure_rotation_curves(0.0, (0.25, 0.5, 0.75), np.radians(np.linspace(1.0, 179.0, 101)))
     flat_at_prior = np.allclose(flat, [[0.25], [0.5], [0.75]], atol=1e-12)
@@ -297,7 +293,7 @@ def test_ac09_lineshape_power_ordering_and_floor():
 
     def width(scale: float) -> float:
         shape = fluorescence_lineshape(P, scale, grid, n_samples=200, seed=7)
-        return curve_fwhm(shape.detunings, shape.normalized) / MHZ
+        return curve_fwhm(grid, shape.normalized) / MHZ
 
     w_low, w_mid, w_high = width(1.0 / 300.0), width(100.0 / 300.0), width(1.0)
     ordered = w_low < w_mid < w_high

@@ -476,7 +476,7 @@ class TestErrorHandling:
             ("fig4", "window_us", "nan"),
             ("fig4", "v_fall_mps", "fast"),
             ("fig4", "ensemble", "levitating"),
-            # validate reads none of these, but drops a sibling's key only when valid.
+            # validate reads none of these, so a file naming no command holds unknown keys.
             ("validate", "window_us", "-1"),
             ("validate", "selection_threshold", "7"),
             ("validate", "ensemble", "levitating"),
@@ -487,7 +487,23 @@ class TestErrorHandling:
         cfg.write_text(f"{key} = {value}\n")
         rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert f"{key} must be" in capsys.readouterr().err
+        message = f"unknown configuration keys: {key}" if command == "validate" else f"{key} must be"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("fig5", "selection_threshold", "0.5"), ("fig6", "coincidence_window_ns", "5"),
+         ("fig2", "ensemble", "coincidence")],
+    )
+    def test_other_commands_run_key_exit_2(self, tmp_path, capsys, command, key, value):
+        # A file naming no command lends its run keys to this command only; a
+        # valid key that only another command reads is unknown here.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"unknown configuration keys: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["fig5", "fig6", "validate"])

@@ -316,7 +316,7 @@ class TestLineshape:
         shape = fluorescence_lineshape(
             replace(P, g0=0.0), 1.0 / 300.0, GRID, average_positions=False
         )
-        width = curve_fwhm(shape.detunings, shape.normalized)
+        width = curve_fwhm(GRID, shape.normalized)
         assert width >= P.gamma
         assert width < 2.0 * P.gamma  # barely saturated at 1 nW-equivalent
 
@@ -324,8 +324,8 @@ class TestLineshape:
         p0 = replace(P, g0=0.0)
         low = fluorescence_lineshape(p0, 1.0 / 300.0, GRID, average_positions=False)
         high = fluorescence_lineshape(p0, 1.0, GRID, average_positions=False)
-        w_low = curve_fwhm(low.detunings, low.normalized)
-        w_high = curve_fwhm(high.detunings, high.normalized)
+        w_low = curve_fwhm(GRID, low.normalized)
+        w_high = curve_fwhm(GRID, high.normalized)
         assert w_high > 5.0 * w_low  # strong saturation broadening at 300 nW
 
     def test_pinned_atom_width_power_independent(self):
@@ -334,7 +334,7 @@ class TestLineshape:
         widths = []
         for scale in (1.0 / 300.0, 1.0):
             shape = fluorescence_lineshape(P, scale, GRID, average_positions=False)
-            widths.append(curve_fwhm(shape.detunings, shape.normalized))
+            widths.append(curve_fwhm(GRID, shape.normalized))
         assert widths[0] == pytest.approx(TWO_PI * 5.0585e6, rel=1e-3)
         assert abs(widths[1] - widths[0]) / widths[0] < 0.01
 
@@ -342,7 +342,7 @@ class TestLineshape:
         widths = []
         for scale in (1.0 / 300.0, 1.0 / 3.0, 1.0):
             shape = fluorescence_lineshape(P, scale, GRID, n_samples=200, seed=7)
-            widths.append(curve_fwhm(shape.detunings, shape.normalized))
+            widths.append(curve_fwhm(GRID, shape.normalized))
         assert widths[0] < widths[1] < widths[2]
         # frozen values for the default sampling (documents the curve family)
         assert widths[0] == pytest.approx(TWO_PI * 0.4320e6, rel=5e-3)
@@ -353,7 +353,7 @@ class TestLineshape:
             fluorescence_lineshape(P, scale, GRID, n_samples=200, seed=7)
             for scale in (1.0 / 30000.0, 1.0 / 3000.0)
         ]
-        widths = [curve_fwhm(s.detunings, s.normalized) for s in shapes]
+        widths = [curve_fwhm(GRID, s.normalized) for s in shapes]
         drift = abs(widths[1] - widths[0]) / widths[0]
         assert drift < 0.02  # floor reached: another x10 changes width < 2%
         assert widths[0] > 1.5 * P.gamma  # floor is Purcell-broadened, not bare

@@ -249,55 +249,52 @@ class TestPureRotationCurves:
 
 
 class TestConditionalCurves:
+    DEG = np.linspace(0.0, 180.0, 181)
+    PHI = np.radians(DEG)
+
+    def at(self, deg):
+        return int(np.argmin(np.abs(self.DEG - deg)))
+
     def test_pinned_transmitted_port_certain_at_ninety(self):
-        cc = conditional_curves(0.5, -1.1 * MHZ, P)
-        i90 = int(np.argmin(np.abs(cc.phi_deg - 90.0)))
-        assert cc.p_down_transmitted[i90] == pytest.approx(1.0, rel=1e-12)
+        (transmitted, _), _ = conditional_curves(0.5, self.PHI, -1.1 * MHZ, P)
+        assert transmitted[self.at(90.0)] == pytest.approx(1.0, rel=1e-12)
 
     def test_ports_interchange_roles_beyond_ninety(self):
-        cc = conditional_curves(0.5, -1.1 * MHZ, P)
-        i60 = int(np.argmin(np.abs(cc.phi_deg - 60.0)))
-        i120 = int(np.argmin(np.abs(cc.phi_deg - 120.0)))
-        gap_before = cc.p_down_transmitted[i60] - cc.p_down_reflected[i60]
-        gap_after = cc.p_down_transmitted[i120] - cc.p_down_reflected[i120]
+        (transmitted, reflected), _ = conditional_curves(0.5, self.PHI, -1.1 * MHZ, P)
+        i60, i120 = self.at(60.0), self.at(120.0)
+        gap_before = transmitted[i60] - reflected[i60]
+        gap_after = transmitted[i120] - reflected[i120]
         assert gap_before * gap_after < 0.0
 
     def test_click_probabilities_sum_constant(self):
-        cc = conditional_curves(0.5, -1.1 * MHZ, P)
-        total = cc.click_prob_transmitted + cc.click_prob_reflected
+        _, click = conditional_curves(0.5, self.PHI, -1.1 * MHZ, P)
+        total = click[0] + click[1]
         np.testing.assert_allclose(total, total[0], rtol=1e-12)
 
     def test_motion_averaging_reduces_contrast(self):
         trajectories = threshold_trajectories(MotionModel(window=4e-6, seed=99), P, 300)
-        pinned = conditional_curves(0.5, -1.1 * MHZ, P)
-        averaged = conditional_curves(0.5, -1.1 * MHZ, P, trajectories)
+        (pinned, _), _ = conditional_curves(0.5, self.PHI, -1.1 * MHZ, P)
+        (averaged, _), _ = conditional_curves(0.5, self.PHI, -1.1 * MHZ, P, trajectories)
         # averaging over weaker couplings pulls the curve toward the prior
-        i30 = int(np.argmin(np.abs(pinned.phi_deg - 30.0)))
-        assert abs(averaged.p_down_transmitted[i30] - 0.5) < abs(
-            pinned.p_down_transmitted[i30] - 0.5
-        )
+        i30 = self.at(30.0)
+        assert abs(averaged[i30] - 0.5) < abs(pinned[i30] - 0.5)
         # but the exact zero of P(click|up) still pins phi = 90 to unity
-        i90 = int(np.argmin(np.abs(pinned.phi_deg - 90.0)))
-        assert averaged.p_down_transmitted[i90] == pytest.approx(1.0, rel=1e-12)
+        assert averaged[self.at(90.0)] == pytest.approx(1.0, rel=1e-12)
 
     def test_invalid_prior_rejected(self):
         with pytest.raises(ValueError):
-            conditional_curves(-0.1, -1.1 * MHZ, P)
+            conditional_curves(-0.1, self.PHI, -1.1 * MHZ, P)
 
     def test_averaged_click_probability_matches_per_sample_mean(self):
         # With prior 1 the click probability is P(click | down) itself.
         trajectories = threshold_trajectories(MotionModel(seed=5), P, 100)
         g = coupling_matrix(trajectories, P).reshape(-1)
-        phi = np.radians(np.linspace(0.0, 180.0, 181))
         for delta in MHZ * np.array([-2.0, -1.1, 0.0, 0.7, 3.0]):
             t = t_minus_value(delta, g, P)
-            cc = conditional_curves(1.0, delta, P, trajectories)
-            for click, angle in (
-                (cc.click_prob_transmitted, phi),
-                (cc.click_prob_reflected, phi + math.pi / 2.0),
-            ):
+            _, click = conditional_curves(1.0, self.PHI, delta, P, trajectories)
+            for row, angle in zip(click, (self.PHI, self.PHI + math.pi / 2.0)):
                 expected = detection_prob_down(angle[:, None], t).mean(axis=1)
-                np.testing.assert_allclose(click, expected, rtol=1e-12)
+                np.testing.assert_allclose(row, expected, rtol=1e-12)
 
     def test_peak_memory_independent_of_the_angle_count(self):
         # A few complex arrays over the samples (16 bytes each), however many
@@ -306,11 +303,27 @@ class TestConditionalCurves:
         samples = len(trajectories) * trajectories.motion.times().size  # 54,000
         tracemalloc.start()
         try:
-            conditional_curves(0.5, -1.1 * MHZ, P, trajectories)
+            conditional_curves(0.5, self.PHI, -1.1 * MHZ, P, trajectories)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 16 * samples
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_ports_stack_over_the_angle_shape(self, shape):
+        phi = np.linspace(0.1, 3.0, int(np.prod(shape))).reshape(shape)
+        flat = conditional_curves(0.5, phi.reshape(-1), -1.1 * MHZ, P)
+        for stacked, rows in zip(conditional_curves(0.5, phi, -1.1 * MHZ, P), flat):
+            assert stacked.shape == (2, *shape)
+            np.testing.assert_allclose(stacked.reshape(2, -1), rows, rtol=1e-15)
+
+    @pytest.mark.parametrize("averaged", [False, True], ids=["pinned", "ensemble"])
+    def test_reflected_row_is_transmitted_row_a_quarter_turn_on(self, averaged):
+        ensemble = threshold_trajectories(MotionModel(window=4e-6), P, 200) if averaged else None
+        direct = conditional_curves(0.5, self.PHI, -1.1 * MHZ, P, ensemble)
+        turned = conditional_curves(0.5, self.PHI + math.pi / 2.0, -1.1 * MHZ, P, ensemble)
+        for rows, turned_rows in zip(direct, turned):
+            np.testing.assert_array_equal(rows[1], turned_rows[0])
 
 
 class TestReadoutMemory:
@@ -319,12 +332,13 @@ class TestReadoutMemory:
         # complex blocks of temporaries either way, where building the whole
         # coupling matrix holds its positions, 24 bytes per sample (8.2 MiB).
         grid = MHZ * np.linspace(-3.0, 3.0, 121)
+        phi = np.radians(np.linspace(0.0, 180.0, 181))
         motion = MotionModel(window=4e-6)
         for n in (2_000, 40_000):
             trajectories = threshold_trajectories(motion, P, n)
             tracemalloc.start()
             try:
-                conditional_curves(0.5, -1.1 * MHZ, P, trajectories)
+                conditional_curves(0.5, phi, -1.1 * MHZ, P, trajectories)
                 population_vs_detuning(0.5, math.radians(60.0), grid, P, trajectories)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
