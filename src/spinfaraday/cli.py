@@ -63,6 +63,9 @@ OUTPUT_ENV_VAR = "SPINFARADAY_OUT"
 ENSEMBLE_THRESHOLD = "threshold"
 ENSEMBLE_COINCIDENCE = "coincidence"
 
+# Rows of validate's random draws that each check evaluates per array call.
+DRAW_BLOCK = 4096
+
 # Falling-atom kinematics shared by fig4 and fig5; fig5 probes a shorter window.
 _MOTION_DEFAULTS = {
     "v_fall_mps": 0.3, "v_transverse_rms_mps": 0.04, "window_us": 34.0, "time_step_us": 0.5,
@@ -295,36 +298,46 @@ def _draw_checks(rng: np.random.Generator, draws: int, low, high, identities):
     """Yield (name, passed, detail) for each (name, deviation) of ``identities``.
 
     All of them read the same ``draws`` rows of uniforms in [low, high),
-    drawn in the order of one scalar draw after another. The worst deviation
-    is an ``np.max``, so a NaN deviation fails its check.
+    drawn in the order of one scalar draw after another. Each deviation takes
+    the columns of a block of at most ``DRAW_BLOCK`` rows as arrays and
+    returns one value per row, so memory stays bounded as ``draws`` grows.
+    The worst deviation is an ``np.max``, so a NaN deviation fails its check.
     """
     samples = rng.uniform(low, high, size=(draws, len(low)))
+    blocks = [samples[i:i + DRAW_BLOCK].T for i in range(0, draws, DRAW_BLOCK)]
     for name, deviation in identities:
-        worst = np.max([deviation(*row) for row in samples])
+        worst = np.max([np.max(deviation(*block)) for block in blocks])
         yield name, worst < 1e-12, f"max deviation {worst:.3e} over {draws} draws (tol 1e-12)"
 
 
 def _completeness(theta, phi, basis):
     """Kraus weights of both ports (reflected: analyzer a quarter turn on), off identity."""
     ops = kraus(theta, phi), kraus(theta, phi + math.pi / 2.0)
-    return np.max(np.abs(sum(op.conj().T @ op for op in ops) - np.eye(2)))
+    total = sum(op.conj().swapaxes(-1, -2) @ op for op in ops)
+    return np.max(np.abs(total - np.eye(2)), axis=(-2, -1))
 
 
 def _reversal(theta, phi, basis):
     product = kraus(-theta, basis - theta) @ kraus(theta, basis)
-    return np.max(np.abs(product - math.cos(basis) * math.cos(basis - theta) * np.eye(2)))
+    scale = np.cos(basis) * np.cos(basis - theta)
+    return np.max(np.abs(product - scale[..., None, None] * np.eye(2)), axis=(-2, -1))
 
 
 def _bayes_total(prior, phi, phase):
-    t = complex(np.exp(1j * phase))
-    p_down, click = conditional_population(prior, np.array([phi, phi + math.pi / 2.0]), t)
-    return abs(np.sum(p_down * click) - prior)
+    t = np.exp(1j * phase)[..., None]
+    ports = np.stack([phi, phi + math.pi / 2.0], axis=-1)
+    p_down, click = conditional_population(prior[..., None], ports, t)
+    return np.abs(np.sum(p_down * click, axis=-1) - prior)
 
 
 def _port_sum(phi, magnitude, phase):
-    t = complex(magnitude * np.exp(1j * phase))
+    # Each draw rounds as Python's scalar arithmetic: |t| by np.hypot, as abs()
+    # (numpy's complex abs can differ in the last bit), and |t|^2 by libm pow,
+    # which misrounds x*x near a midpoint (1 draw in 1,000) and numpy cannot call.
+    t = magnitude * np.exp(1j * phase)
     total = detection_prob_down(phi, t) + detection_prob_down(phi + math.pi / 2.0, t)
-    return abs(float(total) - (1.0 + abs(t) ** 2) / 2.0)
+    squared = np.array([h ** 2 for h in np.hypot(t.real, t.imag).tolist()])
+    return np.abs(total - (1.0 + squared) / 2.0)
 
 
 def _validate_checks(params, geometry, rng: np.random.Generator, draws: int):

@@ -5,12 +5,14 @@ ellipticity, and the two-port conditional-population readouts.
 A probe photon transmitted through the cavity and detected behind an
 analyzer at angle phi updates the spin. For a spin-independent ideal
 rotation by theta on the down component the update is the diagonal Kraus
-operator diag(cos(phi), cos(phi - theta)), which ``kraus`` returns as a
-plain 2x2 matrix, applied to the spin amplitudes by its diagonal. Every
-readout takes the analyzer angle: the orthogonal (reflected) port is read
-at phi + pi/2, and the two ports together satisfy the completeness relation
-exactly. A second click at basis - theta with rotation -theta composes with
-the first to a multiple of the identity, which reverses the measurement.
+operator diag(cos(phi), cos(phi - theta)), applied to the spin amplitudes
+by its diagonal. ``kraus`` is elementwise over theta and phi: it returns a
+stack of 2x2 matrices, one per broadcast element, and a plain 2x2 matrix
+for scalar angles. Every readout takes the analyzer angle: the orthogonal
+(reflected) port is read at phi + pi/2, and the two ports together satisfy
+the completeness relation exactly. A second click at basis - theta with
+rotation -theta composes with the first to a multiple of the identity,
+which reverses the measurement.
 
 With the real (lossy, elliptical) sigma- transmittance t_minus, and the
 sigma+ component passing with factor 1, the per-photon detection
@@ -47,13 +49,18 @@ class MeasurementError(ValueError):
     """Raised when conditioning on an impossible outcome."""
 
 
-def kraus(theta: float, phi: float) -> np.ndarray:
+def kraus(theta: np.ndarray | float, phi: np.ndarray | float) -> np.ndarray:
     """Kraus operator diag(cos(phi), cos(phi - theta)) for a click at phi.
 
-    A 2x2 complex matrix in the (up, down) basis; the reflected port's
-    operator is ``kraus(theta, phi + pi/2)``.
+    Elementwise over broadcastable theta and phi: a complex stack of shape
+    (*broadcast_shape, 2, 2) in the (up, down) basis, with zero off-diagonals;
+    scalar angles give one 2x2 matrix. The reflected port's operator is
+    ``kraus(theta, phi + pi/2)``.
     """
-    return np.diag([math.cos(phi), math.cos(phi - theta)]).astype(complex)
+    down = np.cos(np.subtract(phi, theta))
+    ops = np.zeros(np.shape(down) + (2, 2), dtype=complex)
+    ops[..., 0, 0], ops[..., 1, 1] = np.cos(phi), down
+    return ops
 
 
 def detection_prob_down(

@@ -32,6 +32,8 @@ RUNS = {
     "fig6": (["fig6"], None, False),
     "validate": (["validate"], None, True),
     "validate-seed1": (["validate", "--seed", "1", "--samples", "2000"], None, True),
+    "validate-seed2": (["validate", "--seed", "2"], None, True),
+    "validate-seed3": (["validate", "--seed", "3", "--samples", "2000"], None, True),
 }
 
 

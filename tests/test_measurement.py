@@ -57,6 +57,33 @@ class TestKraus:
         assert np.max(np.abs(product - scale * np.eye(2))) < 1e-12
 
 
+class TestKrausStack:
+    THETA = np.linspace(-math.pi, math.pi, 5).reshape(5, 1)
+    PHI = np.linspace(-3.0, 3.1, 7)
+
+    def test_broadcast_shape(self):
+        ops = kraus(self.THETA, self.PHI)
+        assert ops.shape == (5, 7, 2, 2) and ops.dtype == complex
+        assert kraus(self.THETA[:, 0], 0.4).shape == (5, 2, 2)
+        assert kraus(0.4, self.PHI).shape == (7, 2, 2)
+
+    def test_slices_equal_scalar_calls_bit_for_bit(self):
+        ops = kraus(self.THETA, self.PHI)
+        for (i, j), _ in np.ndenumerate(ops[..., 0, 0]):
+            scalar = kraus(float(self.THETA[i, 0]), float(self.PHI[j]))
+            assert ops[i, j].tobytes() == scalar.tobytes()
+
+    def test_off_diagonals_are_zero(self):
+        ops = kraus(self.THETA, self.PHI)
+        assert np.all(ops[..., 0, 1] == 0.0) and np.all(ops[..., 1, 0] == 0.0)
+
+    def test_scalar_angles_give_one_complex_matrix(self):
+        for theta, phi in ((0.3, 0.8), (np.float64(-1.2), np.float64(2.5))):
+            op = kraus(theta, phi)
+            assert op.shape == (2, 2) and op.dtype == complex
+            assert op[0, 0] == math.cos(phi) and op[1, 1] == math.cos(phi - theta)
+
+
 def click(amplitudes, op):
     """Spin amplitudes (up, down) after a click, renormalized, and its probability."""
     updated = np.diagonal(op) * np.asarray(amplitudes, dtype=complex)
