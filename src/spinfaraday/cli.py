@@ -297,17 +297,19 @@ def _fig6(params, geometry, run, grid, write) -> int:
 def _draw_checks(rng: np.random.Generator, draws: int, low, high, identities):
     """Yield (name, passed, detail) for each (name, deviation) of ``identities``.
 
-    All of them read the same ``draws`` rows of uniforms in [low, high),
-    drawn in the order of one scalar draw after another. Each deviation takes
-    the columns of a block of at most ``DRAW_BLOCK`` rows as arrays and
-    returns one value per row, so memory stays bounded as ``draws`` grows.
-    The worst deviation is an ``np.max``, so a NaN deviation fails its check.
+    All of them read the same ``draws`` rows of uniforms in [low, high), drawn
+    in the order of one scalar draw after another, ``DRAW_BLOCK`` rows at a
+    time, so memory stays bounded as ``draws`` grows. Each deviation takes a
+    block's columns as arrays and returns one value per row; the running worst
+    is an ``np.maximum``, so a NaN deviation fails its check.
     """
-    samples = rng.uniform(low, high, size=(draws, len(low)))
-    blocks = [samples[i:i + DRAW_BLOCK].T for i in range(0, draws, DRAW_BLOCK)]
-    for name, deviation in identities:
-        worst = np.max([np.max(deviation(*block)) for block in blocks])
-        yield name, worst < 1e-12, f"max deviation {worst:.3e} over {draws} draws (tol 1e-12)"
+    worst = [-np.inf] * len(identities)
+    for start in range(0, draws, DRAW_BLOCK):
+        block = rng.uniform(low, high, size=(min(DRAW_BLOCK, draws - start), len(low))).T
+        for k, (_, deviation) in enumerate(identities):
+            worst[k] = np.maximum(worst[k], np.max(deviation(*block)))
+    for (name, _), value in zip(identities, worst):
+        yield name, value < 1e-12, f"max deviation {value:.3e} over {draws} draws (tol 1e-12)"
 
 
 def _completeness(theta, phi, basis):

@@ -41,7 +41,7 @@ EIGENVALUE_FLOOR = -1e-8
 PROBE_DRIVE_RATIO = 3e-5   # weak-drive transmittance oracle: cavity drive / kappa
 PROBE_FOCK_CUTOFF = 4      # Fock cutoff of the weak-drive transmittance oracle
 LINESHAPE_START_CUTOFF = 3  # Fock cutoff the adaptive lineshape starts from
-MAX_LINESHAPE_CUTOFF = 10  # highest Fock cutoff the adaptive lineshape may reach
+MAX_LINESHAPE_CUTOFF = 9   # highest Fock cutoff the adaptive lineshape tries
 MIRROR_TOLERANCE = 1e-12   # lineshape mirror match, relative to the largest |detuning|
 LINESHAPE_BLOCK = 64       # most detunings per solved stack: the default grid's 61 fit one
 
@@ -457,12 +457,12 @@ def fluorescence_lineshape(
     counts grid points over all atom positions of the final cutoff, so a
     failed solve counts once for each grid point it feeds.
 
-    The Fock cutoff starts at LINESHAPE_START_CUTOFF and adapts upward (in
-    steps of 2, up to MAX_LINESHAPE_CUTOFF) until the top level holds less
+    The Fock cutoff starts at LINESHAPE_START_CUTOFF and adapts upward (3,
+    5, 7, then MAX_LINESHAPE_CUTOFF = 9) until the top level holds less
     than 1e-6 population; a pass stops at its first position over that
-    limit, and CutoffError if that never happens. numpy.linalg.LinAlgError
-    is raised when some grid point fails at every atom position, or when the
-    peak rate is not positive.
+    limit, and CutoffError names cutoff 9 if that never happens.
+    numpy.linalg.LinAlgError is raised when some grid point fails at every
+    atom position, or when the peak rate is not positive.
     """
     if not (math.isfinite(power_scale) and power_scale > 0.0):
         raise ValueError(f"power_scale must be finite and positive, got {power_scale}")

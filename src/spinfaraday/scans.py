@@ -82,53 +82,55 @@ def _golden_step(bracket: _Bracket, up: bool) -> _Bracket:
     return x0, _GOLDEN_R * x1 + _GOLDEN_C * x0, x1, x2
 
 
-def _lookahead_tree(bracket: _Bracket, slot: int) -> tuple[list[_Bracket], list[int]]:
-    """Brackets from ``bracket`` through the next ``LOOKAHEAD`` - 1 steps, in
-    heap order (node i steps up to 2i+1, down to 2i+2), and the slot (1 or 2)
-    of each one's unevaluated inner point."""
-    nodes = [bracket]
+def _lookahead_tree(bracket: _Bracket, slot: int) -> list[float]:
+    """The unevaluated x[slot] of ``bracket``, then the new inner point of each
+    bracket of the next ``LOOKAHEAD`` - 1 steps, in heap order: node i steps
+    up to 2i+1 (new x2) and down to 2i+2 (new x1)."""
+    nodes, points = [bracket], [bracket[slot]]
     for i in range(2 ** (LOOKAHEAD - 1) - 1):
-        nodes += [_golden_step(nodes[i], True), _golden_step(nodes[i], False)]
-    return nodes, [slot] + [2, 1] * (len(nodes) // 2)
+        for up, new in ((True, 2), (False, 1)):
+            nodes.append(_golden_step(nodes[i], up))
+            points.append(nodes[-1][new])
+    return points
 
 
-def _golden_section(
-    bracket: _Bracket, known: float, slot: int, params: SystemParams, mode: str
+def _golden(
+    xa: float, xb: float, xc: float, fb: float, params: SystemParams, mode: str
 ) -> MaxRotation:
-    """scipy's golden-section iterates from a bracket whose x[slot] is unevaluated.
+    """scipy's ``golden`` (xtol 1e-12, at most 5000 steps) maximizing f, from
+    the bracket xa < xb < xc with fb = f(xb) above f(xa) and f(xc).
 
-    ``known`` is f at the other inner point. Each round evaluates the
-    lookahead tree's points in one array call, then walks the tree with
-    scipy's comparisons: ``LOOKAHEAD`` steps, fewer if it converges. The
-    convergence test precedes every step, and at most 5000 steps are taken.
+    f comes from the current lookahead tree: each step moves down it, and a
+    step that leaves it evaluates the next tree's points in one array call.
     """
-    f1 = f2 = known
-    steps = 0
-    while True:
-        nodes, slots = _lookahead_tree(bracket, slot)
-        points = np.array([node[s] for node, s in zip(nodes, slots)])
-        values = _abs_rotation(points, params, mode).tolist()
-        i = 0
-        while True:
-            x0, x1, x2, x3 = nodes[i]
-            if slots[i] == 1:
-                f1 = values[i]
-            else:
-                f2 = values[i]
-            if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)) or steps == 5000:
-                return MaxRotation(f1, x1) if f1 > f2 else MaxRotation(f2, x2)
-            steps += 1
-            # The kept inner point changes slot; the next node fills the other.
-            up = f2 > f1
-            if up:
-                f1 = f2
-            else:
-                f2 = f1
-            child = 2 * i + (1 if up else 2)
-            if child >= len(nodes):
-                bracket, slot = _golden_step(nodes[i], up), 2 if up else 1
-                break
-            i = child
+    values, i = [], 0  # the tree's f values, heap order; empty until the first call
+
+    def f(bracket: _Bracket, up: bool) -> float:
+        """f at the inner point the last step added: x2 if up, else x1."""
+        nonlocal values, i
+        i = 2 * i + (1 if up else 2)
+        if i >= len(values):
+            points = _lookahead_tree(bracket, 2 if up else 1)
+            values, i = _abs_rotation(points, params, mode).tolist(), 0
+        return values[i]
+
+    x3, x0 = xc, xa
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+        f1, f2 = fb, f((x0, x1, x2, x3), True)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+        f1, f2 = f((x0, x1, x2, x3), False), fb
+    for _ in range(5000):
+        if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
+            break
+        up = f2 > f1
+        x0, x1, x2, x3 = _golden_step((x0, x1, x2, x3), up)
+        if up:
+            f1, f2 = f2, f((x0, x1, x2, x3), up)
+        else:
+            f1, f2 = f((x0, x1, x2, x3), up), f1
+    return MaxRotation(f1, x1) if f1 > f2 else MaxRotation(f2, x2)
 
 
 def max_rotation(params: SystemParams, mode: str = PROBE_EQUALS_CAVITY) -> MaxRotation:
@@ -136,10 +138,10 @@ def max_rotation(params: SystemParams, mode: str = PROBE_EQUALS_CAVITY) -> MaxRo
 
     Scans a coarse grid on the negative-detuning half (the curve is
     antisymmetric). A grid maximum strictly above both neighbours is refined
-    by scipy's ``golden`` iterates (xtol 1e-12, at most 5000 steps), and the
-    refined point replaces it unless lower. The iterates match scipy's bit
-    for bit, though each array call evaluates the candidate points of
-    ``LOOKAHEAD`` steps.
+    by scipy's ``golden`` loop from those three points, and the refined
+    point replaces it unless lower. The iterates match scipy's bit for bit,
+    though each array call evaluates the candidate points of ``LOOKAHEAD``
+    steps.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -157,15 +159,10 @@ def max_rotation(params: SystemParams, mode: str = PROBE_EQUALS_CAVITY) -> MaxRo
     if best == 0 or best == grid.size - 1:
         return grid_max
 
-    x0, xb, x3 = grid[best - 1 : best + 2].tolist()
-    f0, fb, f3 = values[best - 1 : best + 2].tolist()
-    if not (fb > f0 and fb > f3):
+    fa, fb, fc = values[best - 1 : best + 2].tolist()
+    if not (fb > fa and fb > fc):
         return grid_max
-    if abs(x3 - xb) > abs(xb - x0):
-        bracket, slot = (x0, xb, xb + _GOLDEN_C * (x3 - xb), x3), 2
-    else:
-        bracket, slot = (x0, xb - _GOLDEN_C * (xb - x0), xb, x3), 1
-    refined = _golden_section(bracket, fb, slot, params, mode)
+    refined = _golden(*grid[best - 1 : best + 2].tolist(), fb, params, mode)
     return refined if refined.angle >= grid_max.angle else grid_max
 
 

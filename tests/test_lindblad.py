@@ -425,6 +425,13 @@ class TestLineshape:
         with pytest.raises(CutoffError, match="at cutoff 3"):
             fluorescence_lineshape(P, 30.0, MHZ * np.linspace(-4.0, 4.0, 9), n_samples=8)
 
+    def test_no_cutoff_passing_names_the_highest_tried(self, monkeypatch):
+        # With no population allowed above the top level every cutoff fails,
+        # so the error names the last one tried.
+        monkeypatch.setattr(lindblad, "TOP_FOCK_TOLERANCE", 0.0)
+        with pytest.raises(CutoffError, match=f"at cutoff {lindblad.MAX_LINESHAPE_CUTOFF}$"):
+            fluorescence_lineshape(P, 1.0, MHZ * np.linspace(-1.0, 1.0, 3), n_samples=2)
+
     def test_no_finite_point_raises(self, monkeypatch):
         monkeypatch.setattr(
             lindblad, "liouvillian", lambda model: np.full_like(liouvillian(model), np.nan)

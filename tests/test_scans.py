@@ -239,8 +239,7 @@ class TestBatchInvariance:
     def test_lookahead_tree(self, mode):
         (x0, xb, x3), _ = coarse_bracket(P, mode)
         bracket = (x0, xb, xb + scans._GOLDEN_C * (x3 - xb), x3)
-        nodes, slots = scans._lookahead_tree(bracket, 2)
-        points = np.array([node[slot] for node, slot in zip(nodes, slots)])
+        points = np.array(scans._lookahead_tree(bracket, 2))
         assert points.size == 2**scans.LOOKAHEAD - 1 == len(set(points.tolist()))
         batch = scans._abs_rotation(points, P, mode)
         assert hexes(batch) == hexes(single_point_values(points, P, mode))

@@ -109,15 +109,25 @@ def test_kraus_calls_grow_with_blocks_not_draws(tmp_path, monkeypatch):
     assert counts[2] == 3 * counts[0]
 
 
-def test_memory_stays_below_the_per_draw_loop(tmp_path):
-    # The per-draw loop peaked at 6.15 MiB, holding a Python float per draw;
-    # the draws themselves are 100,000 x 3 doubles (2.3 MiB).
-    run_validate(tmp_path, 12345, 300)  # first-call imports and caches
+def traced_peak(tmp_path, draws):
     tracemalloc.start()
     try:
-        rc = run_validate(tmp_path, 12345, 100_000)
+        rc = run_validate(tmp_path, 12345, draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak < 6.15 * 2**20
+    return peak
+
+
+def test_memory_stays_below_the_per_draw_loop(tmp_path):
+    # The per-draw loop peaked at 6.15 MiB, holding a Python float per draw.
+    run_validate(tmp_path, 12345, 300)  # first-call imports and caches
+    assert traced_peak(tmp_path, 100_000) < 6.15 * 2**20
+
+
+def test_memory_does_not_grow_with_draws(tmp_path):
+    # Draws are made DRAW_BLOCK rows at a time, so ten times the draws holds
+    # no more memory.
+    run_validate(tmp_path, 12345, 300)  # first-call imports and caches
+    assert traced_peak(tmp_path, 200_000) < 1.2 * traced_peak(tmp_path, 20_000)
