@@ -47,6 +47,7 @@ from .montecarlo import (
     average_rotation,
     average_transmittance,
     coupling_matrix,
+    lineshape_sites,
     sample_selected_trajectories,
     threshold_trajectories,
 )

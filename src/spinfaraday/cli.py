@@ -42,6 +42,7 @@ from .montecarlo import (
     MotionModel,
     average_rotation,
     average_transmittance,
+    lineshape_sites,
     sample_selected_trajectories,
     threshold_trajectories,
 )
@@ -198,21 +199,15 @@ def _motion_from_run(run: dict) -> MotionModel:
 
 
 def _fig2(params, geometry, run, grid, write) -> int:
+    n = int(run["samples"])
+    sites = lineshape_sites(params, n, int(run["seed"]), float(run["excitation_waist_um"]) * 1e-6)
     rows = []
     for label, scale in (("1 nW", 1.0 / 300.0), ("100 nW", 100.0 / 300.0), ("300 nW", 1.0)):
-        shape = fluorescence_lineshape(
-            params,
-            scale,
-            grid,
-            n_samples=int(run["samples"]),
-            seed=int(run["seed"]),
-            excitation_waist=float(run["excitation_waist_um"]) * 1e-6,
-        )
+        shape = fluorescence_lineshape(params, scale, grid, *sites)
         if shape.failed_points:
-            # failed_points counts grid points over every atom position.
+            # failed_points counts grid points over every site.
             print(
-                f"warning: {shape.failed_points}/{int(run['samples']) * grid.size} "
-                f"solver points failed "
+                f"warning: {shape.failed_points}/{n * grid.size} solver points failed "
                 f"for {label}; curve continued without them",
                 file=sys.stderr,
             )

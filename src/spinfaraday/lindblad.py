@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optics import coupling_grid
 from .params import SystemParams
 
 TOP_FOCK_TOLERANCE = 1e-6
@@ -421,27 +420,21 @@ def fluorescence_lineshape(
     params: SystemParams,
     power_scale: float,
     detuning_grid: np.ndarray,
-    *,
-    average_positions: bool = True,
-    n_samples: int = 1000,
-    seed: int = 7,
-    excitation_waist: float = 24e-6,
+    couplings: np.ndarray,
+    beam: np.ndarray,
 ) -> Lineshape:
-    """Fluorescence spectrum versus excitation-beam detuning.
+    """Fluorescence spectrum versus excitation-beam detuning, averaged over
+    the atom sites it is given: couplings g (n,) and beam factors (n,), as
+    ``montecarlo.lineshape_sites`` draws them. The pinned atom is the one
+    site ([g0], [1.0]).
 
-    The excitation Rabi frequency scales as the square root of power:
-    Omega = params.rabi * sqrt(power_scale), with power_scale > 0 and = 1 at
-    the calibration power. The cavity is held resonant with the atom, so both
-    detunings equal the grid value. The reported rate counts all scattered
-    photons, 2*kappa*<n> + gamma*<sigma_ee>; the cavity channel dominates by
-    the Purcell factor when g^2 >> kappa*gamma, and the curve is normalized
+    A site's Rabi frequency is params.rabi * sqrt(power_scale) times its beam
+    factor, with power_scale > 0 and = 1 at the calibration power. The
+    cavity is held resonant with the atom, so both detunings equal the grid
+    value. The reported rate counts all scattered photons,
+    2*kappa*<n> + gamma*<sigma_ee>; the cavity channel dominates by the
+    Purcell factor when g^2 >> kappa*gamma, and the curve is normalized
     to its own maximum.
-
-    With average_positions the curve is averaged over random atom positions
-    across the intersection of the cavity mode (transverse Gaussian, waist
-    params.waist) and the excitation beam (waist excitation_waist along the
-    cavity axis): the local coupling picks up the mode envelope and
-    standing-wave factor, the local Rabi frequency the beam envelope.
 
     Only the distinct |delta| of the grid are solved. H(delta) is a real
     matrix, and sigma_z on the atom maps -H(delta) to H(-delta) while leaving
@@ -450,50 +443,40 @@ def fluorescence_lineshape(
     Jiang, arXiv:1310.1523). Grid points whose |delta| agree within
     MIRROR_TOLERANCE (1e-12) of the largest |detuning| share one solve at the
     largest signed value among them, found by one sort over |delta|. Each
-    atom position is one _steady_states call over the solved detunings, and
-    the positions of one cutoff share one D' inverse.
-    Rates and pass marks are kept per atom position and solved detuning,
-    and fed to the grid once, after the position average. failed_points
-    counts grid points over all atom positions of the final cutoff, so a
-    failed solve counts once for each grid point it feeds.
+    site is one _steady_states call over the solved detunings, and the sites
+    of one cutoff share one D' inverse. Rates and pass marks are kept per
+    site and solved detuning, and fed to the grid once, after the site
+    average. failed_points counts grid points over all sites of the final
+    cutoff, so a failed solve counts once for each grid point it feeds.
 
     The Fock cutoff starts at LINESHAPE_START_CUTOFF and adapts upward (3,
     5, 7, then MAX_LINESHAPE_CUTOFF = 9) until the top level holds less
-    than 1e-6 population; a pass stops at its first position over that
-    limit, and CutoffError names cutoff 9 if that never happens.
+    than 1e-6 population; a pass stops at its first site over that limit,
+    and CutoffError names cutoff 9 if that never happens.
     numpy.linalg.LinAlgError is raised when some grid point fails at every
-    atom position, or when the peak rate is not positive.
+    site, or when the peak rate is not positive.
     """
     if not (math.isfinite(power_scale) and power_scale > 0.0):
         raise ValueError(f"power_scale must be finite and positive, got {power_scale}")
-    if average_positions and n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1 to average positions, got {n_samples}")
-    if average_positions and not (math.isfinite(excitation_waist) and excitation_waist > 0.0):
-        raise ValueError(f"excitation_waist must be finite and positive, got {excitation_waist}")
+    g_local, beam = np.asarray(couplings, dtype=float), np.asarray(beam, dtype=float)
+    if g_local.ndim != 1 or g_local.size == 0 or beam.shape != g_local.shape or not (
+        np.isfinite(g_local).all() and np.isfinite(beam).all()
+    ):
+        raise ValueError("couplings and beam must be non-empty finite 1-D arrays of one length")
     detunings = np.asarray(detuning_grid, dtype=float)
     if detunings.ndim != 1 or detunings.size == 0 or not np.isfinite(detunings).all():
         raise ValueError("detuning_grid must be a non-empty 1-D array of finite values")
 
-    omega = params.rabi * math.sqrt(power_scale)
-    if average_positions:
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-params.waist, params.waist, size=n_samples)
-        z = rng.uniform(-excitation_waist, excitation_waist, size=n_samples)
-        g_local = coupling_grid(x, 0.0, z, params)
-        omega_local = omega * np.exp(-(z**2) / excitation_waist**2)
-    else:
-        g_local = np.array([params.g0])
-        omega_local = np.array([omega])
-
+    omega_local = params.rabi * math.sqrt(power_scale) * beam
     solved, feeds = _mirror_map(detunings)
     for cutoff in range(LINESHAPE_START_CUTOFF, MAX_LINESHAPE_CUTOFF + 1, 2):
         ops = _operators(cutoff)
         # Photons scattered per unit time by each product-basis population.
-        emission = np.real(
+        emission = (
             2.0 * params.kappa * np.diagonal(ops.number) + params.gamma * np.diagonal(ops.excited)
         )
 
-        # Rates and pass mask per (position, solved detuning).
+        # Rates and pass mask per (site, solved detuning).
         rates = np.empty((g_local.size, solved.size))
         ok = np.empty((g_local.size, solved.size), dtype=bool)
         worst_top = 0.0
@@ -511,7 +494,7 @@ def fluorescence_lineshape(
             if ok[s].any():
                 worst_top = max(worst_top, float(np.nanmax(top_fock)))
             if worst_top >= TOP_FOCK_TOLERANCE:
-                break  # this cutoff is rejected; the remaining positions need not be solved
+                break  # this cutoff is rejected; the remaining sites need not be solved
         if worst_top < TOP_FOCK_TOLERANCE:
             break
     else:

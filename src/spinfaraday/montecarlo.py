@@ -1,6 +1,6 @@
-"""Stochastic simulation of falling atoms: trajectory sampling, real-time
-coincidence selection, and trajectory averaging of transmittance and
-rotation curves.
+"""Random atom sites and trajectories: fig2's lineshape sites, falling-atom
+sampling with real-time coincidence selection, and trajectory averaging of
+transmittance and rotation curves.
 
 Atoms drop through the cavity mode with a fixed fall velocity and random
 transverse velocities. Candidate atoms enter on a disc (radius twice the
@@ -247,15 +247,36 @@ def _row_envelope(
     return np.exp(-2.0 * x_min**2 / waist**2 - 2.0 * z_min**2 / excitation_waist**2) * (1.0 + 1e-9)
 
 
+def _beam(y: np.ndarray | float, z: np.ndarray, waist: float) -> np.ndarray:
+    """The excitation beam's field profile exp(-(y^2+z^2)/w_exc^2), 1 on its axis."""
+    return np.exp(-(y**2 + z**2) / waist**2)
+
+
 def _click_ratio(
     x: np.ndarray, y: np.ndarray, z: np.ndarray, params: SystemParams, excitation_waist: float
 ) -> np.ndarray:
-    """The click rate over ``rate_max``: (g/g0)^2 times the excitation-beam profile."""
-    return (
-        np.exp(-2.0 * (x**2 + y**2) / params.waist**2)
-        * np.cos(2.0 * math.pi * z / params.wavelength) ** 2
-        * np.exp(-2.0 * (y**2 + z**2) / excitation_waist**2)
-    )
+    """The click rate over ``rate_max``: (g/g0)^2 times the excitation-beam intensity."""
+    return ((coupling_grid(x, y, z, params) / params.g0) * _beam(y, z, excitation_waist)) ** 2
+
+
+def lineshape_sites(
+    params: SystemParams, n: int, seed: int, excitation_waist: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """fig2's random atom sites, as (g, beam): couplings and beam factors, each (n,).
+
+    Sites are uniform over the mode waist params.waist in x and the
+    excitation waist along the cavity axis z, in the plane y = 0: x, then z,
+    from one generator seeded with seed. g is the local ``coupling_grid``,
+    beam the Rabi-frequency factor exp(-z^2/w_exc^2) of ``_beam``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not (math.isfinite(excitation_waist) and excitation_waist > 0.0):
+        raise ValueError(f"excitation_waist must be finite and positive, got {excitation_waist}")
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-params.waist, params.waist, size=n)
+    z = rng.uniform(-excitation_waist, excitation_waist, size=n)
+    return coupling_grid(x, 0.0, z, params), _beam(0.0, z, excitation_waist)
 
 
 def _first_coincidences(
@@ -328,7 +349,7 @@ def sample_selected_trajectories(
 
     Raises ValueError for a non-finite ``rate_max`` or a window or
     excitation waist that is not finite and positive, and SelectionError
-    when ``rate_max`` is not positive or, from ``COINCIDENCE_JUDGED_FROM``
+    when ``rate_max`` or g0 is not positive or, from ``COINCIDENCE_JUDGED_FROM``
     candidates on, the acceptance rate is below ``MIN_ACCEPTANCE`` (as when
     no candidate can ever click).
     """
@@ -339,8 +360,8 @@ def sample_selected_trajectories(
     for name, value in (("window_ns", window_ns), ("excitation_waist", excitation_waist)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if rate_max <= 0.0:
-        raise SelectionError("rate_max must be positive for any selection to occur")
+    if rate_max <= 0.0 or params.g0 == 0.0:
+        raise SelectionError("rate_max and g0 must be positive for any selection to occur")
 
     rng = np.random.default_rng(motion.seed)
     radius = SOURCE_RADIUS_FACTOR * params.waist

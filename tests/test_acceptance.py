@@ -29,6 +29,7 @@ from spinfaraday.measurement import (
 from spinfaraday.montecarlo import (
     MotionModel,
     average_rotation,
+    lineshape_sites,
     threshold_trajectories,
 )
 from spinfaraday.optics import rotation_curve, t_minus_value
@@ -290,9 +291,10 @@ def test_ac08_conditional_population_behavior():
 
 def test_ac09_lineshape_power_ordering_and_floor():
     grid = MHZ * np.linspace(-8.0, 8.0, 161)
+    sites = lineshape_sites(P, 200, 7, 24e-6)
 
     def width(scale: float) -> float:
-        shape = fluorescence_lineshape(P, scale, grid, n_samples=200, seed=7)
+        shape = fluorescence_lineshape(P, scale, grid, *sites)
         return curve_fwhm(grid, shape.normalized) / MHZ
 
     w_low, w_mid, w_high = width(1.0 / 300.0), width(100.0 / 300.0), width(1.0)

@@ -310,6 +310,25 @@ class TestFig2:
         assert "warning: 2/10 solver points failed for 1 nW" in err
         assert "100 nW" not in err and "300 nW" not in err
 
+    def test_draws_its_sites_once(self, tmp_path, monkeypatch):
+        draw, lineshape = montecarlo.lineshape_sites, lindblad.fluorescence_lineshape
+        drawn, received = [], []
+
+        def counted_draw(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def recorded(params, power_scale, grid, couplings, beam):
+            received.append((couplings, beam))
+            return lineshape(params, power_scale, grid, couplings, beam)
+
+        patch_everywhere(monkeypatch, draw, counted_draw)
+        patch_everywhere(monkeypatch, lineshape, recorded)
+        assert main(["fig2", "--out", str(tmp_path), "--samples", "3", "--grid=-1:1:3"]) == 0
+        assert len(drawn) == 1 and len(received) == 3
+        # All three powers average over the very arrays of the one draw.
+        assert all(sites[0] is drawn[0][0] and sites[1] is drawn[0][1] for sites in received)
+
 
 class TestFig5:
     def test_outputs(self, tmp_path):

@@ -1,6 +1,7 @@
 """Every name a source file imports is read somewhere in that file, every
-module-level private name of the package is read somewhere in ``src/``, and
-nothing outside the benchmark imports scipy.
+module-level private name of the package is read somewhere in ``src/``,
+nothing outside the benchmark imports scipy, and only ``montecarlo`` and
+``cli`` draw random numbers.
 
 No linter ships with the project, so this test is the unused-import and
 unread-helper check. It parses the files and writes nothing. The package
@@ -20,6 +21,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKED_DIRS = ("src", "demos", "tests", "bench")
 SCIPY_FREE_DIRS = ("src", "demos", "tests")
 RE_EXPORTS = os.path.join("src", "spinfaraday", "__init__.py")
+# The package modules that may draw random numbers: the samplers and the CLI's validate.
+RNG_OWNERS = tuple(os.path.join("src", "spinfaraday", name) for name in ("montecarlo.py", "cli.py"))
 
 
 def python_files(dirs=CHECKED_DIRS):
@@ -94,6 +97,28 @@ def imported_packages(source):
     return packages
 
 
+def random_draws(source):
+    """Lines of the source that reach a random generator: ``np.random``,
+    ``default_rng``, or an import of ``numpy.random`` or ``random``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "default_rng"
+            or (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "default_rng":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+            alias.name in ("random", "numpy.random") for alias in node.names
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("random", "numpy.random"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def test_the_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport json\nimport os.path\nos.sep\n"
     assert unused_imports(source) == [(2, "json")]
@@ -121,6 +146,15 @@ def test_the_check_finds_a_scipy_import():
     assert imported_packages("from .params import TWO_PI\n") == set()
 
 
+def test_the_check_finds_a_random_draw():
+    source = (
+        "import numpy as np\nrng = np.random.default_rng(1)\n"
+        "from numpy.random import default_rng\nimport random\n"
+        "x = rng.random()\nrng = default_rng(2)\nfrom . import optics\n"
+    )
+    assert random_draws(source) == [2, 3, 4, 6]
+
+
 @pytest.mark.parametrize("path", [p for p in python_files() if p != RE_EXPORTS])
 def test_no_unused_imports(path):
     assert unused_imports(read_source(path)) == []
@@ -139,3 +173,8 @@ def test_no_unread_private_names(path):
 @pytest.mark.parametrize("path", list(python_files(SCIPY_FREE_DIRS)))
 def test_no_scipy_import(path):
     assert "scipy" not in imported_packages(read_source(path))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p not in RNG_OWNERS])
+def test_only_the_samplers_and_cli_draw_random_numbers(path):
+    assert random_draws(read_source(path)) == []

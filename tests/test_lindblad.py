@@ -27,6 +27,7 @@ from spinfaraday.lindblad import (
     steady_state,
     transmittance_steady,
 )
+from spinfaraday.montecarlo import lineshape_sites
 from spinfaraday.optics import t_minus_value
 from spinfaraday.params import DEFAULT_PARAMS, TWO_PI
 
@@ -311,19 +312,28 @@ class TestPurcellRate:
 GRID = MHZ * np.linspace(-8.0, 8.0, 161)
 
 
+def sites(n, seed=7):
+    """n of fig2's atom sites, drawn at the default excitation waist."""
+    return lineshape_sites(P, n, seed, 24e-6)
+
+
+def pinned(params=P):
+    """The one site of an atom pinned at the antinode, in the beam's center."""
+    return np.array([params.g0]), np.array([1.0])
+
+
 class TestLineshape:
     def test_bare_atom_lineshape(self):
-        shape = fluorescence_lineshape(
-            replace(P, g0=0.0), 1.0 / 300.0, GRID, average_positions=False
-        )
+        p0 = replace(P, g0=0.0)
+        shape = fluorescence_lineshape(p0, 1.0 / 300.0, GRID, *pinned(p0))
         width = curve_fwhm(GRID, shape.normalized)
         assert width >= P.gamma
         assert width < 2.0 * P.gamma  # barely saturated at 1 nW-equivalent
 
     def test_bare_atom_power_broadening(self):
         p0 = replace(P, g0=0.0)
-        low = fluorescence_lineshape(p0, 1.0 / 300.0, GRID, average_positions=False)
-        high = fluorescence_lineshape(p0, 1.0, GRID, average_positions=False)
+        low = fluorescence_lineshape(p0, 1.0 / 300.0, GRID, *pinned(p0))
+        high = fluorescence_lineshape(p0, 1.0, GRID, *pinned(p0))
         w_low = curve_fwhm(GRID, low.normalized)
         w_high = curve_fwhm(GRID, high.normalized)
         assert w_high > 5.0 * w_low  # strong saturation broadening at 300 nW
@@ -333,7 +343,7 @@ class TestLineshape:
         # essentially independent of drive power (frozen: about 5.06 MHz)
         widths = []
         for scale in (1.0 / 300.0, 1.0):
-            shape = fluorescence_lineshape(P, scale, GRID, average_positions=False)
+            shape = fluorescence_lineshape(P, scale, GRID, *pinned())
             widths.append(curve_fwhm(GRID, shape.normalized))
         assert widths[0] == pytest.approx(TWO_PI * 5.0585e6, rel=1e-3)
         assert abs(widths[1] - widths[0]) / widths[0] < 0.01
@@ -341,7 +351,7 @@ class TestLineshape:
     def test_averaged_widths_ordered_by_power(self):
         widths = []
         for scale in (1.0 / 300.0, 1.0 / 3.0, 1.0):
-            shape = fluorescence_lineshape(P, scale, GRID, n_samples=200, seed=7)
+            shape = fluorescence_lineshape(P, scale, GRID, *sites(200))
             widths.append(curve_fwhm(GRID, shape.normalized))
         assert widths[0] < widths[1] < widths[2]
         # frozen values for the default sampling (documents the curve family)
@@ -350,7 +360,7 @@ class TestLineshape:
 
     def test_averaged_floor_power_independent(self):
         shapes = [
-            fluorescence_lineshape(P, scale, GRID, n_samples=200, seed=7)
+            fluorescence_lineshape(P, scale, GRID, *sites(200))
             for scale in (1.0 / 30000.0, 1.0 / 3000.0)
         ]
         widths = [curve_fwhm(GRID, s.normalized) for s in shapes]
@@ -359,47 +369,55 @@ class TestLineshape:
         assert widths[0] > 1.5 * P.gamma  # floor is Purcell-broadened, not bare
 
     def test_normalized_peaks_at_one(self):
-        shape = fluorescence_lineshape(P, 0.5, GRID, n_samples=50, seed=7)
+        shape = fluorescence_lineshape(P, 0.5, GRID, *sites(50))
         assert np.nanmax(shape.normalized) == pytest.approx(1.0, rel=1e-12)
         assert shape.failed_points == 0
 
     def test_deterministic_given_seed(self):
-        a = fluorescence_lineshape(P, 0.3, GRID, n_samples=40, seed=11)
-        b = fluorescence_lineshape(P, 0.3, GRID, n_samples=40, seed=11)
-        c = fluorescence_lineshape(P, 0.3, GRID, n_samples=40, seed=12)
+        a = fluorescence_lineshape(P, 0.3, GRID, *sites(40, 11))
+        b = fluorescence_lineshape(P, 0.3, GRID, *sites(40, 11))
+        c = fluorescence_lineshape(P, 0.3, GRID, *sites(40, 12))
         np.testing.assert_array_equal(a.normalized, b.normalized)
         assert np.max(np.abs(a.normalized - c.normalized)) > 0.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            fluorescence_lineshape(P, 1.0, np.array([]))
+            fluorescence_lineshape(P, 1.0, np.array([]), *pinned())
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            fluorescence_lineshape(P, -0.1, GRID)
+            fluorescence_lineshape(P, -0.1, GRID, *pinned())
 
     @pytest.mark.parametrize(
         "kwargs, match",
         [
             ({"power_scale": math.nan}, "power_scale"),
             ({"power_scale": math.inf}, "power_scale"),
-            ({"n_samples": 0}, "n_samples"),
-            ({"n_samples": -3}, "n_samples"),
+            ({"n": 0}, "^n"),  # the message names the site count n first
+            ({"n": -3}, "^n"),
             ({"excitation_waist": 0.0}, "excitation_waist"),
             ({"excitation_waist": -24e-6}, "excitation_waist"),
             ({"excitation_waist": math.nan}, "excitation_waist"),
             ({"excitation_waist": math.inf}, "excitation_waist"),
             ({"power_scale": 0.0}, "power_scale"),
+            ({"beam": np.ones(9)}, "couplings"),
+            ({"couplings": np.array([]), "beam": np.array([])}, "couplings"),
+            ({"couplings": np.array([P.g0, math.nan]), "beam": np.ones(2)}, "couplings"),
         ],
     )
     def test_bad_input_rejected_before_any_solve(self, monkeypatch, kwargs, match):
+        # fig2's path: a bad site draw stops lineshape_sites, a bad power or
+        # site array the lineshape, each before any solve.
         def no_solve(*args, **kw):
             raise AssertionError("solved before the input was checked")
 
         monkeypatch.setattr(lindblad, "_solve_points", no_solve)
-        args = {"power_scale": 0.5, "n_samples": 10} | kwargs
+        args = {"power_scale": 0.5, "n": 10, "seed": 7, "excitation_waist": 24e-6} | kwargs
         with pytest.raises(ValueError, match=match):
-            fluorescence_lineshape(P, args.pop("power_scale"), GRID, **args)
+            g, beam = lineshape_sites(P, args["n"], args["seed"], args["excitation_waist"])
+            fluorescence_lineshape(
+                P, args["power_scale"], GRID, args.get("couplings", g), args.get("beam", beam)
+            )
 
     @pytest.mark.parametrize(
         "grid",
@@ -417,27 +435,27 @@ class TestLineshape:
 
         monkeypatch.setattr(lindblad, "_solve_points", no_solve)
         with pytest.raises(ValueError, match="detuning_grid"):
-            fluorescence_lineshape(P, 0.5, grid, n_samples=10)
+            fluorescence_lineshape(P, 0.5, grid, *sites(10))
 
     def test_no_cutoff_up_to_the_limit_raises(self, monkeypatch):
         # At power 30 cutoff 3 is rejected (see the liouvillian call count test).
         monkeypatch.setattr(lindblad, "MAX_LINESHAPE_CUTOFF", 3)
         with pytest.raises(CutoffError, match="at cutoff 3"):
-            fluorescence_lineshape(P, 30.0, MHZ * np.linspace(-4.0, 4.0, 9), n_samples=8)
+            fluorescence_lineshape(P, 30.0, MHZ * np.linspace(-4.0, 4.0, 9), *sites(8))
 
     def test_no_cutoff_passing_names_the_highest_tried(self, monkeypatch):
         # With no population allowed above the top level every cutoff fails,
         # so the error names the last one tried.
         monkeypatch.setattr(lindblad, "TOP_FOCK_TOLERANCE", 0.0)
         with pytest.raises(CutoffError, match=f"at cutoff {lindblad.MAX_LINESHAPE_CUTOFF}$"):
-            fluorescence_lineshape(P, 1.0, MHZ * np.linspace(-1.0, 1.0, 3), n_samples=2)
+            fluorescence_lineshape(P, 1.0, MHZ * np.linspace(-1.0, 1.0, 3), *sites(2))
 
     def test_no_finite_point_raises(self, monkeypatch):
         monkeypatch.setattr(
             lindblad, "liouvillian", lambda model: np.full_like(liouvillian(model), np.nan)
         )
         with pytest.raises(np.linalg.LinAlgError, match="no finite points at 3 of 3 detunings"):
-            fluorescence_lineshape(P, 1.0, MHZ * np.linspace(-1.0, 1.0, 3), n_samples=2)
+            fluorescence_lineshape(P, 1.0, MHZ * np.linspace(-1.0, 1.0, 3), *sites(2))
 
     def test_detuning_failing_at_every_position_raises(self, monkeypatch):
         # The grid -2..2 MHz is solved at 0, 1 and 2 MHz; the last, which
@@ -449,11 +467,7 @@ class TestLineshape:
 
         monkeypatch.setattr(lindblad, "_solve_points", singular_last)
         with pytest.raises(np.linalg.LinAlgError, match="no finite points at 2 of 5 detunings"):
-            fluorescence_lineshape(P, 1.0 / 3.0, MHZ * np.linspace(-2.0, 2.0, 5), n_samples=2)
-
-    def test_pinned_atom_ignores_sample_count(self):
-        pinned = fluorescence_lineshape(P, 0.5, GRID[:5], average_positions=False, n_samples=0)
-        assert pinned.failed_points == 0
+            fluorescence_lineshape(P, 1.0 / 3.0, MHZ * np.linspace(-2.0, 2.0, 5), *sites(2))
 
 
 def scattered_rate(rho, cutoff):
@@ -504,7 +518,7 @@ class TestBatchedSolver:
         omega = P.rabi * math.sqrt(power)
         # The second grid's -10 .. -4.5 and 7.3 MHz have no mirror on it.
         for grid in (np.linspace(-4.0, 4.0, 5), np.r_[np.linspace(-10.0, 4.0, 29), 7.3]):
-            shape = fluorescence_lineshape(P, power, MHZ * grid, average_positions=False)
+            shape = fluorescence_lineshape(P, power, MHZ * grid, *pinned())
             for delta, rate in zip(MHZ * grid, shape.rate):
                 expected = atom_driven_rate(P.g0, omega, delta, shape.fock_cutoff)
                 assert rate == pytest.approx(expected, rel=1e-12)
@@ -526,19 +540,19 @@ class TestMirror:
     def test_solves_each_distinct_magnitude_once(self, stack_sizes):
         # The default fig2 grid, symmetric only to about 1e-8 rad/s.
         grid = TWO_PI * 1e6 * np.linspace(-10.0, 10.0, 121)
-        shape = fluorescence_lineshape(P, 1.0 / 300.0, grid, n_samples=3)
+        shape = fluorescence_lineshape(P, 1.0 / 300.0, grid, *sites(3))
         assert shape.fock_cutoff == 3
         assert stack_sizes == [61, 61, 61]
         assert shape.failed_points == 0
 
     def test_blocked_solve_is_byte_identical(self, solve_shapes, monkeypatch):
         grid = MHZ * np.linspace(-6.0, 6.0, 31)
-        whole = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3, seed=5)
+        whole = fluorescence_lineshape(P, 1.0 / 3.0, grid, *sites(3, 5))
         # The first solve is the cutoff's D' inverse, then one stack per position.
         assert solve_shapes[1][0] == 16
         solve_shapes.clear()
         monkeypatch.setattr(lindblad, "LINESHAPE_BLOCK", 7)
-        blocked = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3, seed=5)
+        blocked = fluorescence_lineshape(P, 1.0 / 3.0, grid, *sites(3, 5))
         # The first run cached the D' inverse, so the first position's stacks come first.
         assert [shape[0] for shape in solve_shapes[:3]] == [7, 7, 2]
         np.testing.assert_array_equal(blocked.rate, whole.rate)
@@ -583,11 +597,11 @@ class TestMirror:
         grid = MHZ * np.linspace(lo, hi, n)
         if nudged is not None:
             grid[nudged] = np.nextafter(grid[nudged], -np.inf)
-        sorted_map = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=2, seed=5)
+        sorted_map = fluorescence_lineshape(P, 1.0 / 3.0, grid, *sites(2, 5))
         sorted_sizes = list(stack_sizes)
         stack_sizes.clear()
         monkeypatch.setattr(lindblad, "_mirror_map", self.nearest_mirror_map)
-        nearest = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=2, seed=5)
+        nearest = fluorescence_lineshape(P, 1.0 / 3.0, grid, *sites(2, 5))
         assert stack_sizes == sorted_sizes
         assert np.array_equal(sorted_map.rate, nearest.rate)
         if n == 121:
@@ -719,14 +733,14 @@ class TestRealBasis:
 
         monkeypatch.setattr(lindblad, "liouvillian", counted)
         grid = MHZ * np.linspace(-4.0, 4.0, 9)
-        shape = fluorescence_lineshape(P, 1.0 / 300.0, grid, n_samples=3)
+        shape = fluorescence_lineshape(P, 1.0 / 300.0, grid, *sites(3))
         assert shape.fock_cutoff == 3
         assert len(calls) == 3
 
         # At power 30 cutoff 3 is rejected: its pass stops at the first
         # position whose top Fock level is over the limit.
         calls.clear()
-        shape = fluorescence_lineshape(P, 30.0, grid, n_samples=8)
+        shape = fluorescence_lineshape(P, 30.0, grid, *sites(8))
         cutoffs = [model.fock_cutoff for model in calls]
         assert shape.fock_cutoff == 5
         assert 0 < cutoffs.count(3) < 8
@@ -756,7 +770,7 @@ class TestSchurSolve:
             patch.setattr(lindblad, "_steady_states", captured)
             patch.setattr(lindblad, "LINESHAPE_START_CUTOFF", cutoff)
             shape = fluorescence_lineshape(
-                params, 1.0, np.array([delta_mhz * MHZ]), average_positions=False
+                params, 1.0, np.array([delta_mhz * MHZ]), *pinned(params)
             )
         assert solved[0][0].fock_cutoff == cutoff
         for model, detunings, rho, ok in solved:
@@ -772,7 +786,7 @@ class TestSchurSolve:
 
     def test_stacks_are_the_antisymmetric_block(self, solve_shapes):
         grid = MHZ * np.linspace(-6.0, 6.0, 31)
-        shape = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=3)
+        shape = fluorescence_lineshape(P, 1.0 / 3.0, grid, *sites(3))
         assert shape.fock_cutoff == 3
         # d = 8: 64 real components, 36 diagonal and symmetric, 28 antisymmetric.
         # One D' inverse per cutoff, then one stack of 16 detunings per position.
@@ -819,7 +833,7 @@ class TestSchurSolve:
 
         monkeypatch.setattr(lindblad, "liouvillian", broken_second)
         grid = MHZ * np.linspace(-4.0, 4.0, 9)
-        shape = fluorescence_lineshape(P, 1.0 / 3.0, grid, n_samples=4)
+        shape = fluorescence_lineshape(P, 1.0 / 3.0, grid, *sites(4))
         assert shape.fock_cutoff == 3 and len(models) == 4
         assert shape.failed_points == grid.size
         kept = models[:1] + models[2:]
@@ -894,7 +908,7 @@ class TestPositivityCheck:
         monkeypatch.setattr(lindblad.np.linalg, "eigvalsh", no_eigvalsh)
         grid = MHZ * np.linspace(-10.0, 10.0, 121)
         for scale in (1.0 / 300.0, 100.0 / 300.0, 1.0):
-            shape = fluorescence_lineshape(P, scale, grid, average_positions=False)
+            shape = fluorescence_lineshape(P, scale, grid, *pinned())
             assert shape.failed_points == 0
         assert main(["fig2", "--out", str(tmp_path), "--samples", "3"]) == 0
         # validate's oracle: one steady_state of the weak-drive probe model per detuning

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from spinfaraday.montecarlo import (
     average_transmittance,
     coupling_blocks,
     coupling_matrix,
+    lineshape_sites,
     sample_selected_trajectories,
     threshold_trajectories,
 )
@@ -373,6 +375,11 @@ class TestCoincidenceSelection:
         with pytest.raises(SelectionError, match="must be positive"):
             sample_selected_trajectories(MotionModel(seed=1), P, 10, rate_max=rate_max)
 
+    def test_uncoupled_atoms_raise_before_sampling(self):
+        # With g0 = 0 no site couples to the mode, so no atom can ever click.
+        with pytest.raises(SelectionError, match="g0 must be positive"):
+            sample_selected_trajectories(MotionModel(seed=1), replace(P, g0=0.0), 10)
+
     @pytest.mark.parametrize(
         "selection",
         [
@@ -502,6 +509,16 @@ class TestClickEnvelope:
         c = 2.0 * (1.0 / P.waist**2 + 1.0 / excitation_waist**2)
         ratio = _click_ratio(x0 + vx * t, y, z0 + vz * t, P, excitation_waist)
         assert ratio[0] <= envelope[0] * np.exp(-c * y * y)[0]
+
+
+class TestLineshapeSites:
+    def test_draws_x_then_z_from_one_generator(self):
+        g, beam = lineshape_sites(P, 50, 3, 24e-6)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-P.waist, P.waist, size=50)
+        z = rng.uniform(-24e-6, 24e-6, size=50)
+        np.testing.assert_array_equal(g, coupling_grid(x, 0.0, z, P))
+        np.testing.assert_array_equal(beam, np.exp(-(z**2) / (24e-6) ** 2))
 
 
 class TestAveragedCurves:
