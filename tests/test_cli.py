@@ -1,15 +1,22 @@
 """Command-line interface: outputs, manifests, reproducibility, exit codes."""
 
+import contextlib
 import importlib
 import inspect
+import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinfaraday
 from spinfaraday import cli, lindblad, measurement, montecarlo, optics
@@ -613,6 +620,22 @@ class TestErrorHandling:
         assert "holds non-finite nan" in out.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_cell_names_its_file_and_column(self, tmp_path, capsys, monkeypatch):
+        # In process: a body that hands over a nan cell exits 1 before any write.
+        help_text, defaults, _ = cli._COMMANDS["fig6"]
+
+        def body(params, geometry, run, grid, write):
+            write("fig6a.csv", ["length_um", "max_angle_deg"], [[150.0, 27.1], [200.0, np.nan]])
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, "fig6", (help_text, defaults, body))
+        rc = main(["fig6", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: fig6a.csv: column max_angle_deg holds non-finite nan"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("coupling_mhz = 2.8\n")
@@ -766,3 +789,108 @@ class TestOutputDirectory:
         assert manifest["grid"] == "-2:2:7"
         _, rows = csv_rows(tmp_path / "fig4a.csv")
         assert len(rows) == 7
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+# Physics keys drawn by the config-space property, log-uniform over wide
+# ranges; reflectivity is drawn as 1 - R.
+PHYSICS_DRAWS = {
+    "g0_mhz": st.one_of(st.just(0.0), log_uniform(1e-4, 1e3)),
+    "kappa_mhz": log_uniform(1e-4, 1e3),
+    "gamma_khz": log_uniform(1e-2, 1e5),
+    "length_um": log_uniform(1.0, 9e4),
+    "roc_mm": log_uniform(0.1, 1e3),  # below length / 2 the cavity is unstable: exit 2
+    "reflectivity": log_uniform(1e-9, 0.5).map(lambda loss: 1.0 - loss),
+    "wavelength_nm": log_uniform(10.0, 1e5),
+    "waist_um": log_uniform(1e-2, 1e4),
+    "rabi_mhz": log_uniform(1e-4, 1e3),
+}
+
+# Run keys within their rules, three of them capped for time. A
+# selection_threshold under 0.99 keeps a threshold selection from drawing
+# 4e6 candidates before it is judged hopeless. rate_max_per_s <= 1e6 and
+# v_fall_mps >= 0.2 keep the coincidence sampler's rows within 1.8 times
+# their default width, so a hopeless coincidence selection (50,000
+# candidates) takes about 0.6 s. fig2 needs no cap: at 2 sites and 5
+# detunings a climb to cutoff 9 takes 0.6-0.9 s.
+RUN_DRAWS = {
+    "seed": st.integers(0, 2**32 - 1),
+    "excitation_waist_um": log_uniform(0.1, 1e3),
+    "selection_threshold": st.floats(0.0, 0.99),
+    "rate_max_per_s": log_uniform(1e3, 1e6),
+    "coincidence_window_ns": log_uniform(1.0, 1e4),
+    "v_fall_mps": log_uniform(0.2, 3.0),
+    "v_transverse_rms_mps": st.one_of(st.just(0.0), log_uniform(1e-3, 1.0)),
+}
+
+# Each command at a tiny size.
+TINY_RUNS = {
+    "fig2": ["--samples", "2", "--grid=-5:5:5"],
+    "fig4": ["--samples", "20"],
+    "fig5": ["--samples", "20"],
+    "fig6": [],
+    "validate": ["--samples", "20"],
+}
+
+
+@st.composite
+def configs(draw, command):
+    """1-4 physics keys and some of the run keys ``command`` accepts."""
+    config = {
+        key: draw(PHYSICS_DRAWS[key])
+        for key in draw(st.lists(st.sampled_from(sorted(PHYSICS_DRAWS)), min_size=1,
+                                 max_size=4, unique=True))
+    }
+    accepted = [key for key in RUN_DRAWS if key in cli._COMMANDS[command][1]]  # seed at least
+    for key in draw(st.lists(st.sampled_from(accepted), unique=True)):
+        config[key] = draw(RUN_DRAWS[key])
+    if command == "fig4":
+        config["ensemble"] = draw(st.sampled_from(["threshold", "coincidence"]))
+    if command in ("fig4", "fig5") and draw(st.booleans()):
+        window = draw(log_uniform(0.1, 100.0))
+        config["window_us"] = window
+        config["time_step_us"] = window / draw(st.integers(1, 100))
+    return config
+
+
+@pytest.mark.parametrize("command", sorted(TINY_RUNS))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_accepted_config_space(command, data):
+    # Aim 3 over the config space: any drawn config either runs cleanly or
+    # stops with one error line, a status of 1 or 2 and no output directory.
+    config = data.draw(configs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_dir = os.path.join(tmp, "c.json"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            # Garbage collection can report any file left open in the process.
+            warnings.simplefilter("ignore", ResourceWarning)
+            rc = main([command, *TINY_RUNS[command], "--config", path, "--out", out_dir])
+        assert [str(w.message) for w in caught] == []
+        assert rc in (0, 1, 2)
+        errors = [line for line in err.getvalue().splitlines() if not line.startswith("warning: ")]
+        if rc == 0:
+            assert errors == []
+            for name in os.listdir(out_dir):
+                if name.endswith(".csv"):
+                    _, rows = csv_rows(os.path.join(out_dir, name))
+                    for cell in (cell for row in rows for cell in row):
+                        with contextlib.suppress(ValueError):
+                            assert math.isfinite(float(cell)), (name, cell)
+            return
+        assert not os.path.exists(out_dir)
+        if command == "validate" and rc == 1 and not errors:
+            # validate still fails its anchor checks at valid geometries and rates.
+            failed = [line for line in out.getvalue().splitlines() if line.startswith("FAIL")]
+            assert failed and out.getvalue().endswith(f"{len(failed)} check(s) failed\n")
+        else:
+            prefix = "configuration error: " if rc == 2 else "error: "
+            assert len(errors) == 1 and errors[0].startswith(prefix), errors

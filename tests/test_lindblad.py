@@ -469,6 +469,13 @@ class TestLineshape:
         with pytest.raises(np.linalg.LinAlgError, match="no finite points at 2 of 5 detunings"):
             fluorescence_lineshape(P, 1.0 / 3.0, MHZ * np.linspace(-2.0, 2.0, 5), *sites(2))
 
+    def test_undriven_sites_raise(self):
+        # Sites outside the excitation beam (beam factor 0) have no drive, so
+        # every rate is 0 and the lineshape has no positive peak to normalize by.
+        g, _ = sites(3)
+        with pytest.raises(np.linalg.LinAlgError, match="peak rate 0 is not positive"):
+            fluorescence_lineshape(P, 1.0, MHZ * np.linspace(-1.0, 1.0, 3), g, np.zeros(3))
+
 
 def scattered_rate(rho, cutoff):
     """2 kappa <n> + gamma <sigma_ee> of a density matrix (P's rates)."""

@@ -381,25 +381,27 @@ class TestCoincidenceSelection:
             sample_selected_trajectories(MotionModel(seed=1), replace(P, g0=0.0), 10)
 
     @pytest.mark.parametrize(
-        "selection",
+        "selection, match",
         [
-            {"rate_max": math.nan},
-            {"rate_max": math.inf},
-            {"window_ns": -1.0},
-            {"window_ns": 0.0},
-            {"window_ns": math.inf},
-            {"excitation_waist": 0.0},
-            {"excitation_waist": math.nan},
-            {"excitation_waist": -24e-6},
+            ({"rate_max": math.nan}, "must be finite"),
+            ({"rate_max": math.inf}, "must be finite"),
+            ({"window_ns": -1.0}, "must be finite"),
+            ({"window_ns": 0.0}, "must be finite"),
+            ({"window_ns": math.inf}, "must be finite"),
+            ({"excitation_waist": 0.0}, "must be finite"),
+            ({"excitation_waist": math.nan}, "must be finite"),
+            ({"excitation_waist": -24e-6}, "must be finite"),
+            ({"n": 0}, "n must be at least 1"),
         ],
         ids=[
             "rate-nan", "rate-inf", "window-negative", "window-zero", "window-inf",
-            "waist-zero", "waist-nan", "waist-negative",
+            "waist-zero", "waist-nan", "waist-negative", "n-zero",
         ],
     )
-    def test_invalid_inputs_raise_before_sampling(self, selection):
-        with pytest.raises(ValueError, match="must be finite"):
-            sample_selected_trajectories(MotionModel(seed=1), P, 10, **selection)
+    def test_invalid_inputs_raise_before_sampling(self, selection, match):
+        selection = {"n": 10} | selection
+        with pytest.raises(ValueError, match=match):
+            sample_selected_trajectories(MotionModel(seed=1), P, **selection)
 
     @pytest.mark.parametrize(
         "selection, n, row_block",

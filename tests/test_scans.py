@@ -337,10 +337,11 @@ class TestScanLength:
     def test_frozen_endpoint_and_peak(self):
         result = scan_length()
         assert result.max_angle_deg[-1] == pytest.approx(27.679277082598325, rel=1e-9)
-        assert result.best_angle_deg == pytest.approx(31.466495235751374, rel=1e-9)
+        peak = int(np.argmax(result.max_angle_deg))
+        assert result.max_angle_deg[peak] == pytest.approx(31.466495235751374, rel=1e-9)
         # interior peak in the millimeter range
-        assert 1000.0 < result.best_axis_value < 3000.0
-        assert 0 < result.argmax_index < result.axis.size - 1
+        assert 1000.0 < result.axis[peak] < 3000.0
+        assert 0 < peak < result.axis.size - 1
 
     def test_g0_and_kappa_vary_with_length(self):
         result = scan_length()
@@ -373,8 +374,9 @@ class TestScanReflectivity:
     def test_peak_is_the_lossless_point(self):
         result = scan_reflectivity()
         point = lossless_rotation_point()
-        assert result.best_axis_value == pytest.approx(point.reflectivity, abs=1e-12)
-        assert result.best_angle_deg == pytest.approx(45.0, abs=1e-7)
+        peak = int(np.argmax(result.max_angle_deg))
+        assert result.axis[peak] == pytest.approx(point.reflectivity, abs=1e-12)
+        assert result.max_angle_deg[peak] == pytest.approx(45.0, abs=1e-7)
 
     def test_frozen_landmark_angles(self):
         result = scan_reflectivity()
@@ -408,30 +410,33 @@ class TestCnotFeasibility:
         assert report.best_delta_mhz == pytest.approx(-2.021916340101459, rel=1e-6)
         assert report.angle_at_limit_deg == pytest.approx(41.20737878144908, rel=1e-9)
 
-    def test_limit_below_lossless_point_infeasible(self):
-        # (coupling scale, rho_limit, best angle in deg): the best mirror is the limit
+    def test_limit_below_lossless_point_infeasible(self, monkeypatch):
+        # (coupling scale, mirror limit, best angle in deg): the best mirror is the limit
         for scale, rho_limit, angle in [
             (1.0, 0.99998, 32.60115963881565),
             (0.5, 0.99999, 31.200372509198385),
         ]:
-            report = cnot_feasibility(replace(P, g0=scale * P.g0), rho_limit=rho_limit)
+            monkeypatch.setattr(scans, "REFLECTIVITY_LIMIT", rho_limit)
+            report = cnot_feasibility(replace(P, g0=scale * P.g0))
             assert not report.feasible
             assert report.best_angle_deg == pytest.approx(angle, rel=1e-6)
             assert report.best_reflectivity == pytest.approx(rho_limit, abs=1e-9)
 
-    def test_lossless_point_inside_bound_feasible(self):
-        # (coupling scale, rho_limit, lossless reflectivity)
+    def test_lossless_point_inside_bound_feasible(self, monkeypatch):
+        # (coupling scale, mirror limit, lossless reflectivity)
         for scale, rho_limit, reflectivity in [
             (2.0, 0.99999, 0.9999759469521942),
             (1.0, 0.9999999, 0.9999883822444183),
         ]:
-            report = cnot_feasibility(replace(P, g0=scale * P.g0), rho_limit=rho_limit)
+            monkeypatch.setattr(scans, "REFLECTIVITY_LIMIT", rho_limit)
+            report = cnot_feasibility(replace(P, g0=scale * P.g0))
             assert report.feasible
             assert report.best_angle_deg == pytest.approx(45.0, abs=1e-9)
             assert report.best_reflectivity == pytest.approx(reflectivity, abs=1e-9)
 
-    def test_anchor_mirrors_far_from_feasible(self):
-        report = cnot_feasibility(rho_limit=DEFAULT_GEOMETRY.reflectivity)
+    def test_anchor_mirrors_far_from_feasible(self, monkeypatch):
+        monkeypatch.setattr(scans, "REFLECTIVITY_LIMIT", DEFAULT_GEOMETRY.reflectivity)
+        report = cnot_feasibility()
         assert not report.feasible
         assert report.best_angle_deg == pytest.approx(27.142878946001787, rel=1e-6)
 
@@ -447,19 +452,39 @@ class TestCnotFeasibility:
 
     def test_weak_coupling_infeasible_at_the_limit(self):
         # g0 = gamma/2 < gamma/sqrt(2): no lossless point, and the angle
-        # rises with the reflectivity up to rho_limit.
+        # rises with the reflectivity up to REFLECTIVITY_LIMIT.
         weak = replace(P, g0=0.5 * P.gamma)
         report = cnot_feasibility(weak)
         assert not report.feasible
-        assert report.best_reflectivity == 0.99999
+        assert report.best_reflectivity == scans.REFLECTIVITY_LIMIT == 0.99999
         assert report.angle_at_limit_deg == report.best_angle_deg > 0.0
         for rho in 1.0 - np.geomspace(1e-3, 1e-5, 200):
             point = params_for_geometry(replace(DEFAULT_GEOMETRY, reflectivity=rho), weak)
             angle = math.degrees(max_rotation(point, CAVITY_EQUALS_ATOM).angle)
             assert angle <= report.best_angle_deg
 
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            cnot_feasibility(rho_limit=0.999, rho_floor=0.9999)
-        with pytest.raises(ValueError):
-            cnot_feasibility(rho_limit=1.0)
+    def test_lossless_point_below_the_floor_reads_the_floor(self, monkeypatch):
+        # With the floor above the anchor's lossless mirror, the floor is the
+        # nearest mirror in range, and the limit is another one.
+        monkeypatch.setattr(scans, "REFLECTIVITY_FLOOR", 0.999989)
+        report = cnot_feasibility()
+        at_floor = params_for_geometry(replace(DEFAULT_GEOMETRY, reflectivity=0.999989), P)
+        angle = math.degrees(max_rotation(at_floor, CAVITY_EQUALS_ATOM).angle)
+        assert not report.feasible
+        assert report.best_reflectivity == 0.999989
+        assert report.best_angle_deg == angle < 45.0
+        assert report.angle_at_limit_deg == pytest.approx(41.20737878144908, rel=1e-9)
+
+    @pytest.mark.parametrize("g0", [P.g0, 0.5 * P.gamma], ids=["defaults", "no-lossless-point"])
+    def test_one_design_point_per_mirror(self, monkeypatch, g0):
+        # The limit is evaluated once, also when it is the best mirror.
+        made = []
+        design_point = scans._design_point
+
+        def counted(*args, **kwargs):
+            made.append(kwargs["reflectivity"])
+            return design_point(*args, **kwargs)
+
+        monkeypatch.setattr(scans, "_design_point", counted)
+        cnot_feasibility(replace(P, g0=g0))
+        assert made == [scans.REFLECTIVITY_LIMIT]
