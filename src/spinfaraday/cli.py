@@ -42,6 +42,7 @@ from .montecarlo import (
     MotionModel,
     average_rotation,
     average_transmittance,
+    coincidence_clicks,
     lineshape_sites,
     sample_selected_trajectories,
     threshold_trajectories,
@@ -154,6 +155,11 @@ def _resolve(args: argparse.Namespace):
                 "time_step_us must be window_us / n for a whole n >= 1, "
                 f"got {run['window_us']!r} / {run['time_step_us']!r}"
             ) from exc
+    if run.get("ensemble") == ENSEMBLE_COINCIDENCE:
+        try:
+            coincidence_clicks(float(run["rate_max_per_s"]), float(run["v_fall_mps"]))
+        except ValueError as exc:
+            raise ConfigError(f"rate_max_per_s / v_fall_mps: {exc}") from exc
 
     params, geometry, detection = build_settings(file_cfg)
     # Run keys the command does not read are checked above, then dropped:
@@ -328,13 +334,9 @@ def _bayes_total(prior, phi, phase):
 
 
 def _port_sum(phi, magnitude, phase):
-    # Each draw rounds as Python's scalar arithmetic: |t| by np.hypot, as abs()
-    # (numpy's complex abs can differ in the last bit), and |t|^2 by libm pow,
-    # which misrounds x*x near a midpoint (1 draw in 1,000) and numpy cannot call.
     t = magnitude * np.exp(1j * phase)
     total = detection_prob_down(phi, t) + detection_prob_down(phi + math.pi / 2.0, t)
-    squared = np.array([h ** 2 for h in np.hypot(t.real, t.imag).tolist()])
-    return np.abs(total - (1.0 + squared) / 2.0)
+    return np.abs(total - (1.0 + np.square(np.abs(t))) / 2.0)
 
 
 def _validate_checks(params, geometry, rng: np.random.Generator, draws: int):

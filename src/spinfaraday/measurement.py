@@ -69,19 +69,14 @@ def detection_prob_down(
     """Per-photon detection probability at analyzer angle phi, spin down.
 
     |exp(-i phi) t_minus + exp(+i phi)|^2 / 4, vectorized over phi and,
-    broadcast against it, over a complex array t_minus. Scalar inputs give
-    the array element's ``np.float64`` bit for bit: numpy's SIMD complex
-    products may fuse multiply-adds and its scalars square through ``pow``,
-    so this product is taken in real parts and squared by ``np.square``.
+    broadcast against it, over a complex array t_minus.
     """
     phi = np.asarray(phi, dtype=float)
-    t, rot = np.asarray(t_minus, dtype=complex), np.exp(-1j * phi)
-    field = rot.real * t.real - rot.imag * t.imag + 1j * (rot.real * t.imag + rot.imag * t.real)
-    return np.square(np.abs(field + np.exp(1j * phi))) / 4.0
+    return np.square(np.abs(np.exp(-1j * phi) * np.asarray(t_minus) + np.exp(1j * phi))) / 4.0
 
 
 def detection_prob_up(phi: np.ndarray | float) -> np.ndarray | float:
-    """Spin-up detection probability cos(phi)^2, squared as in ``detection_prob_down``."""
+    """Spin-up detection probability cos(phi)^2, elementwise over phi."""
     return np.square(np.cos(np.asarray(phi, dtype=float)))
 
 

@@ -55,6 +55,7 @@ COINCIDENCE_START_HEIGHT = 50e-6        # m, candidate entry height above the mo
 COINCIDENCE_BATCH_SIZE = 5_000          # candidates simulated per batch
 COINCIDENCE_ROW_BLOCK = 100             # batch rows thinned at a time
 COINCIDENCE_JUDGED_FROM = 50_000        # candidates drawn before coincidence acceptance is judged
+COINCIDENCE_MAX_CLICKS = 4_096          # candidate clicks per row, k_max, a slab may hold
 
 
 class SelectionError(RuntimeError):
@@ -293,6 +294,18 @@ def _first_coincidences(
     return rows, clicks[hits[first]]
 
 
+def coincidence_clicks(rate_max: float, v_fall: float) -> int:
+    """k_max, the coincidence sampler's candidate clicks per row: the mean count
+    over the fall plus six standard deviations plus 10. Raises ValueError above
+    ``COINCIDENCE_MAX_CLICKS`` (3.3 MB per slab; rate_max about 1.1e7 /s at 0.3 m/s)."""
+    mean_events = rate_max * (2.0 * COINCIDENCE_START_HEIGHT / v_fall)
+    spread = mean_events + 6.0 * math.sqrt(max(mean_events, 1.0))
+    if not spread < COINCIDENCE_MAX_CLICKS - 9:  # int(spread) + 10 above the cap, or NaN
+        raise ValueError(f"the coincidence sampler needs {spread + 10:.4g} candidate clicks "
+                         f"per atom, above its cap of {COINCIDENCE_MAX_CLICKS}")
+    return int(spread) + 10
+
+
 def sample_selected_trajectories(
     motion: MotionModel,
     params: SystemParams,
@@ -347,8 +360,9 @@ def sample_selected_trajectories(
     relative, far inside the 1e-9 margin. The accepted clicks are therefore
     exactly those of thinning the whole block.
 
-    Raises ValueError for a non-finite ``rate_max`` or a window or
-    excitation waist that is not finite and positive, and SelectionError
+    Raises ValueError for a non-finite ``rate_max``, a window or
+    excitation waist that is not finite and positive, or a k_max above
+    ``COINCIDENCE_MAX_CLICKS`` (``coincidence_clicks``), and SelectionError
     when ``rate_max`` or g0 is not positive or, from ``COINCIDENCE_JUDGED_FROM``
     candidates on, the acceptance rate is below ``MIN_ACCEPTANCE`` (as when
     no candidate can ever click).
@@ -366,8 +380,7 @@ def sample_selected_trajectories(
     rng = np.random.default_rng(motion.seed)
     radius = SOURCE_RADIUS_FACTOR * params.waist
     t_total = 2.0 * COINCIDENCE_START_HEIGHT / motion.v_fall
-    mean_events = rate_max * t_total
-    k_max = int(mean_events + 6.0 * math.sqrt(max(mean_events, 1.0))) + 10
+    k_max = coincidence_clicks(rate_max, motion.v_fall)
     bound_rate = 2.0 * (1.0 / params.waist**2 + 1.0 / excitation_waist**2)
 
     r0_parts: list[np.ndarray] = []

@@ -4,13 +4,16 @@
 skips, without a word, a binding it cannot find; a renamed function would
 then read zero in its per-layer metrics, or move a count that
 ``bench/workloads.py`` pins, and only a traced benchmark run would show it.
-The pinned workloads are also replayed here, traced, so that a drift of
-an exact count shows in the test suite and not only in a traced benchmark
+Every workload is also replayed here at the reference seed, traced, so
+that a drift of an exact count, or of an output from its stored reference
+(``bench/checks.py``), shows in the test suite and not only in a benchmark
 run. The bench modules are compiled from source, so these tests read
 ``bench/`` and write only into pytest's temporary directory.
 """
 
+import contextlib
 import importlib
+import io
 import os
 import sys
 import types
@@ -33,6 +36,9 @@ def load(name):
 
 tracing = load("tracing")
 workloads = load("workloads")
+sys.modules["workloads"] = workloads  # checks.py imports it by name
+checks = load("checks")
+del sys.modules["workloads"]
 
 
 @pytest.mark.parametrize("span", sorted(tracing.TRACED))
@@ -55,18 +61,29 @@ def test_pinned_workloads_are_the_expected_three():
     assert PINNED == ["lineshape", "ensemble", "design"]
 
 
-@pytest.mark.parametrize("name", PINNED)
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_traced_workload_reproduces_its_pinned_counts(name, tmp_path):
     # Imported first, as the benchmark does: installed() wraps the traced
     # functions in the package modules already loaded.
     import spinfaraday.cli as cli
 
     workload = workloads.WORKLOADS[name]
+    config_path = None
+    if workload.config is not None:
+        config_path = tmp_path / "workload.cfg"
+        config_path.write_text(workload.config, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
     tracer = tracing.Tracer()
     tracer.run = name
+    stdout = {}
     with tracing.installed(tracer):
-        for argv in workload.invocations(workloads.REFERENCE_SEED, str(tmp_path), None):
-            assert cli.main(argv) == 0, argv
+        for argv in workload.invocations(workloads.REFERENCE_SEED, str(out_dir), config_path):
+            captured = io.StringIO()
+            with contextlib.redirect_stdout(captured):
+                assert cli.main(argv) == 0, argv
+            stdout[argv[0]] = captured.getvalue()
     measured = tracing.iteration_metrics(tracer.spans, tracer.counters[name])
     for metric, expected in workload.exact_counts.items():
         assert measured[metric] == expected, metric
+    assert checks.check_outputs(name, str(out_dir), workloads.REFERENCE_SEED, stdout) == []

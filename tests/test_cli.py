@@ -11,6 +11,7 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -270,6 +271,23 @@ class TestFig4:
         assert rc == 1
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_click_slab_above_its_cap_is_config_error(self, tmp_path, capsys):
+        # 1e9 /s would need k_max = 336,807 clicks per row, two slabs of 539 MB;
+        # 1.115e7 /s needs 4,092, just under the cap, and still runs.
+        def fig4(rate):
+            cfg = tmp_path / f"{rate}.json"
+            cfg.write_text(json.dumps({"ensemble": "coincidence", "rate_max_per_s": rate}))
+            argv = ["--config", str(cfg), "--out", str(tmp_path / f"out-{rate}")]
+            return main(["fig4", *argv, "--samples", "1", "--grid=-1:1:3"])
+
+        start = time.perf_counter()
+        assert fig4(1e9) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: rate_max_per_s")
+        assert not (tmp_path / f"out-{1e9}").exists()
+        assert fig4(1.115e7) == 0
 
 
 class TestFig2:

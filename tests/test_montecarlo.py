@@ -1,5 +1,6 @@
 """Falling-atom ensembles, coincidence selection, and curve averaging."""
 
+import contextlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from spinfaraday import montecarlo, optics
 from spinfaraday.montecarlo import (
     COINCIDENCE_BATCH_SIZE,
+    COINCIDENCE_MAX_CLICKS,
     COINCIDENCE_ROW_BLOCK,
     COINCIDENCE_START_HEIGHT,
     SOURCE_RADIUS_FACTOR,
@@ -26,6 +28,7 @@ from spinfaraday.montecarlo import (
     _sample_velocities,
     average_rotation,
     average_transmittance,
+    coincidence_clicks,
     coupling_blocks,
     coupling_matrix,
     lineshape_sites,
@@ -380,6 +383,20 @@ class TestCoincidenceSelection:
         with pytest.raises(SelectionError, match="g0 must be positive"):
             sample_selected_trajectories(MotionModel(seed=1), replace(P, g0=0.0), 10)
 
+    def test_clicks_per_row_and_their_cap(self):
+        # k_max at the defaults, at the CLI property test's caps and for a
+        # slow bright source; over a fine rate sweep across the cap, the
+        # largest k_max admitted is the cap itself.
+        cases = ((7.6e5, 0.3), (1e6, 0.2), (2e6, 0.1))
+        assert [coincidence_clicks(rate, v_fall) for rate, v_fall in cases] == [358, 644, 2278]
+        admitted = []
+        for rate in np.linspace(1.11e7, 1.12e7, 20001):
+            with contextlib.suppress(ValueError):
+                admitted.append(coincidence_clicks(float(rate), 0.3))
+        assert max(admitted) == COINCIDENCE_MAX_CLICKS and len(admitted) < 20001
+        with pytest.raises(ValueError, match="above its cap"):
+            coincidence_clicks(1e300, 1e-300)
+
     @pytest.mark.parametrize(
         "selection, match",
         [
@@ -392,10 +409,11 @@ class TestCoincidenceSelection:
             ({"excitation_waist": math.nan}, "must be finite"),
             ({"excitation_waist": -24e-6}, "must be finite"),
             ({"n": 0}, "n must be at least 1"),
+            ({"rate_max": 1e9}, "above its cap"),
         ],
         ids=[
             "rate-nan", "rate-inf", "window-negative", "window-zero", "window-inf",
-            "waist-zero", "waist-nan", "waist-negative", "n-zero",
+            "waist-zero", "waist-nan", "waist-negative", "n-zero", "rate-above-click-cap",
         ],
     )
     def test_invalid_inputs_raise_before_sampling(self, selection, match):
