@@ -240,17 +240,18 @@ def _fig4(params, geometry, run, grid, write) -> int:
             excitation_waist=float(run["excitation_waist_um"]) * 1e-6,
         )
 
+    delta_mhz = grid / (TWO_PI * 1e6)
     averaged_t = average_transmittance(trajectories, grid, params)
     pinned_t = np.abs(t_minus_value(grid, params.g0, params))
-    averaged_angle = np.degrees(average_rotation(trajectories, grid, params))
-    pinned_angle = np.degrees(rotation_curve(grid, params.g0, params))
-    delta_mhz = grid / (TWO_PI * 1e6)
-
+    # Staged first: non-finite moments show here, with the file and column
+    # named, before the count estimator would reject them.
     write(
         "fig4a.csv",
         ["delta_mhz", "averaged_transmittance", "pinned_transmittance"],
         list(zip(delta_mhz, averaged_t, pinned_t)),
     )
+    averaged_angle = np.degrees(average_rotation(trajectories, grid, params))
+    pinned_angle = np.degrees(rotation_curve(grid, params.g0, params))
     write(
         "fig4b.csv",
         ["delta_mhz", "averaged_angle_deg", "pinned_angle_deg"],
@@ -439,20 +440,25 @@ _COMMANDS: dict[str, tuple[str, dict[str, object], Callable[..., int]]] = {
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Resolve the settings, run the command body, check that every numeric
-    cell of its tables is finite, then write its output."""
+    """Resolve the settings, run the command body, then write its output.
+
+    Each table is checked as the body hands it over: a numeric cell that is
+    not finite stops the command there, before any later table is computed
+    and before anything is written.
+    """
     params, geometry, detection, run, grid = _resolve(args)
     tables: list[tuple[str, list, list]] = []
-    status = _COMMANDS[args.command][2](
-        params, geometry, run, grid, lambda *table: tables.append(table)
-    )
-    if status:
-        return status
-    for name, header, rows in tables:
+
+    def stage(name: str, header: list, rows: list) -> None:
         for row in rows:
             for column, value in zip(header, row):
                 if not isinstance(value, str) and not math.isfinite(value):
                     raise RuntimeError(f"{name}: column {column} holds non-finite {value}")
+        tables.append((name, header, rows))
+
+    status = _COMMANDS[args.command][2](params, geometry, run, grid, stage)
+    if status:
+        return status
 
     out_dir = args.out or os.environ.get(OUTPUT_ENV_VAR) or "."
     try:

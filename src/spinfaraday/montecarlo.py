@@ -393,7 +393,6 @@ def sample_selected_trajectories(
         candidates += m
 
         x0, z0 = _sample_disc(rng, m, radius)
-        y0 = np.full(m, COINCIDENCE_START_HEIGHT)
         vx, vz = _sample_velocities(rng, m, motion)
         vy = -motion.v_fall
         envelope = _row_envelope(x0, vx, z0, vz, t_total, params.waist, excitation_waist)
@@ -432,7 +431,8 @@ def sample_selected_trajectories(
             rows, t_sel = _first_coincidences(row[keep], t[keep], window_ns * 1e-9)
             rows, t_sel = rows[: n - selected], t_sel[: n - selected]
             velocity = np.column_stack([vx[rows], np.full(rows.size, vy), vz[rows]])
-            start = np.column_stack([x0[rows], y0[rows], z0[rows]])
+            y0 = np.full(rows.size, COINCIDENCE_START_HEIGHT)
+            start = np.column_stack([x0[rows], y0, z0[rows]])
             r0_parts.append(start + velocity * t_sel[:, None])
             v_parts.append(velocity)
             selected += rows.size

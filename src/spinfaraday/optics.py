@@ -1,8 +1,11 @@
 """Weak-drive analytic optics: coupling map, complex sigma- transmittance,
 and the photon-count angle estimator.
 
-``angle_from_counts`` is the one estimator, elementwise over count arrays:
-single count pairs, expected intensities and ensemble-averaged counts alike.
+The count estimator's formula is written once, elementwise over count
+arrays: single count pairs, expected intensities and ensemble-averaged counts
+alike. ``angle_from_counts`` is its checked entry, for counts from outside;
+``rotation_curve`` applies the formula directly to the port intensities it
+builds, which are non-negative with a total of at least 2 by construction.
 
 Conventions
 -----------
@@ -107,6 +110,13 @@ def t_moments(
     return s2 / count, s1 / count
 
 
+def _count_angle(n_t: np.ndarray, n_r: np.ndarray) -> np.ndarray:
+    """arccos(sqrt(n_t / (n_t + n_r))) - pi/4, unchecked: float counts with a
+    positive total."""
+    # Rounding keeps n_t <= n_t + n_r, so the ratio needs no clipping to [0, 1].
+    return np.arccos(np.sqrt(n_t / (n_t + n_r))) - math.pi / 4.0
+
+
 def angle_from_counts(n_t: np.ndarray | float, n_r: np.ndarray | float) -> np.ndarray | float:
     """Polarization angle estimate from photon counts at the two ports.
 
@@ -114,18 +124,16 @@ def angle_from_counts(n_t: np.ndarray | float, n_r: np.ndarray | float) -> np.nd
     over broadcastable counts (a numpy scalar, ``np.float64``, for scalar
     counts). Balanced counts give zero; all counts in the reflected port
     give +pi/4 and all in the transmitted port give -pi/4. Raises ValueError
-    if any count is negative and InsufficientCountsError if any total is
-    not positive.
+    unless every count is finite and non-negative, and
+    InsufficientCountsError if any total is zero.
     """
     n_t = np.asarray(n_t, dtype=float)
     n_r = np.asarray(n_r, dtype=float)
-    if ((n_t < 0.0) | (n_r < 0.0)).any():
-        raise ValueError("photon counts must be non-negative")
-    total = n_t + n_r
-    if (total <= 0.0).any():
+    if not (np.isfinite(n_t) & np.isfinite(n_r) & (n_t >= 0.0) & (n_r >= 0.0)).all():
+        raise ValueError("photon counts must be finite and non-negative")
+    if ((n_t + n_r) == 0.0).any():
         raise InsufficientCountsError("no photons detected at either port")
-    # Rounding keeps n_t <= n_t + n_r, so the ratio needs no clipping to [0, 1].
-    return np.arccos(np.sqrt(n_t / total)) - math.pi / 4.0
+    return _count_angle(n_t, n_r)
 
 
 def rotation_curve(
@@ -138,7 +146,10 @@ def rotation_curve(
 
     The 45-degree analyzer's expected port intensities |t_minus + i|^2 / 4
     and |t_minus - i|^2 / 4 go into the count estimator; the common factor
-    cancels and the empty cavity reads zero.
+    cancels and the empty cavity reads zero. The counts |t + i|^2 and
+    |t - i|^2 are non-negative and sum to 2|t|^2 + 2 >= 2, so they go to the
+    formula without ``angle_from_counts``' checks, with the same values bit
+    for bit.
     """
     t = np.atleast_1d(t_minus_value(delta_grid, g, params, cavity_detuning))
-    return angle_from_counts(np.abs(t + 1j) ** 2, np.abs(t - 1j) ** 2)
+    return _count_angle(np.abs(t + 1j) ** 2, np.abs(t - 1j) ** 2)

@@ -78,12 +78,13 @@ LOOKAHEAD = 4
 _Bracket = tuple[float, float, float, float]
 
 
-def _golden_step(bracket: _Bracket, up: bool) -> _Bracket:
-    """scipy's next bracket (x0, x1, x2, x3): up when f2 > f1, else down."""
+def _golden_children(bracket: _Bracket) -> tuple[_Bracket, _Bracket]:
+    """scipy's two next brackets of (x0, x1, x2, x3): up, taken when f2 > f1,
+    then down."""
     x0, x1, x2, x3 = bracket
-    if up:
-        return x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3, x3
-    return x0, _GOLDEN_R * x1 + _GOLDEN_C * x0, x1, x2
+    up = x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3, x3
+    down = x0, _GOLDEN_R * x1 + _GOLDEN_C * x0, x1, x2
+    return up, down
 
 
 def _lookahead_tree(bracket: _Bracket, slot: int) -> list[float]:
@@ -92,9 +93,9 @@ def _lookahead_tree(bracket: _Bracket, slot: int) -> list[float]:
     up to 2i+1 (new x2) and down to 2i+2 (new x1)."""
     nodes, points = [bracket], [bracket[slot]]
     for i in range(2 ** (LOOKAHEAD - 1) - 1):
-        for up, new in ((True, 2), (False, 1)):
-            nodes.append(_golden_step(nodes[i], up))
-            points.append(nodes[-1][new])
+        up, down = _golden_children(nodes[i])
+        nodes += up, down
+        points += up[2], down[1]
     return points
 
 
@@ -129,7 +130,7 @@ def _golden(
         if abs(x3 - x0) <= 1e-12 * (abs(x1) + abs(x2)):
             break
         up = f2 > f1
-        x0, x1, x2, x3 = _golden_step((x0, x1, x2, x3), up)
+        x0, x1, x2, x3 = _golden_children((x0, x1, x2, x3))[0 if up else 1]
         if up:
             f1, f2 = f2, f((x0, x1, x2, x3), up)
         else:

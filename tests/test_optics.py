@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfaraday import optics
+from spinfaraday import optics, scans
 from spinfaraday.optics import (
     MOMENT_BLOCK,
     InsufficientCountsError,
@@ -238,11 +238,23 @@ class TestAngleFromCounts:
             ([1.0, -1e-9, 2.0], [1.0, 1.0, 1.0], ValueError),
             ([1.0, 1.0, 2.0], [1.0, 1.0, -3.0], ValueError),
             ([1.0, 0.0, 2.0], [1.0, 0.0, 1.0], InsufficientCountsError),
+            ([1.0, math.nan, 2.0], [1.0, 1.0, 1.0], ValueError),
+            ([1.0, 1.0, 2.0], [math.inf, 1.0, 1.0], ValueError),
+            ([1.0, 1.0, -math.inf], [1.0, 1.0, 1.0], ValueError),
         ],
     )
     def test_one_invalid_element_rejects_the_array(self, n_t, n_r, error):
         with pytest.raises(error):
             angle_from_counts(np.array(n_t), np.array(n_r))
+
+    @pytest.mark.parametrize(
+        "n_t, n_r",
+        [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)],
+    )
+    def test_non_finite_scalar_rejected(self, n_t, n_r):
+        with pytest.raises(ValueError, match="finite and non-negative") as caught:
+            angle_from_counts(n_t, n_r)
+        assert not isinstance(caught.value, InsufficientCountsError)
 
     @given(
         n_t=st.floats(0.0, 1e6),
@@ -284,6 +296,47 @@ class TestRotationAngle:
         curve = rotation_curve(deltas, P.g0, P)
         scalar = [rotation_curve(float(d), P.g0, P)[0] for d in deltas]
         np.testing.assert_allclose(curve, scalar, rtol=1e-12, atol=1e-15)
+
+
+def _max_rotation_grid(mode: str) -> tuple[np.ndarray, np.ndarray | float]:
+    """The anchor's coarse ``max_rotation`` grid and its cavity detuning."""
+    span = 6.0 * max(P.g0, P.kappa) + 8.0 * P.gamma
+    grid = np.linspace(-span, 0.0, scans.MAX_ROTATION_COARSE_POINTS)
+    return grid, grid if mode == scans.CAVITY_EQUALS_ATOM else 0.0
+
+
+def _lookahead_tree() -> tuple[np.ndarray, np.ndarray]:
+    """One cavity-locked lookahead tree's points, from the bracket of the
+    anchor's grid maximum, and their cavity detuning (the points themselves)."""
+    grid, cavity_detuning = _max_rotation_grid(scans.CAVITY_EQUALS_ATOM)
+    best = int(np.argmax(np.abs(rotation_curve(grid, P.g0, P, cavity_detuning))))
+    xa, xb, xc = grid[best - 1 : best + 2].tolist()
+    points = np.array(scans._lookahead_tree((xa, xb, xb + scans._GOLDEN_C * (xc - xb), xc), 2))
+    return points, points
+
+
+class TestRotationCurveCounts:
+    """rotation_curve puts its port counts through the count estimator's
+    formula without the checks; the angles equal the checked entry's and the
+    formula written out, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "delta, cavity_detuning",
+        [
+            _max_rotation_grid(scans.PROBE_EQUALS_CAVITY),
+            _max_rotation_grid(scans.CAVITY_EQUALS_ATOM),
+            _lookahead_tree(),
+        ],
+        ids=["coarse-grid-probe-on-cavity", "coarse-grid-cavity-on-atom", "lookahead-tree"],
+    )
+    def test_equals_checked_estimator_bytes(self, delta, cavity_detuning):
+        t = t_minus_value(delta, P.g0, P, cavity_detuning)
+        n_t, n_r = np.abs(t + 1j) ** 2, np.abs(t - 1j) ** 2
+        curve = rotation_curve(delta, P.g0, P, cavity_detuning)
+        assert curve.shape == delta.shape and delta.size in (15, 241)
+        assert curve.tobytes() == angle_from_counts(n_t, n_r).tobytes()
+        written_out = np.arccos(np.sqrt(n_t / (n_t + n_r))) - math.pi / 4.0
+        assert curve.tobytes() == written_out.tobytes()
 
 
 class TestAzimuth:
