@@ -8,9 +8,9 @@ Conventions: the frame rotates at the drive frequency, so
 H = -delta_c a^dag a - delta_a sp sm + g (a^dag sm + a sp) + drive,
 with delta_x = omega_drive - omega_x. kappa is the amplitude HWHM of the
 cavity line, so the photon-number collapse rate is 2*kappa; atomic decay has
-rate gamma. The drive amplitude amp is real: an atom drive adds amp*(sp + sm),
-so a resonant Rabi frequency Omega corresponds to amplitude Omega/2, and a
-cavity drive adds amp*(a^dag + a).
+rate gamma. The two drives are real amplitudes: the atom drive adds
+atom_drive*(sp + sm), so a resonant Rabi frequency Omega is atom_drive =
+Omega/2, and the cavity drive adds cavity_drive*(a^dag + a).
 
 In an orthonormal basis of d^2 Hermitian matrices the generator is a real
 matrix. Each of its seven terms is built once per Fock cutoff (_operators) by
@@ -19,13 +19,16 @@ the basis (_to_real); no complex superoperator is formed.
 
 Every steady state, a single point or a lineshape grid, comes from one
 reduced trace-row solve, _steady_states, whose docstring gives the
-derivation.
+derivation. A point that fails a solve or a check is NaN, and nothing else
+records it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,32 +54,36 @@ class CutoffError(RuntimeError):
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """One atom, one mode, one coherent drive."""
+    """One atom, one mode: the Fock cutoff and the seven rates liouvillian
+    sums, 2*kappa, gamma, the two detunings, g and the two drives."""
 
     fock_cutoff: int
     g: float                    # rad/s
     kappa: float                # rad/s, amplitude HWHM
     gamma: float                # rad/s
-    drive_amplitude: float      # rad/s; for an atom drive this is Omega/2
-    drive_target: str           # "atom" or "cavity"
     detuning_atom: float = 0.0  # rad/s, drive minus atom
     detuning_cavity: float = 0.0  # rad/s, drive minus cavity
+    atom_drive: float = 0.0     # rad/s, Omega/2 for a resonant Rabi frequency Omega
+    cavity_drive: float = 0.0   # rad/s
 
     def __post_init__(self) -> None:
-        values = np.array((self.g, self.kappa, self.gamma, self.drive_amplitude,
-                           self.detuning_atom, self.detuning_cavity))
+        values = np.array((self.g, self.kappa, self.gamma, self.detuning_atom,
+                           self.detuning_cavity, self.atom_drive, self.cavity_drive))
         if np.iscomplexobj(values) or not np.isfinite(values).all():
             raise ValueError(
-                "g, kappa, gamma, drive_amplitude and the detunings must be finite real numbers"
+                "g, kappa, gamma, the detunings and the drives must be finite real numbers"
             )
-        if not isinstance(self.fock_cutoff, int) or not (2 <= self.fock_cutoff <= 12):
+        try:
+            cutoff = operator.index(self.fock_cutoff)
+        except TypeError:
+            cutoff = 0
+        if not 2 <= cutoff <= 12:
             raise ValueError("fock_cutoff must be an integer in [2, 12]")
+        object.__setattr__(self, "fock_cutoff", cutoff)  # a plain int, as _operators' key
         if self.kappa <= 0.0 or self.gamma <= 0.0:
             raise ValueError("kappa and gamma must be strictly positive")
         if self.g < 0.0:
             raise ValueError("g must be non-negative")
-        if self.drive_target not in ("atom", "cavity"):
-            raise ValueError("drive_target must be 'atom' or 'cavity'")
 
 
 @dataclass(frozen=True)
@@ -134,15 +141,14 @@ def _operators(cutoff: int) -> _Operators:
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
     """Generator of the master equation in the real basis of _operators."""
-    drive, atom = model.drive_amplitude, model.drive_target == "atom"
     rates = (
         2.0 * model.kappa,  # photon loss, HWHM kappa
         model.gamma,        # atomic decay
         model.detuning_cavity,
         model.detuning_atom,
         model.g,
-        drive if atom else 0.0,
-        0.0 if atom else drive,
+        model.atom_drive,
+        model.cavity_drive,
     )
     return np.tensordot(rates, _operators(model.fock_cutoff).real, 1)
 
@@ -168,39 +174,34 @@ def _to_real(images: np.ndarray, units: np.ndarray, coherent: bool) -> np.ndarra
     return np.ascontiguousarray(full.real)
 
 
-def _solve_points(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
+def _solve_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solutions of a stack of systems a x = b (n, m, m) by (n, m, k).
 
     The stack is solved in one call; if that call meets a singular system,
-    the points are solved one by one, and a singular point is left NaN and
-    cleared in ok, in place.
+    the points are solved one by one, and a singular point is left NaN.
     """
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         x = np.full(b.shape, np.nan)
         for k in range(a.shape[0]):
-            try:
+            with contextlib.suppress(np.linalg.LinAlgError):
                 x[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
         return x
 
 
-def _checked_states(
-    r: np.ndarray, cutoff: int, ok: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _checked_states(r: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Checked density matrices of real-basis solutions r (n, d^2).
 
-    A point fails when it is false in ok on entry, or when its solution
-    misses unit trace by more than 1e-10 or has an eigenvalue below -1e-8,
-    found by one Cholesky of rho + 1e-8 I per stack, with eigvalsh only for
-    a stack where it fails. Failures are reported one way only: the point is
-    cleared in ok, in place. Returns (rho, top_fock): the density matrices
-    (n, d, d) and their top Fock populations (n,), NaN at the failed points.
+    A point fails when its solution misses unit trace by more than 1e-10,
+    which a non-finite solution always does, or has an eigenvalue below
+    -1e-8, found by one Cholesky of rho + 1e-8 I per stack, with eigvalsh
+    only for a stack where it fails. Returns (rho, top_fock): the density
+    matrices (n, d, d) and their top Fock populations (n,), NaN at the
+    failed points and finite everywhere else.
     """
     dim = 2 * (cutoff + 1)
-    ok &= np.abs(r[:, :dim].sum(axis=1) - 1.0) <= TRACE_TOLERANCE
+    ok = np.abs(r[:, :dim].sum(axis=1) - 1.0) <= TRACE_TOLERANCE
     rho = (r @ _operators(cutoff).basis.reshape(dim * dim, -1)).reshape(-1, dim, dim)
     if ok.any():
         try:
@@ -223,7 +224,6 @@ class _Parts(NamedTuple):
     wn: np.ndarray          # (s, a) W N_SA
     t2: np.ndarray          # (a, a) T2 = -N_AS W N_SA
     n_w: np.ndarray         # (a, 1) N_AS w
-    ok: bool                # false if D' is singular
 
 
 @functools.lru_cache(maxsize=8)
@@ -232,11 +232,10 @@ def _parts(cutoff: int, kappa: float, gamma: float) -> _Parts:
     dim = 2 * (cutoff + 1)
     sym = dim * (dim + 1) // 2
     dissipator = 2.0 * kappa * ops.real[0] + gamma * ops.real[1]
-    ok = np.ones(1, dtype=bool)
     trace_block = dissipator[:sym, :sym].copy()
     trace_block[0] = 0.0
     trace_block[0, :dim] = 1.0
-    w_inv = _solve_points(trace_block[None], np.eye(sym)[None], ok)[0]
+    w_inv = _solve_points(trace_block[None], np.eye(sym)[None])[0]
     detuning = ops.real[2] + ops.real[3]
     n_sa = detuning[:sym, sym:].copy()
     n_sa[0] = 0.0
@@ -244,20 +243,20 @@ def _parts(cutoff: int, kappa: float, gamma: float) -> _Parts:
     wn = w_inv @ n_sa
     part = _Parts(
         dissipator[sym:, sym:].copy(), w_inv, n_as, wn, -(n_as @ wn),
-        (n_as @ w_inv[:, 0])[:, None], bool(ok[0]),
+        (n_as @ w_inv[:, 0])[:, None],
     )
-    for array in part[:-1]:
+    for array in part:
         array.flags.writeable = False
     return part
 
 
 def _steady_states(
     model: LindbladModel, detunings: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Checked steady states of model with each of detunings (n,) added to
-    both its atom and its cavity detuning. Returns (rho, top_fock, ok): the
-    density matrices (n, d, d), their top Fock populations (n,) and the
-    pass mask (n,), with rho and top_fock NaN at the failed points.
+    both its atom and its cavity detuning. Returns (rho, top_fock): the
+    density matrices (n, d, d) and their top Fock populations (n,), NaN at
+    the failed points and only there.
 
     Each point is a trace-row solve (Nation, arXiv:1504.06768) in a real
     Hermitian operator basis, where a Hermitian-preserving generator is a
@@ -280,8 +279,9 @@ def _steady_states(
     The systems are solved by _solve_points in stacks of at most
     LINESHAPE_BLOCK detunings and checked by _checked_states (positivity by
     one Cholesky of rho + 1e-8 I per stack, eigvalsh only where it fails).
-    Every point fails when D' is singular; a singular T(delta) or a failed
-    trace or positivity check fails its point alone.
+    A singular D' leaves W NaN, so every point fails its trace check; a
+    singular T(delta) or a failed trace or positivity check fails its point
+    alone.
     """
     cutoff = model.fock_cutoff
     part = _parts(cutoff, model.kappa, model.gamma)
@@ -301,7 +301,6 @@ def _steady_states(
     h_w = (h_as @ w)[:, None]
 
     n = detunings.size
-    ok = np.full(n, part.ok)
     rho = np.empty((n, dim, dim), dtype=complex)
     top_fock = np.empty(n)
     for start in range(0, n, LINESHAPE_BLOCK):
@@ -309,12 +308,12 @@ def _steady_states(
         block = detunings[cols]
         stack = np.vander(block, 3, increasing=True) @ t.reshape(3, -1)
         rhs = -(h_w + block[:, None, None] * part.n_w)
-        x_a = _solve_points(stack.reshape(-1, *t.shape[1:]), rhs, ok[cols])[:, :, 0]
+        x_a = _solve_points(stack.reshape(-1, *t.shape[1:]), rhs)[:, :, 0]
         x_s = w - x_a @ wh.T - block[:, None] * (x_a @ part.wn.T)
         rho[cols], top_fock[cols] = _checked_states(
-            np.concatenate((x_s, x_a), axis=1), cutoff, ok[cols]
+            np.concatenate((x_s, x_a), axis=1), cutoff
         )
-    return rho, top_fock, ok
+    return rho, top_fock
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
@@ -325,8 +324,8 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     solution fails the trace or positivity check, and CutoffError if the
     top Fock level holds more than 1e-6 population.
     """
-    rho, top_fock, ok = _steady_states(model, np.zeros(1))
-    if not ok[0]:
+    rho, top_fock = _steady_states(model, np.zeros(1))
+    if np.isnan(top_fock[0]):
         raise np.linalg.LinAlgError(
             "steady-state solve is singular or failed the trace or positivity check"
         )
@@ -358,10 +357,9 @@ def transmittance_steady(
         g=float(g),
         kappa=params.kappa,
         gamma=params.gamma,
-        drive_amplitude=drive,
-        drive_target="cavity",
         detuning_atom=float(delta),
         detuning_cavity=float(cavity_detuning),
+        cavity_drive=drive,
     )
     field = complex(np.trace(steady_state(model) @ _operators(PROBE_FOCK_CUTOFF).a))
     return field / (-1j * drive / (params.kappa - 1j * float(cavity_detuning)))
@@ -372,10 +370,8 @@ def fluorescence_rate(model: LindbladModel) -> float:
 
     The total cavity emission rate is 2*kappa*<n>; with symmetric mirrors
     half leaves through the output side. In the weak-drive strong-Purcell
-    limit this reproduces kappa*Omega^2/(4 g0^2).
+    limit this reproduces kappa*Omega^2/(4 g0^2) for an atom drive Omega/2.
     """
-    if model.drive_target != "atom":
-        raise ValueError("fluorescence_rate expects an atom-driven model")
     number = _operators(model.fock_cutoff).number
     return model.kappa * np.trace(steady_state(model) @ number).real
 
@@ -444,10 +440,11 @@ def fluorescence_lineshape(
     MIRROR_TOLERANCE (1e-12) of the largest |detuning| share one solve at the
     largest signed value among them, found by one sort over |delta|. Each
     site is one _steady_states call over the solved detunings, and the sites
-    of one cutoff share one D' inverse. Rates and pass marks are kept per
-    site and solved detuning, and fed to the grid once, after the site
-    average. failed_points counts grid points over all sites of the final
-    cutoff, so a failed solve counts once for each grid point it feeds.
+    of one cutoff share one D' inverse. Rates are kept per site and solved
+    detuning, NaN where a point failed, and fed to the grid once, after the
+    site average skips the NaNs. failed_points counts NaN grid points over
+    all sites of the final cutoff, so a failed solve counts once for each
+    grid point it feeds.
 
     The Fock cutoff starts at LINESHAPE_START_CUTOFF and adapts upward (3,
     5, 7, then MAX_LINESHAPE_CUTOFF = 9) until the top level holds less
@@ -476,9 +473,8 @@ def fluorescence_lineshape(
             2.0 * params.kappa * np.diagonal(ops.number) + params.gamma * np.diagonal(ops.excited)
         )
 
-        # Rates and pass mask per (site, solved detuning).
+        # Rates per (site, solved detuning), NaN where a point failed.
         rates = np.empty((g_local.size, solved.size))
-        ok = np.empty((g_local.size, solved.size), dtype=bool)
         worst_top = 0.0
         for s in range(g_local.size):
             model = LindbladModel(
@@ -486,13 +482,11 @@ def fluorescence_lineshape(
                 g=float(abs(g_local[s])),
                 kappa=params.kappa,
                 gamma=params.gamma,
-                drive_amplitude=0.5 * omega_local[s],
-                drive_target="atom",
+                atom_drive=0.5 * omega_local[s],
             )
-            rho, top_fock, ok[s] = _steady_states(model, solved)
+            rho, top_fock = _steady_states(model, solved)
             rates[s] = np.real(np.diagonal(rho, axis1=1, axis2=2)) @ emission
-            if ok[s].any():
-                worst_top = max(worst_top, float(np.nanmax(top_fock)))
+            worst_top = float(np.fmax.reduce(top_fock, initial=worst_top))
             if worst_top >= TOP_FOCK_TOLERANCE:
                 break  # this cutoff is rejected; the remaining sites need not be solved
         if worst_top < TOP_FOCK_TOLERANCE:
@@ -500,7 +494,8 @@ def fluorescence_lineshape(
     else:
         raise CutoffError(f"top Fock population {worst_top:.2e} at cutoff {cutoff}")
 
-    unsolved = np.count_nonzero(~ok.any(axis=0)[feeds])
+    failed = np.isnan(rates)
+    unsolved = np.count_nonzero(failed.all(axis=0)[feeds])
     if unsolved:
         raise np.linalg.LinAlgError(
             f"lineshape solve produced no finite points at {unsolved} of "
@@ -514,7 +509,7 @@ def fluorescence_lineshape(
         normalized=mean_rate / peak,
         rate=mean_rate,
         fock_cutoff=cutoff,
-        failed_points=int(np.count_nonzero(~ok[:, feeds])),
+        failed_points=int(np.count_nonzero(failed[:, feeds])),
     )
 
 

@@ -24,6 +24,7 @@ with-atom reading is reported directly as the rotation angle.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -131,6 +132,10 @@ def angle_from_counts(n_t: np.ndarray | float, n_r: np.ndarray | float) -> np.nd
     n_r = np.asarray(n_r, dtype=float)
     if not (np.isfinite(n_t) & np.isfinite(n_r) & (n_t >= 0.0) & (n_r >= 0.0)).all():
         raise ValueError("photon counts must be finite and non-negative")
+    # Halve both counts wherever their sum could overflow: the ratio keeps its
+    # value, and every other pair is scaled by exactly 1.
+    scale = np.where(np.maximum(n_t, n_r) > sys.float_info.max / 2.0, 0.5, 1.0)
+    n_t, n_r = n_t * scale, n_r * scale
     if ((n_t + n_r) == 0.0).any():
         raise InsufficientCountsError("no photons detected at either port")
     return _count_angle(n_t, n_r)

@@ -294,7 +294,7 @@ def default_reflectivity_grid(
     scan resolves them exactly.
     """
     grid = 1.0 - np.geomspace(1e-4, 1e-5, 41)
-    extras = [anchor_geometry.reflectivity, 0.999990]
+    extras = [anchor_geometry.reflectivity, REFLECTIVITY_LIMIT]
     if _has_lossless_point(anchor):
         extras.append(lossless_rotation_point(anchor, anchor_geometry).reflectivity)
     extras_arr = np.array([e for e in extras if grid.min() <= e <= grid.max()])

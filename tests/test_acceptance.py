@@ -93,8 +93,7 @@ def test_ac02_purcell_rate_and_detected_counts():
         g=P.g0,
         kappa=P.kappa,
         gamma=P.gamma,
-        drive_amplitude=0.5 * omega,
-        drive_target="atom",
+        atom_drive=0.5 * omega,
         detuning_atom=0.0,
         detuning_cavity=0.0,
     )

@@ -317,13 +317,12 @@ class TestFig2:
         calls = []
 
         def fail_last_point_once(model, detunings):
-            rho, top_fock, ok = steady_states(model, detunings)
+            rho, top_fock = steady_states(model, detunings)
             if not calls:
-                ok[-1] = False
                 rho[-1] = np.nan
                 top_fock[-1] = np.nan
             calls.append(detunings.size)
-            return rho, top_fock, ok
+            return rho, top_fock
 
         monkeypatch.setattr(lindblad, "_steady_states", fail_last_point_once)
         argv = ["fig2", "--out", str(tmp_path), "--samples", "2", "--grid=-2:2:5"]

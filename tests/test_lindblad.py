@@ -47,12 +47,12 @@ def oracle_liouvillian(model):
     a = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1.0, nf)), 1))
     sm = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(nf))
     eye = np.eye(2 * nf)
-    drive = sm + sm.T if model.drive_target == "atom" else a + a.T
     h = (
         -model.detuning_cavity * a.T @ a
         - model.detuning_atom * sm.T @ sm
         + model.g * (a.T @ sm + a @ sm.T)
-        + model.drive_amplitude * drive
+        + model.atom_drive * (sm + sm.T)
+        + model.cavity_drive * (a + a.T)
     )
     liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for c, rate in ((a, 2.0 * model.kappa), (sm, model.gamma)):
@@ -73,6 +73,14 @@ def trace_row_solve(model):
     return np.linalg.solve(a, b).reshape(dim, dim)
 
 
+def pass_marks(rho, top_fock):
+    """Which checked states passed, asserting the failure contract: a point
+    is NaN throughout where it failed and finite throughout where it passed."""
+    passed = np.isfinite(top_fock)
+    assert np.isfinite(rho[passed]).all() and np.isnan(rho[~passed]).all()
+    return passed
+
+
 def at_detuning(model, delta):
     """model with delta as both its atom and its cavity detuning."""
     return replace(model, detuning_atom=float(delta), detuning_cavity=float(delta))
@@ -85,9 +93,9 @@ def solve_shapes(monkeypatch):
     shapes = []
     _parts.cache_clear()
 
-    def counted(a, b, ok):
+    def counted(a, b):
         shapes.append(a.shape)
-        return _solve_points(a, b, ok)
+        return _solve_points(a, b)
 
     monkeypatch.setattr(lindblad, "_solve_points", counted)
     return shapes
@@ -95,36 +103,35 @@ def solve_shapes(monkeypatch):
 
 class TestModelValidation:
     def test_cutoff_bounds(self):
-        kwargs = dict(g=0.0, kappa=P.kappa, gamma=P.gamma,
-                      drive_amplitude=0.0, drive_target="cavity")
+        kwargs = dict(g=0.0, kappa=P.kappa, gamma=P.gamma)
         with pytest.raises(ValueError):
             LindbladModel(fock_cutoff=1, **kwargs)
         with pytest.raises(ValueError):
             LindbladModel(fock_cutoff=13, **kwargs)
 
+    def test_numpy_integer_cutoff_stored_as_int(self):
+        kwargs = dict(g=P.g0, kappa=P.kappa, gamma=P.gamma, atom_drive=0.1 * P.kappa)
+        model = LindbladModel(fock_cutoff=np.int64(3), **kwargs)
+        assert type(model.fock_cutoff) is int
+        assert model == LindbladModel(fock_cutoff=3, **kwargs)
+        for bad in (3.0, np.float64(3.0), "3", np.int64(1), np.uint8(13)):
+            with pytest.raises(ValueError, match="fock_cutoff"):
+                LindbladModel(fock_cutoff=bad, **kwargs)
+
     def test_rates_positive(self):
         with pytest.raises(ValueError):
-            LindbladModel(fock_cutoff=3, g=0.0, kappa=0.0, gamma=P.gamma,
-                          drive_amplitude=0.0, drive_target="cavity")
+            LindbladModel(fock_cutoff=3, g=0.0, kappa=0.0, gamma=P.gamma)
         with pytest.raises(ValueError):
-            LindbladModel(fock_cutoff=3, g=-1.0, kappa=P.kappa, gamma=P.gamma,
-                          drive_amplitude=0.0, drive_target="cavity")
-
-    def test_drive_target_checked(self):
-        with pytest.raises(ValueError):
-            LindbladModel(
-                fock_cutoff=3, g=0.0, kappa=P.kappa, gamma=P.gamma,
-                drive_amplitude=1.0, drive_target="mirror",
-            )
+            LindbladModel(fock_cutoff=3, g=-1.0, kappa=P.kappa, gamma=P.gamma)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
     @pytest.mark.parametrize(
         "field",
-        ["g", "kappa", "gamma", "drive_amplitude", "detuning_atom", "detuning_cavity"],
+        ["g", "kappa", "gamma", "detuning_atom", "detuning_cavity", "atom_drive", "cavity_drive"],
     )
     def test_non_finite_field_rejected(self, field, value):
         kwargs = dict(fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-                      drive_amplitude=0.1 * P.kappa, drive_target="cavity")
+                      cavity_drive=0.1 * P.kappa)
         with pytest.raises(ValueError, match="finite"):
             LindbladModel(**(kwargs | {field: value}))
 
@@ -134,7 +141,7 @@ class TestModelValidation:
     def test_complex_drive_rejected(self, drive):
         with pytest.raises(ValueError, match="finite real"):
             LindbladModel(fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-                          drive_amplitude=drive * P.kappa, drive_target="cavity")
+                          cavity_drive=drive * P.kappa)
 
 
 class TestSteadyState:
@@ -144,7 +151,7 @@ class TestSteadyState:
         for delta_c in MHZ * np.array([-3.0, -0.5, 0.0, 1.7, 4.0]):
             model = LindbladModel(
                 fock_cutoff=4, g=0.0, kappa=P.kappa, gamma=P.gamma,
-                drive_amplitude=drive, drive_target="cavity",
+                cavity_drive=drive,
                 detuning_cavity=float(delta_c),
             )
             number = expect(steady_state(model), "number", 4).real
@@ -156,7 +163,7 @@ class TestSteadyState:
         def amp(delta_c):
             model = LindbladModel(
                 fock_cutoff=3, g=0.0, kappa=P.kappa, gamma=P.gamma,
-                drive_amplitude=drive, drive_target="cavity",
+                cavity_drive=drive,
                 detuning_cavity=delta_c,
             )
             return abs(expect(steady_state(model), "a", 3))
@@ -166,7 +173,7 @@ class TestSteadyState:
     def test_density_matrix_properties(self):
         model = LindbladModel(
             fock_cutoff=4, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-            drive_amplitude=0.05 * P.kappa, drive_target="cavity",
+            cavity_drive=0.05 * P.kappa,
             detuning_atom=0.8 * MHZ, detuning_cavity=0.8 * MHZ,
         )
         rho = steady_state(model)
@@ -177,7 +184,7 @@ class TestSteadyState:
     def test_cutoff_convergence(self):
         kwargs = dict(
             g=P.g0, kappa=P.kappa, gamma=P.gamma,
-            drive_amplitude=1e-3 * P.kappa, drive_target="cavity",
+            cavity_drive=1e-3 * P.kappa,
         )
         n4 = expect(steady_state(LindbladModel(fock_cutoff=4, **kwargs)), "number", 4).real
         n6 = expect(steady_state(LindbladModel(fock_cutoff=6, **kwargs)), "number", 6).real
@@ -186,13 +193,13 @@ class TestSteadyState:
     def test_cutoff_error_on_strong_drive(self):
         model = LindbladModel(
             fock_cutoff=2, g=0.0, kappa=P.kappa, gamma=P.gamma,
-            drive_amplitude=3.0 * P.kappa, drive_target="cavity",
+            cavity_drive=3.0 * P.kappa,
         )
         with pytest.raises(CutoffError):
             steady_state(model)
         # the solver under steady_state still returns the state for diagnostics
-        _, top_fock, ok = _steady_states(model, np.zeros(1))
-        assert ok[0] and top_fock[0] >= 1e-6
+        rho, top_fock = _steady_states(model, np.zeros(1))
+        assert pass_marks(rho, top_fock)[0] and top_fock[0] >= 1e-6
 
     def test_failed_solve_raises_linalg_error(self, monkeypatch):
         monkeypatch.setattr(
@@ -200,7 +207,7 @@ class TestSteadyState:
         )
         model = LindbladModel(
             fock_cutoff=2, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-            drive_amplitude=0.1 * P.kappa, drive_target="cavity",
+            cavity_drive=0.1 * P.kappa,
         )
         with pytest.raises(np.linalg.LinAlgError, match="trace or positivity"):
             steady_state(model)
@@ -252,7 +259,7 @@ class TestOracleEquivalence:
         for da, dc in pairs:
             model = LindbladModel(
                 fock_cutoff=cutoff, g=0.0, kappa=P.kappa, gamma=P.gamma,
-                drive_amplitude=eta, drive_target="cavity",
+                cavity_drive=eta,
                 detuning_atom=float(da * MHZ), detuning_cavity=float(dc * MHZ),
             )
             numeric = expect(steady_state(model), "a", cutoff)
@@ -267,7 +274,7 @@ class TestPurcellRate:
     def test_zero_drive_zero_rate(self):
         model = LindbladModel(
             fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-            drive_amplitude=0.0, drive_target="atom",
+            atom_drive=0.0,
         )
         assert fluorescence_rate(model) == pytest.approx(0.0, abs=1e-20)
 
@@ -277,7 +284,7 @@ class TestPurcellRate:
         omega = TWO_PI * 0.001e6
         model = LindbladModel(
             fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-            drive_amplitude=omega / 2.0, drive_target="atom",
+            atom_drive=omega / 2.0,
         )
         ratio = fluorescence_rate(model) / purcell_rate_formula(P, rabi=omega)
         assert ratio == pytest.approx(0.9031853230944967, rel=1e-6)
@@ -287,7 +294,7 @@ class TestPurcellRate:
         def rate(omega):
             model = LindbladModel(
                 fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-                drive_amplitude=omega / 2.0, drive_target="atom",
+                atom_drive=omega / 2.0,
             )
             return fluorescence_rate(model)
 
@@ -300,13 +307,14 @@ class TestPurcellRate:
         detected = 0.4 * purcell_rate_formula(P)
         assert detected == pytest.approx(7.6e5, rel=0.10)
 
-    def test_atom_drive_required(self):
+    def test_driven_empty_cavity_rate(self):
+        # kappa <n> is defined for any drive: the empty cavity driven at eta
+        # holds the coherent <n> = (eta/kappa)^2.
         model = LindbladModel(
-            fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-            drive_amplitude=0.01 * P.kappa, drive_target="cavity",
+            fock_cutoff=3, g=0.0, kappa=P.kappa, gamma=P.gamma,
+            cavity_drive=0.01 * P.kappa,
         )
-        with pytest.raises(ValueError):
-            fluorescence_rate(model)
+        assert fluorescence_rate(model) == pytest.approx(1e-4 * P.kappa, rel=1e-8)
 
 
 GRID = MHZ * np.linspace(-8.0, 8.0, 161)
@@ -460,10 +468,10 @@ class TestLineshape:
     def test_detuning_failing_at_every_position_raises(self, monkeypatch):
         # The grid -2..2 MHz is solved at 0, 1 and 2 MHz; the last, which
         # feeds the grid points -2 and 2, is singular at every position.
-        def singular_last(a, b, ok):
+        def singular_last(a, b):
             if a.shape == (3, 28, 28):
                 a[2] = 0.0
-            return _solve_points(a, b, ok)
+            return _solve_points(a, b)
 
         monkeypatch.setattr(lindblad, "_solve_points", singular_last)
         with pytest.raises(np.linalg.LinAlgError, match="no finite points at 2 of 5 detunings"):
@@ -490,7 +498,7 @@ def atom_driven_rate(g, omega, delta, cutoff):
     from the test-side oracle; the top Fock population goes unchecked."""
     model = LindbladModel(
         fock_cutoff=cutoff, g=g, kappa=P.kappa, gamma=P.gamma,
-        drive_amplitude=0.5 * omega, drive_target="atom",
+        atom_drive=0.5 * omega,
         detuning_atom=float(delta), detuning_cavity=float(delta),
     )
     return scattered_rate(trace_row_solve(model), cutoff)
@@ -501,7 +509,7 @@ class TestBatchedSolver:
     def cavity_model(delta_c):
         return LindbladModel(
             fock_cutoff=4, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-            drive_amplitude=0.05 * P.kappa, drive_target="cavity",
+            cavity_drive=0.05 * P.kappa,
             detuning_atom=float(delta_c), detuning_cavity=float(delta_c),
         )
 
@@ -513,9 +521,7 @@ class TestBatchedSolver:
         a[:, 0, :10] = 1.0  # the trace row at cutoff 4 (d = 10)
         b = np.zeros((3, 100, 1))
         b[:, 0] = 1.0
-        ok = np.ones(3, dtype=bool)
-        x = _solve_points(a.copy(), b, ok)
-        np.testing.assert_array_equal(ok, [True, False, True])
+        x = _solve_points(a.copy(), b)
         assert np.all(np.isnan(x[1]))
         for k in (0, 2):
             np.testing.assert_array_equal(x[k], np.linalg.solve(a[k], b[k]))
@@ -630,16 +636,16 @@ class TestMirror:
 class TestRealBasis:
     @staticmethod
     def random_model(rng, cutoff, target, drive=1.0):
-        """A model with a random real drive of up to drive MHz, of either sign."""
+        """A model with a random real drive of up to drive MHz, of either
+        sign, on the target ("atom" or "cavity")."""
         return LindbladModel(
             fock_cutoff=cutoff,
             g=float(rng.uniform(0.0, 3.0)) * MHZ,
             kappa=float(rng.uniform(0.5, 5.0)) * MHZ,
             gamma=float(rng.uniform(0.5, 5.0)) * MHZ,
-            drive_amplitude=drive * MHZ * rng.uniform(0.01, 1.0) * rng.choice([-1.0, 1.0]),
-            drive_target=target,
             detuning_atom=float(rng.uniform(-5.0, 5.0)) * MHZ,
             detuning_cavity=float(rng.uniform(-5.0, 5.0)) * MHZ,
+            **{f"{target}_drive": drive * MHZ * rng.uniform(0.01, 1.0) * rng.choice([-1.0, 1.0])},
         )
 
     @pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 12])
@@ -682,11 +688,37 @@ class TestRealBasis:
         rng = np.random.default_rng(cutoff + len(target))
         for _ in range(3):
             model = self.random_model(rng, cutoff, target, drive=0.1)
-            flipped = replace(model, drive_amplitude=-model.drive_amplitude)
+            flipped = replace(model, atom_drive=-model.atom_drive,
+                              cavity_drive=-model.cavity_drive)
             for solve in (trace_row_solve, steady_state):
                 np.testing.assert_allclose(
                     solve(flipped), u @ solve(model) @ u, rtol=0.0, atol=1e-12
                 )
+
+    # Each rate field, the generator term it multiplies and its factor there.
+    RATE_TERMS = [
+        ("kappa", 0, 2.0), ("gamma", 1, 1.0), ("detuning_cavity", 2, 1.0),
+        ("detuning_atom", 3, 1.0), ("g", 4, 1.0), ("atom_drive", 5, 1.0),
+        ("cavity_drive", 6, 1.0),
+    ]
+
+    @pytest.mark.parametrize("field, term, factor", RATE_TERMS)
+    def test_each_rate_field_reaches_its_term(self, field, term, factor):
+        # Moving one field by d moves the generator by d * factor * term,
+        # within 16 eps of the largest entry of sum_k |rate_k| |term_k|: the
+        # rounding of the two seven-term sums and of the expected term. A
+        # field missing from the sum misses by over 1e6 times that bound.
+        real = lindblad._operators(3).real
+        rng = np.random.default_rng(term)
+        model = replace(self.random_model(rng, 3, "atom"), cavity_drive=0.7 * MHZ)
+        d = 0.37 * MHZ
+        moved = replace(model, **{field: getattr(model, field) + d})
+        change = liouvillian(moved) - liouvillian(model)
+        rates = np.abs([2.0 * moved.kappa, moved.gamma, moved.detuning_cavity,
+                        moved.detuning_atom, moved.g, moved.atom_drive, moved.cavity_drive])
+        bound = 16 * np.finfo(float).eps * np.tensordot(rates, np.abs(real), 1).max()
+        assert np.abs(change - d * factor * real[term]).max() <= bound
+        assert np.abs(d * factor * real[term]).max() > 1e6 * bound
 
     @staticmethod
     def coherent_images(h, units):
@@ -768,9 +800,9 @@ class TestSchurSolve:
         solved = []
 
         def captured(model, detunings):
-            rho, top_fock, ok = _steady_states(model, detunings)
-            solved.append((model, detunings.copy(), rho.copy(), ok.copy()))
-            return rho, top_fock, ok
+            rho, top_fock = _steady_states(model, detunings)
+            solved.append((model, detunings.copy(), rho.copy(), top_fock.copy()))
+            return rho, top_fock
 
         params = replace(P, g0=g_ratio * P.g0, rabi=omega_ratio * P.rabi)
         with pytest.MonkeyPatch.context() as patch:
@@ -780,8 +812,8 @@ class TestSchurSolve:
                 params, 1.0, np.array([delta_mhz * MHZ]), *pinned(params)
             )
         assert solved[0][0].fock_cutoff == cutoff
-        for model, detunings, rho, ok in solved:
-            assert ok.all()
+        for model, detunings, rho, top_fock in solved:
+            assert pass_marks(rho, top_fock).all()
             dense = trace_row_solve(at_detuning(model, detunings[0]))
             assert np.max(np.abs(rho[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
             at_cutoff = model.fock_cutoff
@@ -806,26 +838,25 @@ class TestSchurSolve:
         assert first == again
         assert solve_shapes == [(1, 55, 55), (1, 45, 45), (1, 45, 45)]
         part = _parts(4, P.kappa, P.gamma)
-        assert not any(array.flags.writeable for array in part[:-1])
+        assert not any(array.flags.writeable for array in part)
         transmittance_steady(MHZ, P.g0, replace(P, kappa=2.0 * P.kappa))
         assert solve_shapes[3:] == [(1, 55, 55), (1, 45, 45)]
         assert _parts.cache_info().currsize == 2
 
     def test_singular_reduced_system_fails_alone(self, monkeypatch):
-        def zero_second(a, b, ok):
+        def zero_second(a, b):
             if a.shape == (3, 28, 28):
                 a[1] = 0.0
-            return _solve_points(a, b, ok)
+            return _solve_points(a, b)
 
         model = LindbladModel(
             fock_cutoff=3, g=P.g0, kappa=P.kappa, gamma=P.gamma,
-            drive_amplitude=0.5 * P.rabi, drive_target="atom",
+            atom_drive=0.5 * P.rabi,
         )
         detunings = MHZ * np.array([0.0, 1.0, 2.0])
         monkeypatch.setattr(lindblad, "_solve_points", zero_second)
-        rho, top_fock, ok = _steady_states(model, detunings)
-        np.testing.assert_array_equal(ok, [True, False, True])
-        assert np.all(np.isnan(rho[1])) and np.isnan(top_fock[1])
+        rho, top_fock = _steady_states(model, detunings)
+        np.testing.assert_array_equal(pass_marks(rho, top_fock), [True, False, True])
         for k in (0, 2):
             expected = trace_row_solve(at_detuning(model, detunings[k]))
             np.testing.assert_allclose(rho[k], expected, rtol=0.0, atol=1e-12)
@@ -846,7 +877,7 @@ class TestSchurSolve:
         kept = models[:1] + models[2:]
         for delta, rate in zip(grid, shape.rate):
             expected = np.mean(
-                [atom_driven_rate(m.g, 2.0 * m.drive_amplitude, delta, 3) for m in kept]
+                [atom_driven_rate(m.g, 2.0 * m.atom_drive, delta, 3) for m in kept]
             )
             assert rate == pytest.approx(expected, rel=1e-12)
 
@@ -886,15 +917,10 @@ class TestPositivityCheck:
         expected = self.eigvalsh_marks(r, 2)
         np.testing.assert_array_equal(expected, [True, True, False])
         monkeypatch.setattr(lindblad.np.linalg, "eigvalsh", counted)
-        ok = np.ones(3, dtype=bool)
-        rho, top_fock = _checked_states(r, 2, ok)
-        np.testing.assert_array_equal(ok, expected)
+        np.testing.assert_array_equal(pass_marks(*_checked_states(r, 2)), expected)
         assert calls == [3]  # the failing stack alone falls back, as one stack
-        assert np.all(np.isnan(rho[2])) and np.isnan(top_fock[2])
-        assert np.isfinite(rho[:2]).all() and np.isfinite(top_fock[:2]).all()
-        ok = np.ones(2, dtype=bool)
-        _checked_states(r[:2], 2, ok)
-        assert ok.all() and calls == [3]  # a passing stack never reaches eigvalsh
+        assert pass_marks(*_checked_states(r[:2], 2)).all()
+        assert calls == [3]  # a passing stack never reaches eigvalsh
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -904,9 +930,9 @@ class TestPositivityCheck:
     def test_marks_equal_eigvalsh_rule(self, seed, smallest):
         assume(all(abs(low - EIGENVALUE_FLOOR) > 1e-12 for low in smallest))
         r = self.real_basis_states(np.random.default_rng(seed), 2, smallest)
-        ok = np.ones(len(smallest), dtype=bool)
-        _checked_states(r, 2, ok)
-        np.testing.assert_array_equal(ok, self.eigvalsh_marks(r, 2))
+        np.testing.assert_array_equal(
+            pass_marks(*_checked_states(r, 2)), self.eigvalsh_marks(r, 2)
+        )
 
     def test_healthy_inputs_never_reach_the_fallback(self, tmp_path, monkeypatch):
         def no_eigvalsh(*args, **kwargs):

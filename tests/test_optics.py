@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,29 @@ class TestAngleFromCounts:
         with pytest.raises(ValueError, match="finite and non-negative") as caught:
             angle_from_counts(n_t, n_r)
         assert not isinstance(caught.value, InsufficientCountsError)
+
+    @pytest.mark.parametrize(
+        "n_t, n_r, expected",
+        [
+            (1e308, 1e308, 0.0),
+            (1.7e308, 1.7e308, 0.0),
+            (1e308, 0.0, -math.pi / 4.0),
+            (0.0, 1e308, math.pi / 4.0),
+        ],
+    )
+    def test_counts_near_the_float_range(self, n_t, n_r, expected):
+        # The counts' sum overflows unless they are halved first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            angle = angle_from_counts(n_t, n_r)
+        assert angle == pytest.approx(expected, abs=1e-15)
+
+    def test_halving_leaves_other_pairs_bitwise(self):
+        n_t = np.array([1.7e308, 3.0, 1e300, 0.0, 9e307])
+        n_r = np.array([1.7e308, 1.0, 2e300, 5.0, 0.0])
+        angles = angle_from_counts(n_t, n_r)
+        assert angles[0] == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_array_equal(angles[1:], optics._count_angle(n_t[1:], n_r[1:]))
 
     @given(
         n_t=st.floats(0.0, 1e6),
